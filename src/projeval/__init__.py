@@ -7,8 +7,6 @@ plus analytic fixtures and a reproducible random-chain benchmark sweep.
 
 from .mdp import (
     Mdp,
-    apply_L,
-    apply_L_transpose,
     bellman_apply,
     exact_value,
     make_mdp,
@@ -16,17 +14,10 @@ from .mdp import (
     validate,
 )
 from .projections import (
-    CoefficientMap,
     FeatureBasis,
-    SingularMatrixError,
     StateWeights,
     make_feature_basis,
     make_state_weights,
-    oblique_coefficient_map,
-    operator_norm_oracle,
-    orthogonal_coefficient_map,
-    projector_weighted_norm,
-    spectral_radius,
     weighted_norm,
 )
 from .solvers import (

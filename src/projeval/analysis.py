@@ -10,7 +10,10 @@ is exactly the xi-norm of the projector onto span(Phi) along span(L'X)^perp,
 computed from three m x m matrices:
 
   A = Phi' Xi Phi,  B = (X' L Phi)^-1,  C = X' L Xi^-1 L' X,
-  bound = sqrt(spectral_radius(A B C B')).
+  bound = sqrt(lambda_max(A^1/2 B C B' A^1/2)).
+
+Both the xi-projection of the report and the system X' L Phi of the bound
+go through the singularity gate of `projections`.
 """
 
 from __future__ import annotations
@@ -22,21 +25,25 @@ import numpy as np
 from .mdp import Mdp, bellman_apply, exact_value, l_matrix
 from .projections import (
     FeatureBasis,
-    SINGULAR_CONDITION_LIMIT,
     StateWeights,
-    condition_estimate,
-    orthogonal_coefficient_map,
-    psd_product_spectral_radius,
+    projected_solve,
+    projected_system,
     weighted_norm,
 )
 
 
 @dataclass(frozen=True)
 class ErrorReport:
-    approx_error: float     # ||v - v_hat||_xi
-    td_error: float         # ||v_hat - Proj T v_hat||_xi
-    br_residual: float      # ||v_hat - T v_hat||_xi
-    adequacy: float         # ||T v_hat - Proj T v_hat||_xi
+    approx_error: float         # ||v - v_hat||_xi
+    td_error: float | None      # ||v_hat - Proj T v_hat||_xi
+    br_residual: float          # ||v_hat - T v_hat||_xi
+    adequacy: float | None      # ||T v_hat - Proj T v_hat||_xi
+    condition_estimate: float   # of the Gram system behind Proj
+    status: str  # "ok" | "singular"; td_error and adequacy are None when singular
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,7 @@ class BoundReport:
     b_matrix: np.ndarray | None
     c_matrix: np.ndarray
     bound: float | None
+    condition_estimate: float   # of X' L Phi
     status: str  # "ok" | "singular"
 
     @property
@@ -53,29 +61,61 @@ class BoundReport:
         return self.status == "ok"
 
 
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a symmetric PSD matrix, negative eigenvalues clipped."""
+    lam, vec = np.linalg.eigh(a)
+    return (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.T
+
+
+def amplification_bound(a_half: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """sqrt(lambda_max(A^1/2 B C B' A^1/2)) from A^1/2 = psd_sqrt(A), B and C.
+
+    The symmetric form avoids complex eigensolvers; the sweep's CSVs depend
+    on this exact operation order.
+    """
+    sym = a_half @ (b @ c @ b.T) @ a_half
+    sym = 0.5 * (sym + sym.T)
+    return float(np.sqrt(np.maximum(np.max(np.linalg.eigvalsh(sym)), 0.0)))
+
+
 def error_report(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
-                 v_hat: np.ndarray) -> ErrorReport:
-    """All four error functionals for a candidate value in span(Phi)."""
+                 v_hat: np.ndarray, weights: np.ndarray | None = None) -> ErrorReport:
+    """All four error functionals for a candidate value in span(Phi).
+
+    Proj is the xi-orthogonal projection, the projected solve with
+    left = Xi Phi and right = Phi; when that system is singular, td_error
+    and adequacy are None. A ValueError is raised when v_hat is not in
+    span(Phi), judged by Phi w for the caller's coordinates `weights` (a
+    solver's w) or else by v_hat's own projection, which loses accuracy as
+    the Gram system nears the singularity limit.
+    """
     v_hat = np.asarray(v_hat, dtype=float)
-    pi = orthogonal_coefficient_map(phi, xi)
-    projected = phi.matrix @ (pi.matrix @ v_hat)
-    scale = 1.0 + float(np.max(np.abs(v_hat), initial=0.0))
-    if np.max(np.abs(projected - v_hat)) > 1e-8 * scale:
-        raise ValueError("candidate value is not in the feature span")
-    v = exact_value(mdp)
     t_v_hat = bellman_apply(mdp, v_hat)
-    proj_t = phi.matrix @ (pi.matrix @ t_v_hat)
+    targets = np.column_stack([t_v_hat] if weights is not None else [t_v_hat, v_hat])
+    coords, cond, status = projected_solve(phi.matrix * xi.weights[:, None],
+                                           phi.matrix, targets)
+    td_error = adequacy = None
+    if status == "ok":
+        w = coords[:, 1] if weights is None else weights
+        scale = 1.0 + float(np.max(np.abs(v_hat), initial=0.0))
+        if np.max(np.abs(phi.matrix @ w - v_hat)) > 1e-8 * scale:
+            raise ValueError("candidate value is not in the feature span")
+        proj_t = phi.matrix @ coords[:, 0]
+        td_error = weighted_norm(v_hat - proj_t, xi)
+        adequacy = weighted_norm(t_v_hat - proj_t, xi)
     return ErrorReport(
-        approx_error=weighted_norm(v - v_hat, xi),
-        td_error=weighted_norm(v_hat - proj_t, xi),
+        approx_error=weighted_norm(exact_value(mdp) - v_hat, xi),
+        td_error=td_error,
         br_residual=weighted_norm(v_hat - t_v_hat, xi),
-        adequacy=weighted_norm(t_v_hat - proj_t, xi),
+        adequacy=adequacy,
+        condition_estimate=cond,
+        status=status,
     )
 
 
 def error_bound(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
                 x: np.ndarray) -> BoundReport:
-    """Tight amplification factor sqrt(sigma(A B C B')) for direction X.
+    """Tight amplification factor sqrt(lambda_max(A B C B')) for direction X.
 
     Singular X' L Phi means the oblique solution does not exist; the bound is
     reported as a status, never as a sentinel number.
@@ -83,19 +123,16 @@ def error_bound(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
+    L = l_matrix(mdp)
     a = phi.matrix.T @ (phi.matrix * xi.weights[:, None])
-    ltx = l_matrix(mdp).T @ x
+    ltx = L.T @ x
     c = (ltx.T / xi.weights[None, :]) @ ltx
-    lphi = l_matrix(mdp) @ phi.matrix
-    xlphi = x.T @ lphi
-    cond = condition_estimate(xlphi, x, lphi)
-    tag = "oblique-X"
-    if not np.isfinite(cond) or cond > SINGULAR_CONDITION_LIMIT:
-        return BoundReport(tag, a, None, c, None, "singular")
+    xlphi, cond, status = projected_system(x, L @ phi.matrix)
+    if status != "ok":
+        return BoundReport("oblique-X", a, None, c, None, cond, status)
     b = np.linalg.inv(xlphi)
-    bcbt = b @ c @ b.T
-    bound = float(np.sqrt(psd_product_spectral_radius(a, bcbt)))
-    return BoundReport(tag, a, b, c, bound, "ok")
+    return BoundReport("oblique-X", a, b, c, amplification_bound(psd_sqrt(a), b, c),
+                       cond, status)
 
 
 def concentration_coefficient(mdp: Mdp, xi: StateWeights) -> float:

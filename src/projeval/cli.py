@@ -22,13 +22,18 @@ import numpy as np
 from . import analysis, heatmap, instances, matio, solvers
 from .harness import SweepConfig, aggregate, sweep
 from .mdp import make_mdp
-from .projections import SingularMatrixError, make_feature_basis, make_state_weights
+from .projections import make_feature_basis, make_state_weights
 
 EXIT_OK, EXIT_INPUT, EXIT_SINGULAR = 0, 1, 2
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _singular(what: str, condition: float) -> int:
+    print(f"singular: {what} has condition estimate {condition:.6g}", file=sys.stderr)
+    return EXIT_SINGULAR
 
 
 def cmd_solve(args) -> int:
@@ -46,31 +51,33 @@ def cmd_solve(args) -> int:
         mdp = make_mdp(P, r, args.gamma)
         phi = make_feature_basis(phi_mat)
         xi = make_state_weights(xi_vec)
+        n = mdp.n_states
+        if phi.n_states != n:
+            raise ValueError(f"features have {phi.n_states} rows, expected {n}")
+        if xi.n_states != n:
+            raise ValueError(f"weights have length {xi.n_states}, expected {n}")
+        if direction is not None and direction.shape != phi.matrix.shape:
+            raise ValueError(f"direction matrix is {direction.shape}, "
+                             f"expected {phi.matrix.shape}")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    try:
-        if args.method == "best":
-            sol = solvers.solve_best(mdp, phi, xi)
-        elif args.method == "td":
-            sol = solvers.solve_td(mdp, phi, xi)
-        elif args.method == "br":
-            sol = solvers.solve_br(mdp, phi, xi)
-        else:
-            sol = solvers.solve_oblique(mdp, phi, direction)
-    except SingularMatrixError as exc:
-        print(f"singular: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-
+    if args.method == "best":
+        sol = solvers.solve_best(mdp, phi, xi)
+    elif args.method == "td":
+        sol = solvers.solve_td(mdp, phi, xi)
+    elif args.method == "br":
+        sol = solvers.solve_br(mdp, phi, xi)
+    else:
+        sol = solvers.solve_oblique(mdp, phi, direction)
     if not sol.ok:
-        name = {"td": "Phi'Xi L Phi", "br": "Psi'Xi Psi", "best": "Phi'Xi Phi",
-                "oblique": "X'L Phi"}[args.method]
-        print(f"singular: system {name} has condition estimate "
-              f"{sol.condition_estimate:.6g}", file=sys.stderr)
-        return EXIT_SINGULAR
+        return _singular(f"{sol.method} system", sol.condition_estimate)
+    report = analysis.error_report(mdp, phi, xi, sol.value_estimate, sol.weights)
+    if not report.ok:
+        return _singular("Gram system of the error report's projection",
+                         report.condition_estimate)
 
-    report = analysis.error_report(mdp, phi, xi, sol.value_estimate)
     print(f"method: {sol.method}")
     print("w: " + " ".join(_fmt(x) for x in sol.weights))
     print("v_hat: " + " ".join(_fmt(x) for x in sol.value_estimate))

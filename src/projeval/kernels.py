@@ -1,30 +1,41 @@
 """Per-trial numeric kernel for the benchmark sweep.
 
 One call computes, for a single (P, r, gamma, Phi, xi) instance, the best /
-TD / BR approximation errors and the two spectral-radius bounds. The sweep
-runs hundreds of thousands of these small dense computations, so the kernel
-is written in numba-compatible numpy and jitted by default; set
+TD / BR approximation errors and the two spectral-radius bounds. TD and BR
+are the oblique solve (X' L Phi) w = X' r with X = Xi Phi and X = Xi L Phi,
+so both go through one direction helper. The TD system passes the
+singularity gate of `projections.projected_system`; the BR system is a
+Gram matrix of the independent columns of L Phi and is not gated. Both
+bounds use `analysis.amplification_bound`.
 
-    PROJEVAL_NUMBA=0
-
-in the environment to select the pure-numpy fallback (same source function,
-so both paths compute identical formulas). `benchmarks/bench_kernel.py`
-compares the two.
+The sweep's CSVs are compared byte for byte against earlier runs, so the
+operation order of every written column is fixed, including the operand
+order of the BR system.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-SINGULAR_CONDITION_LIMIT = 1e12
+from .analysis import amplification_bound, psd_sqrt
+from .projections import projected_system
+
+BACKEND = "numpy"
 
 # result vector layout
 E_BEST, E_TD, E_BR, B_TD, B_BR, COND_TD, TD_SINGULAR, V_NORM = range(8)
 
 
-def _trial_stats(P, r, gamma, phi, xi):
+def _direction(L, r, v, phi, xi, a_half, m, x):
+    """Error and bound of the oblique solve m w = X' r, with m = X' L Phi."""
+    w = np.linalg.solve(m, x.T @ r)
+    d = v - phi @ w
+    ltx = L.T @ x
+    c = (ltx / xi[:, None]).T @ ltx
+    return np.sqrt(np.sum(xi * d * d)), amplification_bound(a_half, np.linalg.inv(m), c)
+
+
+def trial_stats(P, r, gamma, phi, xi):
     """Errors and bounds for one instance.
 
     Returns a length-8 vector (e, e_td, e_br, b_td, b_br, cond_td, singular
@@ -42,69 +53,15 @@ def _trial_stats(P, r, gamma, phi, xi):
 
     w_best = np.linalg.solve(a, xiphi.T @ v)
     d = v - phi @ w_best
-    e_best = np.sqrt(np.sum(xi * d * d))
+    a_half = psd_sqrt(a)
 
-    # shared spectral machinery: sqrt of top eigenvalue of A^(1/2) K A^(1/2)
-    lam, vec = np.linalg.eigh(a)
-    a_half = (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.T
-
-    out = np.empty(8)
-    out[E_BEST] = e_best
-    out[TD_SINGULAR] = 0.0
+    out = np.full(8, np.nan)
+    out[E_BEST] = np.sqrt(np.sum(xi * d * d))
     out[V_NORM] = np.sqrt(np.sum(xi * v * v))
 
-    # TD: system Phi' Xi L Phi, direction X = Xi Phi; condition estimate is
-    # scaled by the factor norms so catastrophic cancellation is flagged
-    m_td = xiphi.T @ lphi
-    s_min = np.linalg.svd(m_td)[1][-1]
-    scale = np.sqrt(np.sum(xiphi * xiphi) * np.sum(lphi * lphi))
-    cond_td = scale / s_min if s_min > 0.0 else np.inf
-    out[COND_TD] = cond_td
-    if np.isfinite(cond_td) and cond_td <= SINGULAR_CONDITION_LIMIT:
-        w_td = np.linalg.solve(m_td, xiphi.T @ r)
-        d = v - phi @ w_td
-        out[E_TD] = np.sqrt(np.sum(xi * d * d))
-        ltx = L.T @ xiphi
-        c = (ltx / xi_col).T @ ltx
-        b = np.linalg.inv(m_td)
-        sym = a_half @ (b @ c @ b.T) @ a_half
-        sym = 0.5 * (sym + sym.T)
-        out[B_TD] = np.sqrt(np.maximum(np.max(np.linalg.eigvalsh(sym)), 0.0))
-    else:
-        out[E_TD] = np.nan
-        out[B_TD] = np.nan
-        out[TD_SINGULAR] = 1.0
-
-    # BR: system Psi' Xi Psi, direction X = Xi L Phi (always regular)
-    m_br = lphi.T @ xilphi
-    w_br = np.linalg.solve(m_br, xilphi.T @ r)
-    d = v - phi @ w_br
-    out[E_BR] = np.sqrt(np.sum(xi * d * d))
-    ltx = L.T @ xilphi
-    c = (ltx / xi_col).T @ ltx
-    b = np.linalg.inv(m_br)
-    sym = a_half @ (b @ c @ b.T) @ a_half
-    sym = 0.5 * (sym + sym.T)
-    out[B_BR] = np.sqrt(np.maximum(np.max(np.linalg.eigvalsh(sym)), 0.0))
+    m_td, out[COND_TD], status = projected_system(xiphi, lphi)
+    out[TD_SINGULAR] = status != "ok"
+    if status == "ok":
+        out[E_TD], out[B_TD] = _direction(L, r, v, phi, xi, a_half, m_td, xiphi)
+    out[E_BR], out[B_BR] = _direction(L, r, v, phi, xi, a_half, lphi.T @ xilphi, xilphi)
     return out
-
-
-trial_stats_numpy = _trial_stats
-
-
-def _numba_enabled() -> bool:
-    return os.environ.get("PROJEVAL_NUMBA", "1") != "0"
-
-
-if _numba_enabled():
-    try:
-        import numba
-
-        trial_stats = numba.njit(cache=True)(_trial_stats)
-        BACKEND = "numba"
-    except ImportError:
-        trial_stats = _trial_stats
-        BACKEND = "numpy"
-else:
-    trial_stats = _trial_stats
-    BACKEND = "numpy"

@@ -55,8 +55,14 @@ def validate(mdp: Mdp) -> list[str]:
     n = P.shape[0]
     if r.shape != (n,):
         problems.append(f"rewards has length {r.size}, expected {n}")
+    elif not np.all(np.isfinite(r)):
+        problems.append(f"non-finite reward at {np.flatnonzero(~np.isfinite(r))[0]}")
     if not (0.0 < gamma < 1.0):
         problems.append("discount not in (0,1)")
+    if not np.all(np.isfinite(P)):
+        i, j = np.argwhere(~np.isfinite(P))[0]
+        problems.append(f"non-finite probability at ({i},{j}): {P[i, j]}")
+        return problems
     if np.any(P < 0.0) or np.any(P > 1.0):
         i, j = np.unravel_index(np.argmin(P) if P.min() < 0 else np.argmax(P), P.shape)
         problems.append(f"probability out of [0,1] at ({i},{j}): {P[i, j]}")
@@ -73,22 +79,6 @@ def bellman_apply(mdp: Mdp, v: np.ndarray) -> np.ndarray:
     if v.shape != (mdp.n_states,):
         raise ValueError(f"value vector has length {v.size}, expected {mdp.n_states}")
     return mdp.rewards + mdp.discount * (mdp.transitions @ v)
-
-
-def apply_L(mdp: Mdp, v: np.ndarray) -> np.ndarray:
-    """(I - gamma P) v."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (mdp.n_states,):
-        raise ValueError(f"value vector has length {v.size}, expected {mdp.n_states}")
-    return v - mdp.discount * (mdp.transitions @ v)
-
-
-def apply_L_transpose(mdp: Mdp, v: np.ndarray) -> np.ndarray:
-    """(I - gamma P') v."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (mdp.n_states,):
-        raise ValueError(f"value vector has length {v.size}, expected {mdp.n_states}")
-    return v - mdp.discount * (mdp.transitions.T @ v)
 
 
 def l_matrix(mdp: Mdp) -> np.ndarray:

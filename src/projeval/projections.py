@@ -1,10 +1,13 @@
-"""Weighted norms and (oblique) projections onto a feature subspace.
+"""Weighted norms, the problem's feature and weight objects, and the one
+projected solve.
 
-A projection onto span(Phi) is represented by its coefficient map pi, the
-m x N matrix sending a state-space vector to coordinates in the feature
-basis; the projector itself is Phi @ pi. Projector norms in the xi-weighted
-norm are computed through small m x m products, with a full-size singular
-value oracle for cross-checking.
+Every method of this package reduces to an m x m system M w = left' b with
+M = left' right: TD, BR and any oblique direction X use left = X and
+right = L Phi, and the xi-orthogonal projection uses left = Xi Phi and
+right = Phi. `projected_system` forms M and decides, from its
+cancellation-aware condition estimate, whether M is numerically singular;
+that decision is returned as a status, never raised. Solvers, error
+reports, bounds and the sweep kernel all take it from there.
 """
 
 from __future__ import annotations
@@ -18,15 +21,6 @@ import numpy as np
 SINGULAR_CONDITION_LIMIT = 1e12
 
 INDEPENDENCE_SV_RATIO = 1e-10
-
-
-class SingularMatrixError(np.linalg.LinAlgError):
-    """A projected m x m system is numerically singular."""
-
-    def __init__(self, what: str, condition: float):
-        super().__init__(f"{what} is numerically singular (condition estimate {condition:.3e})")
-        self.what = what
-        self.condition = condition
 
 
 @dataclass(frozen=True)
@@ -51,6 +45,8 @@ def make_feature_basis(matrix) -> FeatureBasis:
     n, m = phi.shape
     if m > n:
         raise ValueError(f"feature matrix is {n}x{m}, need m <= N")
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("feature matrix has non-finite entries")
     s = np.linalg.svd(phi, compute_uv=False)
     if s[-1] <= INDEPENDENCE_SV_RATIO * s[0]:
         raise ValueError(
@@ -73,6 +69,8 @@ class StateWeights:
 
 def make_state_weights(weights) -> StateWeights:
     xi = np.array(weights, dtype=float).ravel()
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("state weights must be finite")
     if np.any(xi <= 0.0):
         raise ValueError("state weights must be strictly positive")
     total = xi.sum()
@@ -81,14 +79,6 @@ def make_state_weights(weights) -> StateWeights:
     xi = xi / total
     xi.flags.writeable = False
     return StateWeights(xi)
-
-
-@dataclass(frozen=True)
-class CoefficientMap:
-    """m x N map from state-space vectors to feature coordinates."""
-
-    matrix: np.ndarray
-    direction_tag: str
 
 
 def weighted_norm(v: np.ndarray, xi: StateWeights) -> float:
@@ -115,75 +105,21 @@ def condition_estimate(M: np.ndarray, left: np.ndarray, right: np.ndarray) -> fl
     return float(scale / s_min)
 
 
-def _solve_with_condition(M: np.ndarray, rhs: np.ndarray,
-                          left: np.ndarray, right: np.ndarray, what: str):
+def projected_system(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, float, str]:
+    """M = left' right, its condition estimate, and its status.
+
+    The status is "singular" when the estimate is infinite or above
+    SINGULAR_CONDITION_LIMIT and "ok" otherwise. This is the package's only
+    singularity test.
+    """
+    M = left.T @ right
     cond = condition_estimate(M, left, right)
-    if not np.isfinite(cond) or cond > SINGULAR_CONDITION_LIMIT:
-        raise SingularMatrixError(what, cond)
-    return np.linalg.solve(M, rhs), cond
+    return M, cond, "ok" if cond <= SINGULAR_CONDITION_LIMIT else "singular"
 
 
-def orthogonal_coefficient_map(phi: FeatureBasis, xi: StateWeights) -> CoefficientMap:
-    """pi = (Phi' Xi Phi)^-1 Phi' Xi, the xi-orthogonal coefficient map."""
-    xiphi = phi.matrix * xi.weights[:, None]
-    gram = phi.matrix.T @ xiphi
-    pi, _ = _solve_with_condition(gram, xiphi.T, xiphi, phi.matrix, "Gram matrix")
-    return CoefficientMap(pi, "orthogonal-xi")
-
-
-def oblique_coefficient_map(phi: FeatureBasis, x: np.ndarray) -> CoefficientMap:
-    """pi_X = (X' Phi)^-1 X', projecting onto span(Phi) orthogonally to span(X)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.shape != phi.matrix.shape:
-        raise ValueError(f"direction matrix is {x.shape}, expected {phi.matrix.shape}")
-    pi, _ = _solve_with_condition(x.T @ phi.matrix, x.T, x, phi.matrix,
-                                  "direction product X'Phi")
-    return CoefficientMap(pi, "oblique-X")
-
-
-def spectral_radius(m_matrix: np.ndarray) -> float:
-    """Maximum absolute eigenvalue of a square matrix."""
-    m_matrix = np.asarray(m_matrix, dtype=float)
-    if m_matrix.ndim != 2 or m_matrix.shape[0] != m_matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got {m_matrix.shape}")
-    return float(np.max(np.abs(np.linalg.eigvals(m_matrix))))
-
-
-def psd_product_spectral_radius(g: np.ndarray, h: np.ndarray) -> float:
-    """Spectral radius of G H for symmetric PSD G, H.
-
-    Computed as the top eigenvalue of G^(1/2) H G^(1/2), a similar symmetric
-    PSD matrix; avoids complex eigensolvers and spurious imaginary parts.
-    """
-    g = 0.5 * (g + g.T)
-    h = 0.5 * (h + h.T)
-    lam, vec = np.linalg.eigh(g)
-    g_half = (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.T
-    sym = g_half @ h @ g_half
-    return float(np.max(np.maximum(np.linalg.eigvalsh(0.5 * (sym + sym.T)), 0.0)))
-
-
-def projector_weighted_norm(phi: FeatureBasis, pi: CoefficientMap,
-                            xi: StateWeights) -> float:
-    """xi-operator norm of the projector Phi pi, via m x m products only.
-
-    ||Y Z||_xi^2 is the spectral radius of (Y' Xi Y)(Z Xi^-1 Z') with
-    Y = Phi and Z = pi.
-    """
-    g = phi.matrix.T @ (phi.matrix * xi.weights[:, None])
-    h = (pi.matrix / xi.weights[None, :]) @ pi.matrix.T
-    return float(np.sqrt(psd_product_spectral_radius(g, h)))
-
-
-def operator_norm_oracle(op_matrix: np.ndarray, xi: StateWeights) -> float:
-    """Full-size oracle for the induced xi-operator norm of an N x N matrix.
-
-    Largest singular value of Xi^(1/2) M Xi^(-1/2); used to validate the
-    small-matrix route above.
-    """
-    op_matrix = np.asarray(op_matrix, dtype=float)
-    root = np.sqrt(xi.weights)
-    scaled = (op_matrix * root[:, None]) / root[None, :]
-    return float(np.linalg.svd(scaled, compute_uv=False)[0])
+def projected_solve(left: np.ndarray, right: np.ndarray,
+                    b: np.ndarray) -> tuple[np.ndarray | None, float, str]:
+    """Solve (left' right) w = left' b; w is None when the system is singular."""
+    M, cond, status = projected_system(left, right)
+    w = np.linalg.solve(M, left.T @ b) if status == "ok" else None
+    return w, cond, status

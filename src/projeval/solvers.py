@@ -1,17 +1,17 @@
 """Projected-equation solvers: best projection, TD(0), BR, and oblique.
 
-Every method is one m x m solve. Writing L = I - gamma P and Xi for the
-diagonal weight matrix:
+Writing L = I - gamma P and Xi for the diagonal weight matrix, every method
+is the one oblique solve
 
-  best:    (Phi' Xi Phi)   w = Phi' Xi v       (orthogonal projection of v)
-  TD(0):   (Phi' Xi L Phi) w = Phi' Xi r
-  BR:      (Psi' Xi Psi)   w = Psi' Xi r       with Psi = L Phi
-  oblique: (X'  L  Phi)    w = X'  r           for any direction matrix X
+  (X' L Phi) w = X' r
 
-TD and BR are the oblique solves with X = Xi Phi and X = Xi L Phi; the
-direction X* solving L' X* = Xi Phi reproduces the best projection.
-Singularity of the m x m system (condition estimate above 1e12) is an
-explicit status on the solution, never a silently garbage answer.
+for a direction matrix X: TD(0) is X = Xi Phi, BR is X = Xi L Phi, and
+`solve_oblique` takes any X. The best projection is the same projected
+solve applied to the exact value, (Phi' Xi Phi) w = Phi' Xi v; the
+direction X* solving L' X* = Xi Phi reproduces it as an oblique solve.
+Each solve goes through `projections.projected_solve`, so a numerically
+singular system (condition estimate above 1e12) is the status "singular"
+on the solution, never an exception or a silently garbage answer.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import Mdp, exact_value, l_matrix
-from .projections import (
-    FeatureBasis,
-    SINGULAR_CONDITION_LIMIT,
-    StateWeights,
-    condition_estimate,
-)
+from .projections import FeatureBasis, StateWeights, projected_solve
 
 
 @dataclass(frozen=True)
@@ -44,36 +39,31 @@ class ProjectionSolution:
         return self.status == "ok"
 
 
-def _projected_solve(left: np.ndarray, right: np.ndarray, rhs: np.ndarray,
-                     phi: FeatureBasis, method: str) -> ProjectionSolution:
-    """Solve (left' right) w = rhs with a cancellation-aware condition check."""
-    M = left.T @ right
-    cond = condition_estimate(M, left, right)
-    if not np.isfinite(cond) or cond > SINGULAR_CONDITION_LIMIT:
-        return ProjectionSolution(None, None, method, cond, "singular")
-    w = np.linalg.solve(M, rhs)
-    return ProjectionSolution(w, phi.matrix @ w, method, cond, "ok")
+def _solve(left: np.ndarray, right: np.ndarray, b: np.ndarray,
+           phi: FeatureBasis, method: str) -> ProjectionSolution:
+    w, cond, status = projected_solve(left, right, b)
+    v_hat = None if w is None else phi.matrix @ w
+    return ProjectionSolution(w, v_hat, method, cond, status)
+
+
+def _oblique(mdp: Mdp, phi: FeatureBasis, x: np.ndarray, method: str) -> ProjectionSolution:
+    return _solve(x, l_matrix(mdp) @ phi.matrix, mdp.rewards, phi, method)
 
 
 def solve_best(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
     """xi-orthogonal projection of the exact value onto span(Phi)."""
-    v = exact_value(mdp)
     xiphi = phi.matrix * xi.weights[:, None]
-    return _projected_solve(xiphi, phi.matrix, xiphi.T @ v, phi, "best")
+    return _solve(xiphi, phi.matrix, exact_value(mdp), phi, "best")
 
 
 def solve_td(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
     """TD(0) fixed point: the value in span(Phi) with zero projected TD error."""
-    xiphi = phi.matrix * xi.weights[:, None]
-    lphi = l_matrix(mdp) @ phi.matrix
-    return _projected_solve(xiphi, lphi, xiphi.T @ mdp.rewards, phi, "td")
+    return _oblique(mdp, phi, td_direction(mdp, phi, xi), "td")
 
 
 def solve_br(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
     """Minimizer of the xi-weighted Bellman residual over span(Phi)."""
-    psi = l_matrix(mdp) @ phi.matrix
-    xipsi = psi * xi.weights[:, None]
-    return _projected_solve(xipsi, psi, xipsi.T @ mdp.rewards, phi, "br")
+    return _oblique(mdp, phi, br_direction(mdp, phi, xi), "br")
 
 
 def solve_oblique(mdp: Mdp, phi: FeatureBasis, x: np.ndarray) -> ProjectionSolution:
@@ -83,8 +73,7 @@ def solve_oblique(mdp: Mdp, phi: FeatureBasis, x: np.ndarray) -> ProjectionSolut
         x = x[:, None]
     if x.shape != phi.matrix.shape:
         raise ValueError(f"direction matrix is {x.shape}, expected {phi.matrix.shape}")
-    lphi = l_matrix(mdp) @ phi.matrix
-    return _projected_solve(x, lphi, x.T @ mdp.rewards, phi, "oblique")
+    return _oblique(mdp, phi, x, "oblique")
 
 
 def optimal_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:

@@ -1,0 +1,119 @@
+"""Reference implementations the tests compare the package against.
+
+Coefficient maps of (oblique) projections as explicit m x N matrices, the
+projector norm computed from them through small m x m products, a full-size
+singular-value oracle for induced xi-operator norms, and the matrix-free L
+and L' products. The package itself needs none of these; they exist to
+cross-check its solvers and bounds by an independent route.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from projeval.projections import FeatureBasis, StateWeights, projected_system
+
+
+class SingularMatrixError(np.linalg.LinAlgError):
+    """A coefficient map's m x m system is numerically singular."""
+
+    def __init__(self, what: str, condition: float):
+        super().__init__(f"{what} is numerically singular (condition estimate {condition:.3e})")
+        self.what = what
+        self.condition = condition
+
+
+@dataclass(frozen=True)
+class CoefficientMap:
+    """m x N map from state-space vectors to feature coordinates."""
+
+    matrix: np.ndarray
+    direction_tag: str
+
+
+def _coefficient_matrix(left: np.ndarray, right: np.ndarray, what: str) -> np.ndarray:
+    """(left' right)^-1 left', raising when the package's gate calls it singular."""
+    M, cond, status = projected_system(left, right)
+    if status != "ok":
+        raise SingularMatrixError(what, cond)
+    return np.linalg.solve(M, left.T)
+
+
+def orthogonal_coefficient_map(phi: FeatureBasis, xi: StateWeights) -> CoefficientMap:
+    """pi = (Phi' Xi Phi)^-1 Phi' Xi, the xi-orthogonal coefficient map."""
+    xiphi = phi.matrix * xi.weights[:, None]
+    return CoefficientMap(_coefficient_matrix(xiphi, phi.matrix, "Gram matrix"),
+                          "orthogonal-xi")
+
+
+def oblique_coefficient_map(phi: FeatureBasis, x: np.ndarray) -> CoefficientMap:
+    """pi_X = (X' Phi)^-1 X', projecting onto span(Phi) orthogonally to span(X)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.shape != phi.matrix.shape:
+        raise ValueError(f"direction matrix is {x.shape}, expected {phi.matrix.shape}")
+    return CoefficientMap(_coefficient_matrix(x, phi.matrix, "direction product X'Phi"),
+                          "oblique-X")
+
+
+def spectral_radius(m_matrix: np.ndarray) -> float:
+    """Maximum absolute eigenvalue of a square matrix."""
+    m_matrix = np.asarray(m_matrix, dtype=float)
+    if m_matrix.ndim != 2 or m_matrix.shape[0] != m_matrix.shape[1]:
+        raise ValueError(f"expected a square matrix, got {m_matrix.shape}")
+    return float(np.max(np.abs(np.linalg.eigvals(m_matrix))))
+
+
+def psd_product_spectral_radius(g: np.ndarray, h: np.ndarray) -> float:
+    """Spectral radius of G H for symmetric PSD G, H.
+
+    Computed as the top eigenvalue of G^(1/2) H G^(1/2), a similar symmetric
+    PSD matrix; avoids complex eigensolvers and spurious imaginary parts.
+    """
+    g = 0.5 * (g + g.T)
+    h = 0.5 * (h + h.T)
+    lam, vec = np.linalg.eigh(g)
+    g_half = (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.T
+    sym = g_half @ h @ g_half
+    return float(np.max(np.maximum(np.linalg.eigvalsh(0.5 * (sym + sym.T)), 0.0)))
+
+
+def projector_weighted_norm(phi: FeatureBasis, pi: CoefficientMap,
+                            xi: StateWeights) -> float:
+    """xi-operator norm of the projector Phi pi, via m x m products only.
+
+    ||Y Z||_xi^2 is the spectral radius of (Y' Xi Y)(Z Xi^-1 Z') with
+    Y = Phi and Z = pi.
+    """
+    g = phi.matrix.T @ (phi.matrix * xi.weights[:, None])
+    h = (pi.matrix / xi.weights[None, :]) @ pi.matrix.T
+    return float(np.sqrt(psd_product_spectral_radius(g, h)))
+
+
+def operator_norm_oracle(op_matrix: np.ndarray, xi: StateWeights) -> float:
+    """Full-size oracle for the induced xi-operator norm of an N x N matrix.
+
+    Largest singular value of Xi^(1/2) M Xi^(-1/2); used to validate the
+    small-matrix route above.
+    """
+    op_matrix = np.asarray(op_matrix, dtype=float)
+    root = np.sqrt(xi.weights)
+    scaled = (op_matrix * root[:, None]) / root[None, :]
+    return float(np.linalg.svd(scaled, compute_uv=False)[0])
+
+
+def apply_L(mdp, v: np.ndarray) -> np.ndarray:
+    """(I - gamma P) v."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (mdp.n_states,):
+        raise ValueError(f"value vector has length {v.size}, expected {mdp.n_states}")
+    return v - mdp.discount * (mdp.transitions @ v)
+
+
+def apply_L_transpose(mdp, v: np.ndarray) -> np.ndarray:
+    """(I - gamma P') v."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (mdp.n_states,):
+        raise ValueError(f"value vector has length {v.size}, expected {mdp.n_states}")
+    return v - mdp.discount * (mdp.transitions.T @ v)

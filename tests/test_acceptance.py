@@ -21,7 +21,6 @@ from projeval import (
     make_feature_basis,
     make_mdp,
     make_state_weights,
-    operator_norm_oracle,
     optimal_direction,
     solve_best,
     solve_br,
@@ -43,7 +42,8 @@ from projeval.instances import (
 )
 from projeval.matio import write_cell_csv, write_trial_csv
 from projeval.mdp import l_matrix, stationary_distribution
-from projeval.projections import SingularMatrixError, oblique_coefficient_map
+
+from oracles import SingularMatrixError, oblique_coefficient_map, operator_norm_oracle
 
 GAMMA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 THETA_GRID = (0.0, 1.0, 2.0, 4.0)

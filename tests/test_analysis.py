@@ -11,10 +11,10 @@ from projeval import (
     make_feature_basis,
     make_mdp,
     make_state_weights,
-    operator_norm_oracle,
     optimal_direction,
     solve_best,
     solve_br,
+    solve_oblique,
     solve_td,
     stationary_td_bound_check,
     td_direction,
@@ -22,9 +22,9 @@ from projeval import (
 )
 from projeval.instances import SeedSpec, ergodic_chain, example1
 from projeval.mdp import l_matrix, stationary_distribution
-from projeval.projections import SingularMatrixError, oblique_coefficient_map
 
 from conftest import random_instance
+from oracles import SingularMatrixError, oblique_coefficient_map, operator_norm_oracle
 
 
 class TestErrorReport:
@@ -52,10 +52,23 @@ class TestErrorReport:
         rep = error_report(inst.mdp, inst.phi, inst.xi, inst.phi.matrix @ [0.2])
         assert rep.approx_error == pytest.approx(np.sqrt(0.4), rel=1e-12)
 
+    def test_singular_projection_reported_as_status(self, rng):
+        mdp, _, xi = random_instance(rng, n_max=6, m_max=1)
+        a = rng.uniform(-1.0, 1.0, size=mdp.n_states)
+        b = a + 1e-8 * rng.uniform(-1.0, 1.0, size=mdp.n_states)
+        phi = make_feature_basis(np.column_stack([a, b]))
+        rep = error_report(mdp, phi, xi, phi.matrix @ [1.0, -1.0])
+        assert rep.status == "singular"
+        assert rep.td_error is None and rep.adequacy is None
+        assert rep.condition_estimate > 1e12
+        assert np.isfinite(rep.approx_error) and np.isfinite(rep.br_residual)
+
     def test_rejects_value_outside_span(self):
         inst = example1(0.5, 0.0)
         with pytest.raises(ValueError, match="span"):
             error_report(inst.mdp, inst.phi, inst.xi, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="span"):
+            error_report(inst.mdp, inst.phi, inst.xi, np.array([1.0, 0.0]), np.array([0.5]))
 
     def test_pythagorean_identity(self, rng):
         for _ in range(200):
@@ -98,12 +111,24 @@ class TestErrorBound:
             rep = error_bound(mdp, phi, xi, optimal_direction(mdp, phi, xi))
             assert rep.bound == pytest.approx(1.0, abs=1e-8)
 
-    def test_singular_direction_reported_as_status(self):
+    def test_singular_direction_reported_as_status(self, rng):
+        # X = Xi Phi at the analytic example's singular discount, and a
+        # random direction made orthogonal to the single column of L Phi
         inst = example1(5.0 / 6.0, 0.0)
-        rep = error_bound(inst.mdp, inst.phi, inst.xi,
-                          td_direction(inst.mdp, inst.phi, inst.xi))
-        assert rep.status == "singular"
-        assert rep.bound is None
+        mdp, phi, xi = random_instance(rng, n_max=8, m_max=1)
+        lphi = (l_matrix(mdp) @ phi.matrix)[:, 0]
+        x = rng.normal(size=phi.n_states)
+        x -= (x @ lphi) / (lphi @ lphi) * lphi
+        for mdp, phi, xi, x in ((inst.mdp, inst.phi, inst.xi,
+                                 td_direction(inst.mdp, inst.phi, inst.xi)),
+                                (mdp, phi, xi, x[:, None])):
+            rep = error_bound(mdp, phi, xi, x)
+            assert rep.status == "singular"
+            assert rep.bound is None
+            assert rep.condition_estimate > 1e12  # inf passes, NaN does not
+            sol = solve_oblique(mdp, phi, x)
+            assert sol.status == "singular" and sol.weights is None
+            assert sol.condition_estimate > 1e12
 
     def test_bound_is_at_least_one(self, rng):
         for _ in range(30):
@@ -128,8 +153,6 @@ class TestErrorBound:
             assert rep.bound == pytest.approx(oracle, rel=1e-8)
 
     def test_bound_dominates_actual_error(self, rng):
-        from projeval import solve_oblique
-
         for _ in range(50):
             mdp, phi, xi = random_instance(rng, n_max=15, m_max=8)
             x = rng.normal(size=phi.matrix.shape)

@@ -23,6 +23,26 @@ def example1_files(tmp_path):
     return paths
 
 
+def near_dependent_files(tmp_path, seed):
+    """A 4-state instance whose two feature columns differ by about 1e-6.
+
+    Its Gram system Phi' Xi Phi has a condition estimate near the 1e12
+    singularity limit, on one side or the other depending on the seed.
+    """
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(size=(4, 4))
+    P /= P.sum(axis=1, keepdims=True)
+    r = rng.uniform(-1.0, 1.0, 4)
+    a = rng.uniform(-1.0, 1.0, 4)
+    b = a + 1e-6 * rng.uniform(-1.0, 1.0, 4)
+    paths = {}
+    for name, array in (("P", P), ("r", r), ("phi", np.column_stack([a, b])),
+                        ("xi", np.ones(4))):
+        paths[name] = str(tmp_path / f"{name}.txt")
+        np.savetxt(paths[name], array, fmt="%.17g")
+    return paths
+
+
 def run_solve(paths, gamma, method="td", extra=()):
     return main(["solve",
                  "--transitions", paths["P"], "--rewards", paths["r"],
@@ -54,6 +74,40 @@ class TestSolve:
         example1_files["P"] = str(bad)
         assert run_solve(example1_files, 0.5) == 1
         assert ":2:" in capsys.readouterr().err
+
+    def test_singular_report_projection_exit_code(self, tmp_path, capsys):
+        # the TD system passes the gate (estimate 8.9e11) but the Gram system
+        # of the report's xi-projection does not (2.0e12)
+        assert run_solve(near_dependent_files(tmp_path, 74), 0.9, "td") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("singular:") and "projection" in err
+
+    def test_ill_conditioned_solution_is_reported(self, tmp_path, capsys):
+        # estimate 7.5e11: the solve and its report pass the gate, and the
+        # report does not re-check that Phi w lies in span(Phi)
+        assert run_solve(near_dependent_files(tmp_path, 24), 0.9, "best") == 0
+        assert "adequacy:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, content, expected", [
+        ("P", "0 1\nnan 1\n", "non-finite probability"),
+        ("r", "1\ninf\n", "non-finite reward"),
+        ("phi", "1\nnan\n", "non-finite"),
+        ("xi", "0.5\n", "weights have length 1, expected 2"),
+        ("phi", "1\n2\n3\n", "features have 3 rows, expected 2"),
+    ])
+    def test_bad_input_exit_code(self, example1_files, tmp_path, capsys,
+                                 name, content, expected):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(content)
+        example1_files[name] = str(bad)
+        assert run_solve(example1_files, 0.5) == 1
+        assert expected in capsys.readouterr().err
+
+    def test_direction_shape_rejected(self, example1_files, tmp_path, capsys):
+        d = tmp_path / "x.txt"
+        d.write_text("0.5 1\n1 0\n")
+        assert run_solve(example1_files, 0.5, "oblique", ("--direction", str(d))) == 1
+        assert "direction matrix is (2, 2)" in capsys.readouterr().err
 
     def test_invalid_mdp_rejected(self, example1_files, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

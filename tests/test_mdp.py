@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from projeval import (
-    apply_L,
-    apply_L_transpose,
     bellman_apply,
     exact_value,
     make_mdp,
@@ -14,6 +12,7 @@ from projeval.instances import SeedSpec, ergodic_chain
 from projeval.mdp import Mdp
 
 from conftest import random_dense_mdp
+from oracles import apply_L, apply_L_transpose
 
 
 def two_state(gamma=0.9, r=(1.0, 0.0)):
@@ -40,6 +39,18 @@ class TestValidate:
     def test_dimension_mismatch(self):
         m = Mdp(np.eye(3), np.zeros(2), 0.9)
         assert any("rewards has length 2" in p for p in validate(m))
+
+    @pytest.mark.parametrize("P, r, expected", [
+        ([[np.nan, 1.0], [0.0, 1.0]], [0.0, 0.0], "non-finite probability at (0,0)"),
+        ([[0.0, 1.0], [np.inf, 1.0]], [0.0, 0.0], "non-finite probability at (1,0)"),
+        ([[0.0, 1.0], [0.0, 1.0]], [0.0, np.nan], "non-finite reward at 1"),
+        ([[0.0, 1.0], [0.0, 1.0]], [-np.inf, 0.0], "non-finite reward at 0"),
+    ])
+    def test_non_finite_entries(self, P, r, expected):
+        problems = validate(Mdp(np.array(P), np.array(r), 0.9))
+        assert any(expected in p for p in problems), problems
+        with pytest.raises(ValueError, match="non-finite"):
+            make_mdp(P, r, 0.9)
 
     def test_make_mdp_raises(self):
         with pytest.raises(ValueError, match="row 0 sums"):

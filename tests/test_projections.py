@@ -2,21 +2,23 @@ import numpy as np
 import pytest
 
 from projeval import (
-    SingularMatrixError,
     concentration_coefficient,
     make_feature_basis,
     make_state_weights,
-    oblique_coefficient_map,
-    operator_norm_oracle,
-    orthogonal_coefficient_map,
-    projector_weighted_norm,
-    spectral_radius,
     weighted_norm,
 )
 from projeval.instances import SeedSpec, ergodic_chain, example1
 from projeval.mdp import l_matrix, stationary_distribution
 
 from conftest import random_instance
+from oracles import (
+    SingularMatrixError,
+    oblique_coefficient_map,
+    operator_norm_oracle,
+    orthogonal_coefficient_map,
+    projector_weighted_norm,
+    spectral_radius,
+)
 
 
 def uniform_weights(n):
@@ -35,6 +37,13 @@ class TestConstructors:
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             make_state_weights([0.5, 0.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            make_feature_basis([[1.0, 0.0], [0.0, bad], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            make_state_weights([0.5, bad, 0.5])
 
     def test_weights_normalized(self):
         xi = make_state_weights([2.0, 2.0])

@@ -16,9 +16,9 @@ from projeval import (
 )
 from projeval.instances import example1
 from projeval.mdp import l_matrix
-from projeval.projections import SingularMatrixError, orthogonal_coefficient_map
 
 from conftest import random_instance
+from oracles import orthogonal_coefficient_map
 
 
 class TestExample1ClosedForms:
