@@ -26,8 +26,11 @@ from .mdp import Mdp, bellman_apply, exact_value, l_matrix
 from .projections import (
     FeatureBasis,
     StateWeights,
+    direction_matrix,
     projected_solve,
     projected_system,
+    row_weighted,
+    weight_column,
     weighted_norm,
 )
 
@@ -78,29 +81,26 @@ def amplification_bound(a_half: np.ndarray, b: np.ndarray, c: np.ndarray) -> flo
     return float(np.sqrt(np.maximum(np.max(np.linalg.eigvalsh(sym)), 0.0)))
 
 
+def c_matrix(L: np.ndarray, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """C = X' L Xi^-1 L' X, in the operation order the sweep's CSVs depend on."""
+    ltx = L.T @ x
+    return (ltx / xi[:, None]).T @ ltx
+
+
 def error_report(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
-                 v_hat: np.ndarray, weights: np.ndarray | None = None) -> ErrorReport:
-    """All four error functionals for a candidate value in span(Phi).
+                 w: np.ndarray) -> ErrorReport:
+    """All four error functionals for the candidate v_hat = Phi w.
 
     Proj is the xi-orthogonal projection, the projected solve with
     left = Xi Phi and right = Phi; when that system is singular, td_error
-    and adequacy are None. A ValueError is raised when v_hat is not in
-    span(Phi), judged by Phi w for the caller's coordinates `weights` (a
-    solver's w) or else by v_hat's own projection, which loses accuracy as
-    the Gram system nears the singularity limit.
+    and adequacy are None.
     """
-    v_hat = np.asarray(v_hat, dtype=float)
+    v_hat = phi.matrix @ np.asarray(w, dtype=float)
     t_v_hat = bellman_apply(mdp, v_hat)
-    targets = np.column_stack([t_v_hat] if weights is not None else [t_v_hat, v_hat])
-    coords, cond, status = projected_solve(phi.matrix * xi.weights[:, None],
-                                           phi.matrix, targets)
+    coords, cond, status = projected_solve(row_weighted(xi, phi.matrix), phi.matrix, t_v_hat)
     td_error = adequacy = None
     if status == "ok":
-        w = coords[:, 1] if weights is None else weights
-        scale = 1.0 + float(np.max(np.abs(v_hat), initial=0.0))
-        if np.max(np.abs(phi.matrix @ w - v_hat)) > 1e-8 * scale:
-            raise ValueError("candidate value is not in the feature span")
-        proj_t = phi.matrix @ coords[:, 0]
+        proj_t = phi.matrix @ coords
         td_error = weighted_norm(v_hat - proj_t, xi)
         adequacy = weighted_norm(t_v_hat - proj_t, xi)
     return ErrorReport(
@@ -120,13 +120,10 @@ def error_bound(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
     Singular X' L Phi means the oblique solution does not exist; the bound is
     reported as a status, never as a sentinel number.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = direction_matrix(x, phi)
     L = l_matrix(mdp)
-    a = phi.matrix.T @ (phi.matrix * xi.weights[:, None])
-    ltx = L.T @ x
-    c = (ltx.T / xi.weights[None, :]) @ ltx
+    a = phi.matrix.T @ row_weighted(xi, phi.matrix)
+    c = c_matrix(L, x, xi.weights)
     xlphi, cond, status = projected_system(x, L @ phi.matrix)
     if status != "ok":
         return BoundReport("oblique-X", a, None, c, None, cond, status)
@@ -137,7 +134,7 @@ def error_bound(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
 
 def concentration_coefficient(mdp: Mdp, xi: StateWeights) -> float:
     """max over (i,j) of p_ij / xi_i, a stochasticity measure of the chain."""
-    return float(np.max(mdp.transitions / xi.weights[:, None]))
+    return float(np.max(mdp.transitions / weight_column(xi, mdp.n_states)))
 
 
 def br_guarantee(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,

@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, heatmap, instances, matio, solvers
 from .harness import SweepConfig, aggregate, sweep
 from .mdp import make_mdp
-from .projections import make_feature_basis, make_state_weights
+from .projections import make_feature_basis, make_state_weights, weight_column
 
 EXIT_OK, EXIT_INPUT, EXIT_SINGULAR = 0, 1, 2
 
@@ -42,38 +42,31 @@ def cmd_solve(args) -> int:
         r = matio.parse_vector(args.rewards)
         phi_mat = matio.parse_matrix(args.features)
         xi_vec = matio.parse_vector(args.weights)
-        direction = None
-        if args.method == "oblique":
-            if args.direction is None:
-                print("error: --direction is required for method oblique", file=sys.stderr)
-                return EXIT_INPUT
-            direction = matio.parse_matrix(args.direction)
         mdp = make_mdp(P, r, args.gamma)
         phi = make_feature_basis(phi_mat)
         xi = make_state_weights(xi_vec)
-        n = mdp.n_states
-        if phi.n_states != n:
-            raise ValueError(f"features have {phi.n_states} rows, expected {n}")
-        if xi.n_states != n:
-            raise ValueError(f"weights have length {xi.n_states}, expected {n}")
-        if direction is not None and direction.shape != phi.matrix.shape:
-            raise ValueError(f"direction matrix is {direction.shape}, "
-                             f"expected {phi.matrix.shape}")
+        if phi.n_states != mdp.n_states:
+            raise ValueError(f"features have {phi.n_states} rows, expected {mdp.n_states}")
+        # the library checks the weights' and the direction's sizes
+        if args.method == "best":
+            sol = solvers.solve_best(mdp, phi, xi)
+        elif args.method == "td":
+            sol = solvers.solve_td(mdp, phi, xi)
+        elif args.method == "br":
+            sol = solvers.solve_br(mdp, phi, xi)
+        else:
+            if args.direction is None:
+                raise ValueError("--direction is required for method oblique")
+            # only the report reads xi, and a singular solve skips the report
+            weight_column(xi, mdp.n_states)
+            sol = solvers.solve_oblique(mdp, phi, matio.parse_matrix(args.direction))
+        report = analysis.error_report(mdp, phi, xi, sol.weights) if sol.ok else None
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    if args.method == "best":
-        sol = solvers.solve_best(mdp, phi, xi)
-    elif args.method == "td":
-        sol = solvers.solve_td(mdp, phi, xi)
-    elif args.method == "br":
-        sol = solvers.solve_br(mdp, phi, xi)
-    else:
-        sol = solvers.solve_oblique(mdp, phi, direction)
     if not sol.ok:
         return _singular(f"{sol.method} system", sol.condition_estimate)
-    report = analysis.error_report(mdp, phi, xi, sol.value_estimate, sol.weights)
     if not report.ok:
         return _singular("Gram system of the error report's projection",
                          report.condition_estimate)
@@ -119,16 +112,12 @@ def cmd_example1(args) -> int:
                     def sq_err(w):
                         return 0.5 * (v[0] - w) ** 2 + 0.5 * (v[1] - 2 * w) ** 2
 
-                    e_best = sq_err(ref.w_best)
-                    ratio_br = sq_err(ref.w_br) / e_best if e_best > 0 else float("nan")
-                    if ref.w_td is None:
-                        ratio_td = "singular"
-                    elif e_best > 0:
-                        ratio_td = _fmt(sq_err(ref.w_td) / e_best)
-                    else:
-                        ratio_td = "nan"
-                    writer.writerow([_fmt(gamma), _fmt(theta), ratio_td,
-                                     _fmt(ratio_br) if isinstance(ratio_br, float) else ratio_br])
+                    def ratio(w):
+                        e_best = sq_err(ref.w_best)
+                        return _fmt(sq_err(w) / e_best if e_best > 0 else math.nan)
+
+                    ratio_td = "singular" if ref.w_td is None else ratio(ref.w_td)
+                    writer.writerow([_fmt(gamma), _fmt(theta), ratio_td, ratio(ref.w_br)])
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -6,7 +6,7 @@ are the oblique solve (X' L Phi) w = X' r with X = Xi Phi and X = Xi L Phi,
 so both go through one direction helper. The TD system passes the
 singularity gate of `projections.projected_system`; the BR system is a
 Gram matrix of the independent columns of L Phi and is not gated. Both
-bounds use `analysis.amplification_bound`.
+bounds use `analysis.c_matrix` and `analysis.amplification_bound`.
 
 The sweep's CSVs are compared byte for byte against earlier runs, so the
 operation order of every written column is fixed, including the operand
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import amplification_bound, psd_sqrt
+from .analysis import amplification_bound, c_matrix, psd_sqrt
 from .projections import projected_system
 
 BACKEND = "numpy"
@@ -30,9 +30,8 @@ def _direction(L, r, v, phi, xi, a_half, m, x):
     """Error and bound of the oblique solve m w = X' r, with m = X' L Phi."""
     w = np.linalg.solve(m, x.T @ r)
     d = v - phi @ w
-    ltx = L.T @ x
-    c = (ltx / xi[:, None]).T @ ltx
-    return np.sqrt(np.sum(xi * d * d)), amplification_bound(a_half, np.linalg.inv(m), c)
+    return (np.sqrt(np.sum(xi * d * d)),
+            amplification_bound(a_half, np.linalg.inv(m), c_matrix(L, x, xi)))
 
 
 def trial_stats(P, r, gamma, phi, xi):

@@ -86,36 +86,32 @@ def l_matrix(mdp: Mdp) -> np.ndarray:
     return np.eye(mdp.n_states) - mdp.discount * mdp.transitions
 
 
+def checked_solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """x with a x = b by a pivoted dense solve; ArithmeticError when the
+    residual is non-finite or above 1e-10 relative to b."""
+    x = np.linalg.solve(a, b)
+    resid = np.max(np.abs(a @ x - b))
+    if not np.isfinite(resid) or resid > 1e-10 * (1.0 + np.max(np.abs(b), initial=0.0)):
+        raise ArithmeticError(f"{what} solve residual too large: {resid}")
+    return x
+
+
 def exact_value(mdp: Mdp) -> np.ndarray:
-    """Unique solution of (I - gamma P) v = r via a pivoted dense solve."""
-    L = l_matrix(mdp)
-    v = np.linalg.solve(L, mdp.rewards)
-    resid = np.max(np.abs(L @ v - mdp.rewards))
-    if not np.isfinite(resid) or resid > 1e-10 * (1.0 + np.max(np.abs(mdp.rewards), initial=0.0)):
-        raise ArithmeticError(f"value solve residual too large: {resid}")
-    return v
+    """Unique solution of (I - gamma P) v = r."""
+    return checked_solve(l_matrix(mdp), mdp.rewards, "value")
 
 
-def stationary_distribution(mdp: Mdp, tol: float = 1e-12,
-                            max_iter: int = 1_000_000) -> np.ndarray | None:
+def stationary_distribution(mdp: Mdp) -> np.ndarray | None:
     """Stationary xi with xi' P = xi', xi > 0, or None when no such xi exists.
 
-    Power iteration from the uniform distribution; None is returned when the
-    iteration fails to converge or the limit puts (numerically) zero mass on
-    some state, as happens for chains with an absorbing class.
+    One least-squares solve of xi'(I - P) = 0 with sum xi = 1. Its stacked
+    matrix has full column rank exactly when rank(I - P) = n - 1, so xi is
+    unique; otherwise, or when xi puts (numerically) zero mass on a state as
+    for chains with an absorbing class, None is returned.
     """
-    P = mdp.transitions
     n = mdp.n_states
-    xi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = xi @ P
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - xi)) < tol:
-            xi = nxt
-            break
-        xi = nxt
-    else:
-        return None
-    if np.min(xi) <= 1e-12:
+    a = np.vstack([np.eye(n) - mdp.transitions.T, np.ones((1, n))])
+    xi, _, rank, _ = np.linalg.lstsq(a, np.append(np.zeros(n), 1.0), rcond=None)
+    if rank < n or np.min(xi) <= 1e-12:
         return None
     return xi / xi.sum()

@@ -1,5 +1,5 @@
-"""Weighted norms, the problem's feature and weight objects, and the one
-projected solve.
+"""Weighted norms, the feature and weight objects with the one row weighting
+Xi M and the one direction check, and the one projected solve.
 
 Every method of this package reduces to an m x m system M w = left' b with
 M = left' right: TD, BR and any oblique direction X use left = X and
@@ -79,6 +79,30 @@ def make_state_weights(weights) -> StateWeights:
     xi = xi / total
     xi.flags.writeable = False
     return StateWeights(xi)
+
+
+def weight_column(xi: StateWeights, n_rows: int) -> np.ndarray:
+    """xi as an n_rows x 1 column; a ValueError unless xi has n_rows entries."""
+    if xi.n_states != n_rows:
+        raise ValueError(f"weights have length {xi.n_states}, expected {n_rows}")
+    return xi.weights[:, None]
+
+
+def row_weighted(xi: StateWeights, M: np.ndarray) -> np.ndarray:
+    """Xi M, the rows of M scaled by the state weights."""
+    return M * weight_column(xi, M.shape[0])
+
+
+def direction_matrix(x, phi: FeatureBasis) -> np.ndarray:
+    """A direction X as a finite matrix of Phi's shape; a vector is one column."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.shape != phi.matrix.shape:
+        raise ValueError(f"direction matrix is {x.shape}, expected {phi.matrix.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("direction matrix has non-finite entries")
+    return x
 
 
 def weighted_norm(v: np.ndarray, xi: StateWeights) -> float:

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Mdp, exact_value, l_matrix
-from .projections import FeatureBasis, StateWeights, projected_solve
+from .mdp import Mdp, checked_solve, exact_value, l_matrix
+from .projections import (FeatureBasis, StateWeights, direction_matrix, projected_solve,
+                          row_weighted)
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,7 @@ def _oblique(mdp: Mdp, phi: FeatureBasis, x: np.ndarray, method: str) -> Project
 
 def solve_best(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
     """xi-orthogonal projection of the exact value onto span(Phi)."""
-    xiphi = phi.matrix * xi.weights[:, None]
-    return _solve(xiphi, phi.matrix, exact_value(mdp), phi, "best")
+    return _solve(row_weighted(xi, phi.matrix), phi.matrix, exact_value(mdp), phi, "best")
 
 
 def solve_td(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
@@ -68,29 +68,19 @@ def solve_br(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolutio
 
 def solve_oblique(mdp: Mdp, phi: FeatureBasis, x: np.ndarray) -> ProjectionSolution:
     """Solution of the projected equation for an arbitrary direction matrix X."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.shape != phi.matrix.shape:
-        raise ValueError(f"direction matrix is {x.shape}, expected {phi.matrix.shape}")
-    return _oblique(mdp, phi, x, "oblique")
+    return _oblique(mdp, phi, direction_matrix(x, phi), "oblique")
 
 
 def optimal_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:
     """Direction X* with L' X* = Xi Phi; its oblique solve is the best projection."""
-    xiphi = phi.matrix * xi.weights[:, None]
-    x_star = np.linalg.solve(l_matrix(mdp).T, xiphi)
-    resid = np.max(np.abs(l_matrix(mdp).T @ x_star - xiphi))
-    if resid > 1e-10 * (1.0 + np.max(np.abs(xiphi))):
-        raise ArithmeticError(f"optimal-direction solve residual too large: {resid}")
-    return x_star
+    return checked_solve(l_matrix(mdp).T, row_weighted(xi, phi.matrix), "optimal-direction")
 
 
 def td_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:
     """X = Xi Phi, the direction whose oblique solve is the TD(0) fixed point."""
-    return phi.matrix * xi.weights[:, None]
+    return row_weighted(xi, phi.matrix)
 
 
 def br_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:
     """X = Xi L Phi, the direction whose oblique solve is the BR minimizer."""
-    return (l_matrix(mdp) @ phi.matrix) * xi.weights[:, None]
+    return row_weighted(xi, l_matrix(mdp) @ phi.matrix)

@@ -1,8 +1,11 @@
 import csv
+import os
+import tempfile
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from projeval.cli import main
 from projeval.matio import parse_matrix, write_matrix
@@ -115,6 +118,56 @@ class TestSolve:
         example1_files["P"] = str(bad)
         assert run_solve(example1_files, 0.5) == 1
         assert "row 0" in capsys.readouterr().err
+
+
+@st.composite
+def solve_inputs(draw):
+    """Files for `projeval solve`: a valid instance, then possibly
+    near-dependent feature columns, one file of the wrong size and one file
+    with a non-finite entry; returns them with the names of the bad files."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    P = rng.uniform(size=(n, n))
+    arrays = {"P": P / P.sum(axis=1, keepdims=True), "r": rng.uniform(-1.0, 1.0, n),
+              "phi": rng.uniform(-1.0, 1.0, (n, m)), "xi": rng.uniform(0.1, 1.0, n),
+              "x": rng.uniform(-1.0, 1.0, (n, m))}
+    gap = draw(st.sampled_from([None, 1e-3, 1e-6, 1e-9, 0.0]))
+    if gap is not None and m >= 2:
+        arrays["phi"][:, 1] = arrays["phi"][:, 0] + gap * rng.uniform(-1.0, 1.0, n)
+    resized = draw(st.sampled_from([None, *arrays]))
+    if resized is not None:
+        a = arrays[resized]
+        shrink = len(a) > 1 and draw(st.booleans())
+        arrays[resized] = a[:-1] if shrink else np.concatenate([a, a[-1:]])
+    non_finite = draw(st.sampled_from([None, *arrays]))
+    if non_finite is not None:
+        a = arrays[non_finite]
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from([np.nan, np.inf]))
+    method = draw(st.sampled_from(["td", "br", "best", "oblique"]))
+    gamma = draw(st.sampled_from([0.5, 0.9, 0.99]))
+    return arrays, method, gamma, {resized, non_finite} - {None}
+
+
+NAN_DIRECTION = ({"P": np.array([[0.0, 1.0], [0.0, 1.0]]), "r": np.array([1.0, 0.0]),
+                  "phi": np.array([1.0, 2.0]), "xi": np.array([0.5, 0.5]),
+                  "x": np.array([0.5, np.nan])}, "oblique", 0.5, {"x"})
+
+
+@settings(max_examples=50, deadline=None)
+@example(NAN_DIRECTION)
+@given(solve_inputs())
+def test_solve_exit_code_property(inputs):
+    # bad input exits 1 and a singular system exits 2; nothing may escape main
+    arrays, method, gamma, bad = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, array in arrays.items():
+            paths[name] = os.path.join(tmp, f"{name}.txt")
+            np.savetxt(paths[name], array, fmt="%.17g")
+        code = run_solve(paths, gamma, method, ("--direction", paths["x"]))
+    read = {"P", "r", "phi", "xi", "x"} if method == "oblique" else {"P", "r", "phi", "xi"}
+    assert code == 1 if bad & read else code in (0, 1, 2)
 
 
 class TestExample1Command:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -137,8 +139,17 @@ class TestStationaryDistribution:
         m = make_mdp([[0.5, 0.5], [0.5, 0.5]], [0.0, 0.0], 0.9)
         np.testing.assert_allclose(stationary_distribution(m), [0.5, 0.5], atol=1e-10)
 
+    def test_periodic_chain(self):
+        m = make_mdp([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]], [0.0] * 3, 0.9)
+        start = time.monotonic()
+        xi = stationary_distribution(m)
+        assert time.monotonic() - start < 1.0
+        np.testing.assert_allclose(xi, [0.25, 0.5, 0.25], atol=1e-12)
+
     def test_absorbing_chain_not_found(self):
         assert stationary_distribution(two_state()) is None
+        # two absorbing states: every mix of them is stationary
+        assert stationary_distribution(make_mdp(np.eye(2), [0.0, 0.0], 0.9)) is None
 
     def test_ergodic_chain_residual(self):
         m = ergodic_chain(8, 0.9, SeedSpec(7))

@@ -3,9 +3,12 @@ import pytest
 
 from projeval import (
     br_direction,
+    concentration_coefficient,
+    error_bound,
     error_report,
     exact_value,
     make_mdp,
+    make_state_weights,
     optimal_direction,
     solve_best,
     solve_br,
@@ -93,9 +96,23 @@ class TestObliqueUnification:
             np.testing.assert_allclose(sol.value_estimate, phi.matrix @ w, atol=1e-8)
 
     def test_dimension_mismatch(self, rng):
-        mdp, phi, _ = random_instance(rng, n_max=6, m_max=3)
+        mdp, phi, xi = random_instance(rng, n_max=6, m_max=3)
+        wide = np.ones((phi.n_states, phi.dim + 1))
         with pytest.raises(ValueError):
-            solve_oblique(mdp, phi, np.ones((phi.n_states, phi.dim + 1)))
+            solve_oblique(mdp, phi, wide)
+        with pytest.raises(ValueError, match="direction matrix is"):
+            error_bound(mdp, phi, xi, wide)
+        short = make_state_weights([1.0])
+        for call in (solve_best, solve_td, solve_br, td_direction, br_direction,
+                     optimal_direction):
+            with pytest.raises(ValueError, match="weights have length 1"):
+                call(mdp, phi, short)
+        with pytest.raises(ValueError, match="weights have length 1"):
+            error_bound(mdp, phi, short, td_direction(mdp, phi, xi))
+        with pytest.raises(ValueError, match="weights have length 1"):
+            error_report(mdp, phi, short, np.zeros(phi.dim))
+        with pytest.raises(ValueError, match="weights have length 1"):
+            concentration_coefficient(mdp, short)
 
 
 class TestTdFixedPoint:
@@ -124,11 +141,11 @@ class TestBrMinimizer:
     def test_local_minimality_probe(self, rng):
         mdp, phi, xi = random_instance(rng, n_max=12, m_max=6)
         sol = solve_br(mdp, phi, xi)
-        report = error_report(mdp, phi, xi, sol.value_estimate)
+        report = error_report(mdp, phi, xi, sol.weights)
         for _ in range(100):
             u = rng.normal(size=phi.dim)
             u /= np.linalg.norm(u)
-            perturbed = phi.matrix @ (sol.weights + 1e-3 * u)
+            perturbed = sol.weights + 1e-3 * u
             assert error_report(mdp, phi, xi, perturbed).br_residual >= report.br_residual
 
     def test_projection_in_residual_metric(self, rng):
