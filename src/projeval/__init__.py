@@ -54,7 +54,7 @@ from .harness import (
     SweepConfig,
     TrialRecord,
     aggregate,
-    run_trial,
+    run_cell,
     sweep,
 )
 

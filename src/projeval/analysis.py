@@ -65,26 +65,29 @@ class BoundReport:
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a symmetric PSD matrix, negative eigenvalues clipped."""
+    """Symmetric square root of a PSD matrix or stack, negative eigenvalues clipped."""
     lam, vec = np.linalg.eigh(a)
-    return (vec * np.sqrt(np.maximum(lam, 0.0))) @ vec.T
+    return (vec * np.sqrt(np.maximum(lam, 0.0))[..., None, :]) @ vec.swapaxes(-1, -2)
 
 
-def amplification_bound(a_half: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+def amplification_bound(a_half: np.ndarray, b: np.ndarray,
+                        c: np.ndarray) -> float | np.ndarray:
     """sqrt(lambda_max(A^1/2 B C B' A^1/2)) from A^1/2 = psd_sqrt(A), B and C.
 
-    The symmetric form avoids complex eigensolvers; the sweep's CSVs depend
-    on this exact operation order.
+    One float for one system, one per matrix for stacks. The symmetric form
+    avoids complex eigensolvers; the sweep's CSVs depend on this exact
+    operation order.
     """
-    sym = a_half @ (b @ c @ b.T) @ a_half
-    sym = 0.5 * (sym + sym.T)
-    return float(np.sqrt(np.maximum(np.max(np.linalg.eigvalsh(sym)), 0.0)))
+    sym = a_half @ (b @ c @ b.swapaxes(-1, -2)) @ a_half
+    sym = sym + sym.swapaxes(-1, -2)
+    sym *= 0.5
+    return np.sqrt(np.maximum(np.max(np.linalg.eigvalsh(sym), axis=-1), 0.0))
 
 
 def c_matrix(L: np.ndarray, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """C = X' L Xi^-1 L' X, in the operation order the sweep's CSVs depend on."""
-    ltx = L.T @ x
-    return (ltx / xi[:, None]).T @ ltx
+    """C = X' L Xi^-1 L' X per matrix, in the operation order the sweep's CSVs need."""
+    ltx = L.swapaxes(-1, -2) @ x
+    return (ltx / xi[..., None]).swapaxes(-1, -2) @ ltx
 
 
 def error_report(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,

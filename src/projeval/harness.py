@@ -2,9 +2,12 @@
 
 For each (gamma, n, k) cell the sweep crosses `feature_trials` random
 feature/weight draws with `mdp_trials` random chains and records per trial
-the best / TD / BR errors plus both spectral-radius bounds. Per-trial seeds
-are derived from the master seed and the trial labels, so any worker layout
-produces the same records.
+the best / TD / BR errors plus both spectral-radius bounds. A cell is the
+unit of work: `run_cell` draws each chain and each (Phi, xi) pair of the
+cell once and runs all its trials through one `kernels.cell_stats` call.
+Seeds are derived from the master seed and the draw's labels (the chain's
+from gamma, n and mdp_trial, the features' and weights' from gamma, n, k
+and phi_trial), so any worker layout produces the same records.
 """
 
 from __future__ import annotations
@@ -83,65 +86,41 @@ class CellStats:
     excluded_count: int
 
 
-def trial_instance(config: SweepConfig, gamma_index: int, n: int, k: int,
-                   phi_trial: int, mdp_trial: int):
-    """Regenerate the (mdp, phi, xi) triple of one sweep trial.
+def run_cell(config: SweepConfig, gamma_index: int, n: int, k: int) -> list[TrialRecord]:
+    """Every trial of one (gamma, n, k) cell, in (phi_trial, mdp_trial) order.
 
-    Features and weights are shared across the mdp axis of a cell and vice
-    versa, so a cell is the full cross product of its two trial axes.
+    A cell is the full cross product of its chains and its (Phi, xi) pairs,
+    so each is drawn once and the stacked trials go through one kernel call.
     """
     root = SeedSpec(config.master_seed)
     gamma = config.gammas[gamma_index]
-    mdp = random_chain(n, gamma, root.derive(_ROLE_MDP, gamma_index, n, mdp_trial))
-    phi = random_features(n, k, root.derive(_ROLE_FEATURES, gamma_index, n, k, phi_trial))
-    xi = random_weights(n, root.derive(_ROLE_WEIGHTS, gamma_index, n, k, phi_trial))
-    return mdp, phi, xi
-
-
-def run_trial(config: SweepConfig, gamma_index: int, n: int, k: int,
-              phi_trial: int, mdp_trial: int) -> TrialRecord:
-    """One deterministic trial: generate the instance, solve, record errors."""
-    mdp, phi, xi = trial_instance(config, gamma_index, n, k, phi_trial, mdp_trial)
-    stats = kernels.trial_stats(mdp.transitions, mdp.rewards, mdp.discount,
-                                phi.matrix, xi.weights)
-    return TrialRecord(
-        gamma=config.gammas[gamma_index], n=n, k=k,
-        phi_trial=phi_trial, mdp_trial=mdp_trial,
-        e=stats[kernels.E_BEST],
-        e_td=stats[kernels.E_TD],
-        e_br=stats[kernels.E_BR],
-        b_td=stats[kernels.B_TD],
-        b_br=stats[kernels.B_BR],
-        td_singular=bool(stats[kernels.TD_SINGULAR]),
-        v_norm=stats[kernels.V_NORM],
-    )
-
-
-def _cell_keys(config: SweepConfig):
-    for gamma_index in range(len(config.gammas)):
-        for n in range(config.n_min, config.n_max + 1):
-            for k in range(1, n + 1):
-                yield gamma_index, n, k
-
-
-def _run_cell(args) -> list[TrialRecord]:
-    config, gamma_index, n, k = args
-    return [
-        run_trial(config, gamma_index, n, k, pt, mt)
-        for pt in range(config.feature_trials)
-        for mt in range(config.mdp_trials)
-    ]
+    chains = [random_chain(n, gamma, root.derive(_ROLE_MDP, gamma_index, n, mt))
+              for mt in range(config.mdp_trials)]
+    bases = [random_features(n, k, root.derive(_ROLE_FEATURES, gamma_index, n, k, pt))
+             for pt in range(config.feature_trials)]
+    weights = [random_weights(n, root.derive(_ROLE_WEIGHTS, gamma_index, n, k, pt))
+               for pt in range(config.feature_trials)]
+    pt, mt = np.divmod(np.arange(config.feature_trials * config.mdp_trials), config.mdp_trials)
+    P = np.stack([c.transitions for c in chains])[mt]
+    r = np.stack([c.rewards for c in chains])[mt]
+    phi = np.stack([b.matrix for b in bases])[pt]
+    xi = np.stack([w.weights for w in weights])[pt]
+    del chains, bases, weights  # only the stacks stay alive in the kernel call
+    stats = kernels.cell_stats(P, r, gamma, phi, xi)
+    return [TrialRecord(gamma, n, k, p, m, *row[kernels.E_BEST:kernels.COND_TD],
+                        td_singular=bool(row[kernels.TD_SINGULAR]), v_norm=row[kernels.V_NORM])
+            for p, m, row in zip(pt.tolist(), mt.tolist(), stats.tolist())]
 
 
 def sweep(config: SweepConfig, workers: int = 1) -> list[TrialRecord]:
     """All trials of the grid, in canonical order regardless of worker count."""
-    tasks = [(config, gi, n, k) for gi, n, k in _cell_keys(config)]
+    keys = [(gi, n, k) for gi in range(len(config.gammas))
+            for n in range(config.n_min, config.n_max + 1) for k in range(1, n + 1)]
+    args = (run_cell, [config] * len(keys), *zip(*keys))
     if workers <= 1:
-        cells = map(_run_cell, tasks)
-        return [rec for cell in cells for rec in cell]
+        return [rec for cell in map(*args) for rec in cell]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        cells = pool.map(_run_cell, tasks, chunksize=4)
-        return [rec for cell in cells for rec in cell]
+        return [rec for cell in pool.map(*args, chunksize=4) for rec in cell]
 
 
 def aggregate(records: list[TrialRecord],

@@ -1,16 +1,16 @@
-"""Per-trial numeric kernel for the benchmark sweep.
+"""Cell-batched numeric kernel for the benchmark sweep.
 
-One call computes, for a single (P, r, gamma, Phi, xi) instance, the best /
-TD / BR approximation errors and the two spectral-radius bounds. TD and BR
-are the oblique solve (X' L Phi) w = X' r with X = Xi Phi and X = Xi L Phi,
-so both go through one direction helper. The TD system passes the
-singularity gate of `projections.projected_system`; the BR system is a
-Gram matrix of the independent columns of L Phi and is not gated. Both
-bounds use `analysis.c_matrix` and `analysis.amplification_bound`.
-
-The sweep's CSVs are compared byte for byte against earlier runs, so the
-operation order of every written column is fixed, including the operand
-order of the BR system.
+One call computes, for a stack of same-shape (P, r, gamma, Phi, xi)
+instances (the trials of one sweep cell), the best / TD / BR errors and the
+two spectral-radius bounds of each. Every step is a stacked numpy call that
+loops over the leading axis, so a row equals, bit for bit, the same instance
+run as a stack of one. TD and BR are the oblique solve (X' L Phi) w = X' r
+with X = Xi Phi and X = Xi L Phi, both through one direction helper; only
+the TD systems that pass the gate of `projections.projected_system` are
+solved, while the BR system, a Gram matrix of the independent columns of
+L Phi, is not gated. The sweep's CSVs are compared byte for byte against
+earlier runs, so the operation order of every written column is fixed,
+including the operand order of the BR system.
 """
 
 from __future__ import annotations
@@ -22,45 +22,53 @@ from .projections import projected_system
 
 BACKEND = "numpy"
 
-# result vector layout
+# result row layout
 E_BEST, E_TD, E_BR, B_TD, B_BR, COND_TD, TD_SINGULAR, V_NORM = range(8)
 
 
+def _xi_norm(xi, d):
+    return np.sqrt(np.sum(xi * d * d, axis=-1))
+
+
 def _direction(L, r, v, phi, xi, a_half, m, x):
-    """Error and bound of the oblique solve m w = X' r, with m = X' L Phi."""
-    w = np.linalg.solve(m, x.T @ r)
-    d = v - phi @ w
-    return (np.sqrt(np.sum(xi * d * d)),
+    """Errors and bounds of the oblique solves m w = X' r, with m = X' L Phi."""
+    w = np.linalg.solve(m, x.swapaxes(-1, -2) @ r[..., None])
+    return (_xi_norm(xi, v - (phi @ w)[..., 0]),
             amplification_bound(a_half, np.linalg.inv(m), c_matrix(L, x, xi)))
 
 
-def trial_stats(P, r, gamma, phi, xi):
-    """Errors and bounds for one instance.
+def cell_stats(P, r, gamma, phi, xi):
+    """Errors and bounds for a stack of B instances with n states, k features.
 
-    Returns a length-8 vector (e, e_td, e_br, b_td, b_br, cond_td, singular
-    flag, ||v||_xi); e_td and b_td are NaN when the TD system is singular.
+    P is (B, n, n), r and xi are (B, n), phi is (B, n, k). Returns a (B, 8)
+    array whose rows are (e, e_td, e_br, b_td, b_br, cond_td, singular flag,
+    ||v||_xi); e_td and b_td are NaN where the TD system is singular.
     """
-    n = P.shape[0]
-    L = np.eye(n) - gamma * P
-    v = np.linalg.solve(L, r)
+    L = np.eye(P.shape[-1]) - gamma * P
+    v = np.linalg.solve(L, r[..., None])[..., 0]
 
-    xi_col = xi.reshape(n, 1)
+    xi_col = xi[..., None]
     xiphi = phi * xi_col                 # Xi Phi
     lphi = L @ phi                       # L Phi
-    xilphi = lphi * xi_col               # Xi L Phi
-    a = phi.T @ xiphi                    # Phi' Xi Phi
+    a = phi.swapaxes(-1, -2) @ xiphi     # Phi' Xi Phi
 
-    w_best = np.linalg.solve(a, xiphi.T @ v)
-    d = v - phi @ w_best
+    w_best = np.linalg.solve(a, xiphi.swapaxes(-1, -2) @ v[..., None])
+    out = np.full((len(r), 8), np.nan)
+    out[:, E_BEST] = _xi_norm(xi, v - (phi @ w_best)[..., 0])
+    out[:, V_NORM] = _xi_norm(xi, v)
     a_half = psd_sqrt(a)
+    del a, w_best  # dropped early: a cell's stacks set the sweep's peak memory
 
-    out = np.full(8, np.nan)
-    out[E_BEST] = np.sqrt(np.sum(xi * d * d))
-    out[V_NORM] = np.sqrt(np.sum(xi * v * v))
+    m_td, out[:, COND_TD], status = projected_system(xiphi, lphi)
+    regular = status == "ok"
+    out[:, TD_SINGULAR] = ~regular
+    # boolean-mask copies only when some TD system is singular
+    td = slice(None) if regular.all() else regular
+    out[td, E_TD], out[td, B_TD] = _direction(
+        L[td], r[td], v[td], phi[td], xi[td], a_half[td], m_td[td], xiphi[td])
+    del m_td, xiphi
 
-    m_td, out[COND_TD], status = projected_system(xiphi, lphi)
-    out[TD_SINGULAR] = status != "ok"
-    if status == "ok":
-        out[E_TD], out[B_TD] = _direction(L, r, v, phi, xi, a_half, m_td, xiphi)
-    out[E_BR], out[B_BR] = _direction(L, r, v, phi, xi, a_half, lphi.T @ xilphi, xilphi)
+    xilphi = lphi * xi_col               # Xi L Phi
+    out[:, E_BR], out[:, B_BR] = _direction(L, r, v, phi, xi, a_half,
+                                            lphi.swapaxes(-1, -2) @ xilphi, xilphi)
     return out

@@ -113,32 +113,42 @@ def weighted_norm(v: np.ndarray, xi: StateWeights) -> float:
     return float(np.sqrt(np.dot(xi.weights, v * v)))
 
 
-def condition_estimate(M: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm per matrix, rounded as `np.linalg.norm(x)` (a BLAS dot)."""
+    flat = x.reshape(*x.shape[:-2], 1, -1)
+    return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+
+
+def condition_estimate(M: np.ndarray, left: np.ndarray,
+                       right: np.ndarray) -> float | np.ndarray:
     """Cancellation-aware condition estimate of the product M = left' right.
 
     The classical condition number of M misses catastrophic cancellation:
     a 1x1 product can collapse to a tiny but nonzero scalar (condition 1)
     while the underlying projected system is effectively singular. Scaling
     by the Frobenius norms of the factors catches this; the estimate always
-    dominates the classical condition number.
+    dominates the classical condition number. Stacked factors give one
+    estimate per product.
     """
-    s_min = np.linalg.svd(M, compute_uv=False)[-1]
-    scale = np.linalg.norm(left) * np.linalg.norm(right)
-    if s_min == 0.0:
-        return float("inf")
-    return float(scale / s_min)
+    s_min = np.linalg.svd(M, compute_uv=False)[..., -1]
+    scale = _frobenius(left) * _frobenius(right)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s_min == 0.0, np.inf, scale / s_min)[()]
 
 
-def projected_system(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, float, str]:
+def projected_system(left: np.ndarray, right: np.ndarray
+                     ) -> tuple[np.ndarray, float | np.ndarray, str | np.ndarray]:
     """M = left' right, its condition estimate, and its status.
 
     The status is "singular" when the estimate is infinite or above
-    SINGULAR_CONDITION_LIMIT and "ok" otherwise. This is the package's only
-    singularity test.
+    SINGULAR_CONDITION_LIMIT and "ok" otherwise; stacked factors give a
+    stack of M and an array of estimates and statuses. This is the
+    package's only singularity test.
     """
-    M = left.T @ right
+    M = left.swapaxes(-1, -2) @ right
     cond = condition_estimate(M, left, right)
-    return M, cond, "ok" if cond <= SINGULAR_CONDITION_LIMIT else "singular"
+    status = np.where(cond <= SINGULAR_CONDITION_LIMIT, "ok", "singular")
+    return M, cond, status if status.ndim else status.item()
 
 
 def projected_solve(left: np.ndarray, right: np.ndarray,

@@ -1,24 +1,61 @@
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from projeval import (
+    SeedSpec,
     SweepConfig,
     TrialRecord,
     aggregate,
     error_bound,
-    run_trial,
+    harness,
+    matio,
+    random_chain,
+    random_features,
+    random_weights,
+    run_cell,
     solve_best,
     solve_br,
     solve_td,
     sweep,
     weighted_norm,
 )
-from projeval.harness import trial_instance
 from projeval.mdp import exact_value
 from projeval.solvers import br_direction, td_direction
 
 SMALL = SweepConfig(gammas=(0.9, 0.99), n_min=2, n_max=5,
                     feature_trials=2, mdp_trials=2, master_seed=123)
+UNEVEN = SweepConfig(gammas=(0.95,), n_min=2, n_max=6,
+                     feature_trials=3, mdp_trials=2, master_seed=7)
+
+# sha256 of the trials.csv / cells.csv these grids wrote before the sweep
+# ran a cell as one stacked kernel call with one draw per chain and basis
+CSV_DIGESTS = {
+    "SMALL": ("d1983732a5d5826c0523777d2be572c122d2c4164c8e91a906e683d710c1cb36",
+              "5cc6b8a2e374add080fb78ef2da815766cba6b3f75aa937073d5e2533d956645"),
+    "UNEVEN": ("7884a7712c383483b7af24628f9d4e15901d7235835b8b91cc59ec52e2b09f7a",
+               "6ecfc37f9afe2b5cd2dd08cd52ac15ad2f03bbfa3a9ca10e1174b4278b6e89dc"),
+}
+
+
+def run_trial(config, gamma_index, n, k, phi_trial, mdp_trial):
+    """One trial's record, as run_cell computes it within its cell."""
+    rec = run_cell(config, gamma_index, n, k)[phi_trial * config.mdp_trials + mdp_trial]
+    assert (rec.phi_trial, rec.mdp_trial) == (phi_trial, mdp_trial)
+    return rec
+
+
+def trial_instance(config, gamma_index, n, k, phi_trial, mdp_trial):
+    """The (mdp, phi, xi) of one trial, drawn from the documented seed labels:
+    role 0 (chain) labelled (gamma_index, n, mdp_trial), roles 1 and 2
+    (features, weights) labelled (gamma_index, n, k, phi_trial)."""
+    root = SeedSpec(config.master_seed)
+    gamma = config.gammas[gamma_index]
+    return (random_chain(n, gamma, root.derive(0, gamma_index, n, mdp_trial)),
+            random_features(n, k, root.derive(1, gamma_index, n, k, phi_trial)),
+            random_weights(n, root.derive(2, gamma_index, n, k, phi_trial)))
 
 
 class TestRunTrial:
@@ -83,6 +120,31 @@ class TestSweep:
 
     def test_parallel_matches_serial(self):
         assert sweep(SMALL, workers=2) == sweep(SMALL)
+
+    def test_each_draw_made_once_per_cell(self, monkeypatch):
+        calls = Counter()
+        for name in ("random_chain", "random_features", "random_weights"):
+            def counted(*args, _draw=getattr(harness, name), _name=name):
+                calls[_name] += 1
+                return _draw(*args)
+            monkeypatch.setattr(harness, name, counted)
+        records = sweep(SMALL)
+        n_cells = len({(r.gamma, r.n, r.k) for r in records})
+        assert calls == {"random_chain": n_cells * SMALL.mdp_trials,
+                         "random_features": n_cells * SMALL.feature_trials,
+                         "random_weights": n_cells * SMALL.feature_trials}
+
+    @pytest.mark.parametrize("name", sorted(CSV_DIGESTS))
+    def test_csv_bytes_pinned(self, name, tmp_path):
+        config = {"SMALL": SMALL, "UNEVEN": UNEVEN}[name]
+        records = sweep(config)
+        cells = aggregate(records, singular_policy=config.singular_policy,
+                          expected_cell_size=config.feature_trials * config.mdp_trials)
+        matio.write_trial_csv(tmp_path / "trials.csv", records)
+        matio.write_cell_csv(tmp_path / "cells.csv", cells)
+        got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("trials.csv", "cells.csv"))
+        assert got == CSV_DIGESTS[name]
 
 
 class TestAggregate:
