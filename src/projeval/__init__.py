@@ -54,7 +54,7 @@ from .harness import (
     SweepConfig,
     TrialRecord,
     aggregate,
-    run_cell,
+    run_column,
     sweep,
 )
 

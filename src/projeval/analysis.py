@@ -27,6 +27,7 @@ from .projections import (
     FeatureBasis,
     StateWeights,
     direction_matrix,
+    feature_matrix,
     projected_solve,
     projected_system,
     row_weighted,
@@ -98,12 +99,13 @@ def error_report(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
     left = Xi Phi and right = Phi; when that system is singular, td_error
     and adequacy are None.
     """
-    v_hat = phi.matrix @ np.asarray(w, dtype=float)
+    phi_mat = feature_matrix(phi, mdp.n_states)
+    v_hat = phi_mat @ np.asarray(w, dtype=float)
     t_v_hat = bellman_apply(mdp, v_hat)
-    coords, cond, status = projected_solve(row_weighted(xi, phi.matrix), phi.matrix, t_v_hat)
+    coords, cond, status = projected_solve(row_weighted(xi, phi_mat), phi_mat, t_v_hat)
     td_error = adequacy = None
     if status == "ok":
-        proj_t = phi.matrix @ coords
+        proj_t = phi_mat @ coords
         td_error = weighted_norm(v_hat - proj_t, xi)
         adequacy = weighted_norm(t_v_hat - proj_t, xi)
     return ErrorReport(
@@ -123,11 +125,12 @@ def error_bound(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
     Singular X' L Phi means the oblique solution does not exist; the bound is
     reported as a status, never as a sentinel number.
     """
+    phi_mat = feature_matrix(phi, mdp.n_states)
     x = direction_matrix(x, phi)
     L = l_matrix(mdp)
-    a = phi.matrix.T @ row_weighted(xi, phi.matrix)
+    a = phi_mat.T @ row_weighted(xi, phi_mat)
     c = c_matrix(L, x, xi.weights)
-    xlphi, cond, status = projected_system(x, L @ phi.matrix)
+    xlphi, cond, status = projected_system(x, L @ phi_mat)
     if status != "ok":
         return BoundReport("oblique-X", a, None, c, None, cond, status)
     b = np.linalg.inv(xlphi)

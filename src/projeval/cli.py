@@ -45,9 +45,7 @@ def cmd_solve(args) -> int:
         mdp = make_mdp(P, r, args.gamma)
         phi = make_feature_basis(phi_mat)
         xi = make_state_weights(xi_vec)
-        if phi.n_states != mdp.n_states:
-            raise ValueError(f"features have {phi.n_states} rows, expected {mdp.n_states}")
-        # the library checks the weights' and the direction's sizes
+        # the library checks the features', the weights' and the direction's sizes
         if args.method == "best":
             sol = solvers.solve_best(mdp, phi, xi)
         elif args.method == "td":

@@ -2,12 +2,14 @@
 
 For each (gamma, n, k) cell the sweep crosses `feature_trials` random
 feature/weight draws with `mdp_trials` random chains and records per trial
-the best / TD / BR errors plus both spectral-radius bounds. A cell is the
-unit of work: `run_cell` draws each chain and each (Phi, xi) pair of the
-cell once and runs all its trials through one `kernels.cell_stats` call.
-Seeds are derived from the master seed and the draw's labels (the chain's
-from gamma, n and mdp_trial, the features' and weights' from gamma, n, k
-and phi_trial), so any worker layout produces the same records.
+the best / TD / BR errors plus both spectral-radius bounds. A (gamma, n)
+column, the cells k = 1..n, is the unit of work: `run_column` draws the
+column's chains once, forms their L and v once (`kernels.chain_terms`),
+and runs each cell through one `kernels.cell_stats` call on that cell's
+(Phi, xi) pairs. Seeds are derived from the master seed and the draw's
+labels (the chain's from gamma, n and mdp_trial, the features' and
+weights' from gamma, n, k and phi_trial), so any worker layout produces
+the same records.
 """
 
 from __future__ import annotations
@@ -86,41 +88,52 @@ class CellStats:
     excluded_count: int
 
 
-def run_cell(config: SweepConfig, gamma_index: int, n: int, k: int) -> list[TrialRecord]:
-    """Every trial of one (gamma, n, k) cell, in (phi_trial, mdp_trial) order.
+def run_column(config: SweepConfig, gamma_index: int, n: int) -> list[TrialRecord]:
+    """Every trial of one (gamma, n) column, in (k, phi_trial, mdp_trial) order.
 
-    A cell is the full cross product of its chains and its (Phi, xi) pairs,
-    so each is drawn once and the stacked trials go through one kernel call.
+    Chains are seeded without k, so the column draws its chains and forms
+    their L and v once; each cell's (Phi, xi) pairs are drawn just before
+    its kernel call, so only one cell's bases are alive at a time.
     """
     root = SeedSpec(config.master_seed)
     gamma = config.gammas[gamma_index]
     chains = [random_chain(n, gamma, root.derive(_ROLE_MDP, gamma_index, n, mt))
               for mt in range(config.mdp_trials)]
-    bases = [random_features(n, k, root.derive(_ROLE_FEATURES, gamma_index, n, k, pt))
-             for pt in range(config.feature_trials)]
-    weights = [random_weights(n, root.derive(_ROLE_WEIGHTS, gamma_index, n, k, pt))
-               for pt in range(config.feature_trials)]
+    r = np.stack([c.rewards for c in chains])
+    L, v = kernels.chain_terms(np.stack([c.transitions for c in chains]), r, gamma)
+    pts = range(config.feature_trials)
     pt, mt = np.divmod(np.arange(config.feature_trials * config.mdp_trials), config.mdp_trials)
-    P = np.stack([c.transitions for c in chains])[mt]
-    r = np.stack([c.rewards for c in chains])[mt]
-    phi = np.stack([b.matrix for b in bases])[pt]
-    xi = np.stack([w.weights for w in weights])[pt]
-    del chains, bases, weights  # only the stacks stay alive in the kernel call
-    stats = kernels.cell_stats(P, r, gamma, phi, xi)
-    return [TrialRecord(gamma, n, k, p, m, *row[kernels.E_BEST:kernels.COND_TD],
-                        td_singular=bool(row[kernels.TD_SINGULAR]), v_norm=row[kernels.V_NORM])
-            for p, m, row in zip(pt.tolist(), mt.tolist(), stats.tolist())]
+    records = []
+    for k in range(1, n + 1):
+        phi = np.stack([random_features(n, k, root.derive(_ROLE_FEATURES, gamma_index, n, k, p))
+                        .matrix for p in pts])
+        xi = np.stack([random_weights(n, root.derive(_ROLE_WEIGHTS, gamma_index, n, k, p))
+                       .weights for p in pts])
+        stats = kernels.cell_stats(L, r, v, phi, xi)
+        records += [TrialRecord(gamma, n, k, p, m, *row[kernels.E_BEST:kernels.COND_TD],
+                                td_singular=bool(row[kernels.TD_SINGULAR]),
+                                v_norm=row[kernels.V_NORM])
+                    for p, m, row in zip(pt.tolist(), mt.tolist(), stats.tolist())]
+    return records
 
 
 def sweep(config: SweepConfig, workers: int = 1) -> list[TrialRecord]:
-    """All trials of the grid, in canonical order regardless of worker count."""
-    keys = [(gi, n, k) for gi in range(len(config.gammas))
-            for n in range(config.n_min, config.n_max + 1) for k in range(1, n + 1)]
-    args = (run_cell, [config] * len(keys), *zip(*keys))
+    """All trials of the grid, in canonical order regardless of worker count.
+
+    A column's cost grows steeply with n, so columns are handed out largest
+    n first, one at a time, and no worker is left alone with a heavy one at
+    the end.
+    """
+    columns = [(gi, n) for gi in range(len(config.gammas))
+               for n in range(config.n_min, config.n_max + 1)]
+    schedule = sorted(columns, key=lambda col: -col[1])
+    args = (run_column, [config] * len(schedule), *zip(*schedule))
     if workers <= 1:
-        return [rec for cell in map(*args) for rec in cell]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return [rec for cell in pool.map(*args, chunksize=4) for rec in cell]
+        done = dict(zip(schedule, map(*args)))
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            done = dict(zip(schedule, pool.map(*args, chunksize=1)))
+    return [rec for col in columns for rec in done[col]]
 
 
 def aggregate(records: list[TrialRecord],

@@ -1,16 +1,23 @@
-"""Cell-batched numeric kernel for the benchmark sweep.
+"""Factored numeric kernel for the benchmark sweep.
 
-One call computes, for a stack of same-shape (P, r, gamma, Phi, xi)
-instances (the trials of one sweep cell), the best / TD / BR errors and the
-two spectral-radius bounds of each. Every step is a stacked numpy call that
-loops over the leading axis, so a row equals, bit for bit, the same instance
-run as a stack of one. TD and BR are the oblique solve (X' L Phi) w = X' r
-with X = Xi Phi and X = Xi L Phi, both through one direction helper; only
-the TD systems that pass the gate of `projections.projected_system` are
-solved, while the BR system, a Gram matrix of the independent columns of
-L Phi, is not gated. The sweep's CSVs are compared byte for byte against
-earlier runs, so the operation order of every written column is fixed,
-including the operand order of the BR system.
+A sweep cell crosses F bases (Phi, xi) with M chains (P, r). Each term is
+computed once per the inputs it depends on: the chain terms L = I - gamma P
+and v = L^-1 r once per chain (`chain_terms`, once per (gamma, n) column of
+the sweep), the basis terms Xi Phi, A = Phi' Xi Phi and A^1/2 once per
+basis, and only the pair terms (L Phi, the TD and BR systems, the errors,
+C and the bounds) once per trial. Chains enter `cell_stats` as (1, M, ...)
+stacks and bases as (F, 1, ...) stacks, so numpy's stacked calls broadcast
+them into the (F, M) trial grid; each trial's matrices are the ones a
+stack of one would see, so a row equals, bit for bit, the same instance
+run alone.
+
+TD and BR are the oblique solve (X' L Phi) w = X' r with X = Xi Phi and
+X = Xi L Phi, both through one direction helper; only the TD systems that
+pass the gate of `projections.projected_system` are solved, while the BR
+system, a Gram matrix of the independent columns of L Phi, is not gated.
+The sweep's CSVs are compared byte for byte against earlier runs, so the
+operation order of every written column is fixed, including the operand
+order of the BR system.
 """
 
 from __future__ import annotations
@@ -37,38 +44,46 @@ def _direction(L, r, v, phi, xi, a_half, m, x):
             amplification_bound(a_half, np.linalg.inv(m), c_matrix(L, x, xi)))
 
 
-def cell_stats(P, r, gamma, phi, xi):
-    """Errors and bounds for a stack of B instances with n states, k features.
+def chain_terms(P, r, gamma):
+    """L = I - gamma P and v = L^-1 r of M chains: P is (M, n, n), r is (M, n)."""
+    L = np.eye(P.shape[-1]) - gamma * P
+    return L, np.linalg.solve(L, r[..., None])[..., 0]
 
-    P is (B, n, n), r and xi are (B, n), phi is (B, n, k). Returns a (B, 8)
-    array whose rows are (e, e_td, e_br, b_td, b_br, cond_td, singular flag,
+
+def cell_stats(L, r, v, phi, xi):
+    """Errors and bounds of every pair of F bases with M chains.
+
+    L is (M, n, n) and r and v are (M, n), as from `chain_terms`; phi is
+    (F, n, k) and xi is (F, n). Returns an (F*M, 8) array in (basis, chain)
+    order whose rows are (e, e_td, e_br, b_td, b_br, cond_td, singular flag,
     ||v||_xi); e_td and b_td are NaN where the TD system is singular.
     """
-    L = np.eye(P.shape[-1]) - gamma * P
-    v = np.linalg.solve(L, r[..., None])[..., 0]
-
+    L, r, v = L[None], r[None], v[None]  # (1, M, n, n) and (1, M, n)
+    phi, xi = phi[:, None], xi[:, None]  # (F, 1, n, k) and (F, 1, n)
     xi_col = xi[..., None]
     xiphi = phi * xi_col                 # Xi Phi
-    lphi = L @ phi                       # L Phi
     a = phi.swapaxes(-1, -2) @ xiphi     # Phi' Xi Phi
+    a_half = psd_sqrt(a)
+    lphi = L @ phi                       # L Phi, one per pair from here on
 
     w_best = np.linalg.solve(a, xiphi.swapaxes(-1, -2) @ v[..., None])
-    out = np.full((len(r), 8), np.nan)
-    out[:, E_BEST] = _xi_norm(xi, v - (phi @ w_best)[..., 0])
-    out[:, V_NORM] = _xi_norm(xi, v)
-    a_half = psd_sqrt(a)
-    del a, w_best  # dropped early: a cell's stacks set the sweep's peak memory
+    out = np.full(lphi.shape[:2] + (8,), np.nan)
+    out[..., E_BEST] = _xi_norm(xi, v - (phi @ w_best)[..., 0])
+    out[..., V_NORM] = _xi_norm(xi, v)
 
-    m_td, out[:, COND_TD], status = projected_system(xiphi, lphi)
+    m_td, out[..., COND_TD], status = projected_system(xiphi, lphi)
     regular = status == "ok"
-    out[:, TD_SINGULAR] = ~regular
-    # boolean-mask copies only when some TD system is singular
-    td = slice(None) if regular.all() else regular
-    out[td, E_TD], out[td, B_TD] = _direction(
-        L[td], r[td], v[td], phi[td], xi[td], a_half[td], m_td[td], xiphi[td])
-    del m_td, xiphi
+    out[..., TD_SINGULAR] = ~regular
+    terms = (L, r, v, phi, xi, a_half, m_td, xiphi)
+    if regular.all():
+        td = ...
+    else:  # boolean-mask copies only when some TD system is singular
+        td = regular
+        terms = [np.broadcast_to(t, regular.shape + t.shape[2:])[regular] for t in terms]
+    out[..., E_TD][td], out[..., B_TD][td] = _direction(*terms)
+    del m_td, terms  # with a singular row, pair-sized copies of L and Phi
 
     xilphi = lphi * xi_col               # Xi L Phi
-    out[:, E_BR], out[:, B_BR] = _direction(L, r, v, phi, xi, a_half,
-                                            lphi.swapaxes(-1, -2) @ xilphi, xilphi)
-    return out
+    out[..., E_BR], out[..., B_BR] = _direction(L, r, v, phi, xi, a_half,
+                                                lphi.swapaxes(-1, -2) @ xilphi, xilphi)
+    return out.reshape(-1, 8)

@@ -53,6 +53,9 @@ def validate(mdp: Mdp) -> list[str]:
         problems.append(f"transition matrix is {P.shape}, expected square")
         return problems
     n = P.shape[0]
+    if n == 0:
+        problems.append("transition matrix has no states")
+        return problems
     if r.shape != (n,):
         problems.append(f"rewards has length {r.size}, expected {n}")
     elif not np.all(np.isfinite(r)):

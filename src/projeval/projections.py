@@ -42,16 +42,18 @@ def make_feature_basis(matrix) -> FeatureBasis:
     phi = np.array(matrix, dtype=float)
     if phi.ndim == 1:
         phi = phi[:, None]
+    if phi.ndim != 2:
+        raise ValueError(f"feature matrix has shape {phi.shape}, expected N x m")
     n, m = phi.shape
-    if m > n:
-        raise ValueError(f"feature matrix is {n}x{m}, need m <= N")
+    if not 1 <= m <= n:
+        raise ValueError(f"feature matrix is {n}x{m}, need 1 <= m <= N")
     if not np.all(np.isfinite(phi)):
         raise ValueError("feature matrix has non-finite entries")
     s = np.linalg.svd(phi, compute_uv=False)
     if s[-1] <= INDEPENDENCE_SV_RATIO * s[0]:
         raise ValueError(
             f"feature columns are not linearly independent "
-            f"(singular value ratio {s[-1] / s[0]:.3e})")
+            f"(singular values {s[-1]:.3e} and {s[0]:.3e})")
     phi.flags.writeable = False
     return FeatureBasis(phi)
 
@@ -77,8 +79,17 @@ def make_state_weights(weights) -> StateWeights:
     if not np.isfinite(total) or total <= 0:
         raise ValueError("state weights must have a positive finite sum")
     xi = xi / total
+    if np.any(xi <= 0.0):
+        raise ValueError("state weights span too wide a range: some are zero once normalized")
     xi.flags.writeable = False
     return StateWeights(xi)
+
+
+def feature_matrix(phi: FeatureBasis, n_rows: int) -> np.ndarray:
+    """Phi's matrix; a ValueError unless Phi has n_rows rows."""
+    if phi.n_states != n_rows:
+        raise ValueError(f"features have {phi.n_states} rows, expected {n_rows}")
+    return phi.matrix
 
 
 def weight_column(xi: StateWeights, n_rows: int) -> np.ndarray:

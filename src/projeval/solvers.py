@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import Mdp, checked_solve, exact_value, l_matrix
-from .projections import (FeatureBasis, StateWeights, direction_matrix, projected_solve,
-                          row_weighted)
+from .projections import (FeatureBasis, StateWeights, direction_matrix, feature_matrix,
+                          projected_solve, row_weighted)
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,15 @@ def _solve(left: np.ndarray, right: np.ndarray, b: np.ndarray,
 
 
 def _oblique(mdp: Mdp, phi: FeatureBasis, x: np.ndarray, method: str) -> ProjectionSolution:
-    return _solve(x, l_matrix(mdp) @ phi.matrix, mdp.rewards, phi, method)
+    """The oblique solve on a direction X; Phi's rows are checked before X's shape."""
+    psi = l_matrix(mdp) @ feature_matrix(phi, mdp.n_states)
+    return _solve(direction_matrix(x, phi), psi, mdp.rewards, phi, method)
 
 
 def solve_best(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
     """xi-orthogonal projection of the exact value onto span(Phi)."""
-    return _solve(row_weighted(xi, phi.matrix), phi.matrix, exact_value(mdp), phi, "best")
+    phi_mat = feature_matrix(phi, mdp.n_states)
+    return _solve(row_weighted(xi, phi_mat), phi_mat, exact_value(mdp), phi, "best")
 
 
 def solve_td(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
@@ -68,19 +71,19 @@ def solve_br(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolutio
 
 def solve_oblique(mdp: Mdp, phi: FeatureBasis, x: np.ndarray) -> ProjectionSolution:
     """Solution of the projected equation for an arbitrary direction matrix X."""
-    return _oblique(mdp, phi, direction_matrix(x, phi), "oblique")
+    return _oblique(mdp, phi, x, "oblique")
 
 
 def optimal_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:
     """Direction X* with L' X* = Xi Phi; its oblique solve is the best projection."""
-    return checked_solve(l_matrix(mdp).T, row_weighted(xi, phi.matrix), "optimal-direction")
+    return checked_solve(l_matrix(mdp).T, td_direction(mdp, phi, xi), "optimal-direction")
 
 
 def td_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:
     """X = Xi Phi, the direction whose oblique solve is the TD(0) fixed point."""
-    return row_weighted(xi, phi.matrix)
+    return row_weighted(xi, feature_matrix(phi, mdp.n_states))
 
 
 def br_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:
     """X = Xi L Phi, the direction whose oblique solve is the BR minimizer."""
-    return row_weighted(xi, l_matrix(mdp) @ phi.matrix)
+    return row_weighted(xi, l_matrix(mdp) @ feature_matrix(phi, mdp.n_states))

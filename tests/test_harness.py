@@ -15,7 +15,7 @@ from projeval import (
     random_chain,
     random_features,
     random_weights,
-    run_cell,
+    run_column,
     solve_best,
     solve_br,
     solve_td,
@@ -41,9 +41,10 @@ CSV_DIGESTS = {
 
 
 def run_trial(config, gamma_index, n, k, phi_trial, mdp_trial):
-    """One trial's record, as run_cell computes it within its cell."""
-    rec = run_cell(config, gamma_index, n, k)[phi_trial * config.mdp_trials + mdp_trial]
-    assert (rec.phi_trial, rec.mdp_trial) == (phi_trial, mdp_trial)
+    """One trial's record, as run_column computes it within its column."""
+    index = ((k - 1) * config.feature_trials + phi_trial) * config.mdp_trials + mdp_trial
+    rec = run_column(config, gamma_index, n)[index]
+    assert (rec.k, rec.phi_trial, rec.mdp_trial) == (k, phi_trial, mdp_trial)
     return rec
 
 
@@ -118,10 +119,13 @@ class TestSweep:
     def test_repeat_runs_identical(self):
         assert sweep(SMALL) == sweep(SMALL)
 
-    def test_parallel_matches_serial(self):
-        assert sweep(SMALL, workers=2) == sweep(SMALL)
+    @pytest.mark.parametrize("name", ["SMALL", "UNEVEN"])
+    def test_parallel_matches_serial(self, name):
+        # columns are scheduled largest n first; the records come back in grid order
+        config = {"SMALL": SMALL, "UNEVEN": UNEVEN}[name]
+        assert sweep(config, workers=2) == sweep(config)
 
-    def test_each_draw_made_once_per_cell(self, monkeypatch):
+    def test_chains_drawn_once_per_column(self, monkeypatch):
         calls = Counter()
         for name in ("random_chain", "random_features", "random_weights"):
             def counted(*args, _draw=getattr(harness, name), _name=name):
@@ -129,8 +133,9 @@ class TestSweep:
                 return _draw(*args)
             monkeypatch.setattr(harness, name, counted)
         records = sweep(SMALL)
+        n_columns = len({(r.gamma, r.n) for r in records})
         n_cells = len({(r.gamma, r.n, r.k) for r in records})
-        assert calls == {"random_chain": n_cells * SMALL.mdp_trials,
+        assert calls == {"random_chain": n_columns * SMALL.mdp_trials,
                          "random_features": n_cells * SMALL.feature_trials,
                          "random_weights": n_cells * SMALL.feature_trials}
 

@@ -6,32 +6,47 @@ from projeval.instances import example1
 SINGULAR_GAMMA = 5.0 / 6.0
 
 
+def cell(P, r, gamma, phi, xi):
+    """cell_stats of F bases against M chains, the chain terms formed first."""
+    L, v = kernels.chain_terms(P, r, gamma)
+    return kernels.cell_stats(L, r, v, phi, xi)
+
+
 def stack_of_one(inst, gamma):
-    """cell_stats on a single instance, as a stack of one; returns its row."""
-    return kernels.cell_stats(inst.mdp.transitions[None], inst.mdp.rewards[None], gamma,
-                              inst.phi.matrix[None], inst.xi.weights[None])[0]
+    """cell_stats on a single instance, one basis against one chain; returns its row."""
+    return cell(inst.mdp.transitions[None], inst.mdp.rewards[None], gamma,
+                inst.phi.matrix[None], inst.xi.weights[None])[0]
 
 
-def example1_stack(phis, thetas):
-    """Example 1 at gamma 5/6 with the given one-feature columns and reward angles.
+def example1_grid(chains, phis, xis):
+    """Bases against chains on the two states of example 1 at gamma 5/6.
 
-    Phi = (1, 2)' makes the TD system exactly singular there, Phi = (1, 1)'
-    does not.
+    A chain is (P, theta) with rewards (cos theta, sin theta); a basis is
+    one feature column with its weights. With example 1's chain and
+    uniform weights, Phi = (1, 2)' makes the TD system exactly singular
+    there; Phi = (1, 1)', other weights or the identity chain do not.
     """
-    insts = [example1(SINGULAR_GAMMA, theta) for theta in thetas]
-    return (np.stack([i.mdp.transitions for i in insts]),
-            np.stack([i.mdp.rewards for i in insts]),
+    return (np.array([P for P, _ in chains], dtype=float),
+            np.array([[np.cos(t), np.sin(t)] for _, t in chains]),
             SINGULAR_GAMMA,
             np.array(phis, dtype=float)[..., None],
-            np.stack([i.xi.weights for i in insts]))
+            np.array(xis, dtype=float))
+
+
+EXAMPLE1_P = [[0, 1], [0, 1]]
+IDENTITY_P = [[1, 0], [0, 1]]
 
 
 def assert_rows_match_stacks_of_one(P, r, gamma, phi, xi):
-    out = kernels.cell_stats(P, r, gamma, phi, xi)
-    assert out.shape == (len(r), 8)
-    for i in range(len(r)):
-        alone = kernels.cell_stats(P[i:i + 1], r[i:i + 1], gamma, phi[i:i + 1], xi[i:i + 1])
-        np.testing.assert_array_equal(out[i], alone[0])
+    """Every (basis, chain) row of the grid equals that pair run alone."""
+    out = cell(P, r, gamma, phi, xi)
+    n_bases, n_chains = len(phi), len(P)
+    assert n_bases >= 2 and n_chains >= 2
+    assert out.shape == (n_bases * n_chains, 8)
+    for pt in range(n_bases):
+        for mt in range(n_chains):
+            alone = cell(P[mt:mt + 1], r[mt:mt + 1], gamma, phi[pt:pt + 1], xi[pt:pt + 1])
+            np.testing.assert_array_equal(out[pt * n_chains + mt], alone[0])
     return out
 
 
@@ -53,9 +68,12 @@ def test_example1_hand_values():
 
 
 def test_mixed_singularity_stack_rows_equal_stacks_of_one():
-    phis = [[1, 2], [1, 1], [1, 2], [1, 1], [1, 1]]
-    out = assert_rows_match_stacks_of_one(*example1_stack(phis, [1.0, 1.0, 0.3, 2.0, -0.7]))
-    np.testing.assert_array_equal(out[:, kernels.TD_SINGULAR], [1, 0, 1, 0, 0])
+    chains = [(EXAMPLE1_P, 1.0), (IDENTITY_P, 0.3), (EXAMPLE1_P, 2.0), (EXAMPLE1_P, -0.7)]
+    phis = [[1, 2], [1, 1], [1, 2]]
+    xis = [[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]]
+    out = assert_rows_match_stacks_of_one(*example1_grid(chains, phis, xis))
+    np.testing.assert_array_equal(out[:, kernels.TD_SINGULAR],
+                                  [1, 0, 1, 1] + [0] * 4 + [0] * 4)
     singular = out[:, kernels.TD_SINGULAR] == 1.0
     assert np.all(np.isnan(out[singular][:, [kernels.E_TD, kernels.B_TD]]))
     assert np.all(np.isfinite(out[~singular][:, [kernels.E_TD, kernels.B_TD]]))
@@ -63,7 +81,9 @@ def test_mixed_singularity_stack_rows_equal_stacks_of_one():
 
 
 def test_all_singular_stack_rows_equal_stacks_of_one():
-    out = assert_rows_match_stacks_of_one(*example1_stack([[1, 2]] * 3, [1.0, 0.3, 2.0]))
+    chains = [(EXAMPLE1_P, 1.0), (EXAMPLE1_P, 0.3), (EXAMPLE1_P, 2.0)]
+    out = assert_rows_match_stacks_of_one(
+        *example1_grid(chains, [[1, 2], [2, 4]], [[0.5, 0.5]] * 2))
     assert np.all(out[:, kernels.TD_SINGULAR] == 1.0)
     assert np.all(np.isnan(out[:, [kernels.E_TD, kernels.B_TD]]))
     assert np.all(np.isfinite(out[:, [kernels.E_BEST, kernels.E_BR, kernels.B_BR]]))

@@ -7,6 +7,7 @@ from projeval import (
     error_bound,
     error_report,
     exact_value,
+    make_feature_basis,
     make_mdp,
     make_state_weights,
     optimal_direction,
@@ -113,6 +114,26 @@ class TestObliqueUnification:
             error_report(mdp, phi, short, np.zeros(phi.dim))
         with pytest.raises(ValueError, match="weights have length 1"):
             concentration_coefficient(mdp, short)
+
+
+    @pytest.mark.parametrize("name, call", [
+        ("solve_best", lambda mdp, phi, xi: solve_best(mdp, phi, xi)),
+        ("solve_td", lambda mdp, phi, xi: solve_td(mdp, phi, xi)),
+        ("solve_br", lambda mdp, phi, xi: solve_br(mdp, phi, xi)),
+        ("solve_oblique", lambda mdp, phi, xi: solve_oblique(mdp, phi, np.ones((3, 1)))),
+        ("error_bound", lambda mdp, phi, xi: error_bound(mdp, phi, xi, np.ones((3, 1)))),
+        ("error_report", lambda mdp, phi, xi: error_report(mdp, phi, xi, np.zeros(1))),
+        ("td_direction", lambda mdp, phi, xi: td_direction(mdp, phi, xi)),
+        ("br_direction", lambda mdp, phi, xi: br_direction(mdp, phi, xi)),
+        ("optimal_direction", lambda mdp, phi, xi: optimal_direction(mdp, phi, xi)),
+    ])
+    def test_feature_rows_checked_against_chain(self, name, call):
+        # a 3-state chain, 3 weights and a 3-row direction: only Phi is wrong
+        mdp = make_mdp(np.full((3, 3), 1.0 / 3.0), [1.0, 0.0, -1.0], 0.9)
+        phi = make_feature_basis([[1.0], [2.0]])
+        xi = make_state_weights([1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=r"^features have 2 rows, expected 3$"):
+            call(mdp, phi, xi)
 
 
 class TestTdFixedPoint:
