@@ -52,7 +52,6 @@ from .instances import (
 from .harness import (
     CellStats,
     SweepConfig,
-    TrialRecord,
     aggregate,
     run_column,
     sweep,

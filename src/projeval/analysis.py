@@ -143,11 +143,11 @@ def concentration_coefficient(mdp: Mdp, xi: StateWeights) -> float:
     return float(np.max(mdp.transitions / weight_column(xi, mdp.n_states)))
 
 
-def br_guarantee(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
-                 v_hat: np.ndarray) -> tuple[float, float]:
+def br_guarantee(mdp: Mdp, xi: StateWeights, v_hat: np.ndarray) -> tuple[float, float]:
     """Both sides of the residual-based performance guarantee.
 
-    lhs = ||v - v_hat||_xi, rhs = sqrt(C(xi)) / (1 - gamma) * ||v_hat - T v_hat||_xi.
+    lhs = ||v - v_hat||_xi, rhs = sqrt(C(xi)) / (1 - gamma) * ||v_hat - T v_hat||_xi,
+    for any v_hat.
     """
     v_hat = np.asarray(v_hat, dtype=float)
     v = exact_value(mdp)

@@ -1,15 +1,16 @@
 """Seeded benchmark sweep over random chain instances and its statistics.
 
 For each (gamma, n, k) cell the sweep crosses `feature_trials` random
-feature/weight draws with `mdp_trials` random chains and records per trial
-the best / TD / BR errors plus both spectral-radius bounds. A (gamma, n)
-column, the cells k = 1..n, is the unit of work: `run_column` draws the
-column's chains once, forms their L and v once (`kernels.chain_terms`),
-and runs each cell through one `kernels.cell_stats` call on that cell's
-(Phi, xi) pairs. Seeds are derived from the master seed and the draw's
-labels (the chain's from gamma, n and mdp_trial, the features' and
-weights' from gamma, n, k and phi_trial), so any worker layout produces
-the same records.
+feature/weight draws with `mdp_trials` random chains and records each
+trial's best / TD / BR errors and both spectral-radius bounds as a row of
+one record array (`TRIAL_DTYPE`), in (gamma, n, k, phi_trial, mdp_trial)
+order. A (gamma, n) column, the cells k = 1..n, is the unit of work:
+`run_column` draws the column's chains once, forms their L and v once
+(`kernels.chain_terms`), and fills each cell's rows from one
+`kernels.cell_stats` call on that cell's (Phi, xi) pairs. Seeds are
+derived from the master seed and the draw's labels (the chain's from
+gamma, n and mdp_trial, the features' and weights' from gamma, n, k and
+phi_trial), so any worker layout produces the same records.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ _ROLE_MDP, _ROLE_FEATURES, _ROLE_WEIGHTS = 0, 1, 2
 
 SINGULAR_POLICIES = ("worst", "exclude")
 
+# one row per trial; the fields from e on are the kernel's row layout. e_td
+# and b_td are NaN when td_singular; v_norm, ||v||_xi, scales the degeneracy cutoff
+TRIAL_DTYPE = np.dtype(
+    [("gamma", np.float64)] + [(f, np.int32) for f in ("n", "k", "phi_trial", "mdp_trial")]
+    + [(f, np.float64) for f in ("e", "e_td", "e_br", "b_td", "b_br")]
+    + [("td_singular", np.bool_), ("v_norm", np.float64)])
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -47,31 +55,14 @@ class SweepConfig:
     def __post_init__(self):
         if self.feature_trials < 1 or self.mdp_trials < 1:
             raise ValueError("trial counts must be >= 1")
+        if not self.gammas or len(set(self.gammas)) != len(self.gammas):
+            raise ValueError(f"gammas must be nonempty and distinct, got {self.gammas}")
         if any(not 0.0 < g < 1.0 for g in self.gammas):
             raise ValueError("every gamma must be in (0,1)")
+        if not 2 <= self.n_min <= self.n_max:
+            raise ValueError(f"need 2 <= n_min <= n_max, got {self.n_min} and {self.n_max}")
         if self.singular_policy not in SINGULAR_POLICIES:
             raise ValueError(f"singular_policy must be one of {SINGULAR_POLICIES}")
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    gamma: float
-    n: int
-    k: int
-    phi_trial: int
-    mdp_trial: int
-    e: float
-    e_td: float      # NaN when td_singular
-    e_br: float
-    b_td: float      # NaN when td_singular
-    b_br: float
-    td_singular: bool
-    v_norm: float = 1.0  # ||v||_xi, the scale for the degeneracy cutoff
-
-    @property
-    def degenerate(self) -> bool:
-        return self.e <= max(DEGENERATE_ERROR,
-                             DEGENERATE_RELATIVE_ERROR * self.v_norm)
 
 
 @dataclass(frozen=True)
@@ -88,7 +79,7 @@ class CellStats:
     excluded_count: int
 
 
-def run_column(config: SweepConfig, gamma_index: int, n: int) -> list[TrialRecord]:
+def run_column(config: SweepConfig, gamma_index: int, n: int) -> np.recarray:
     """Every trial of one (gamma, n) column, in (k, phi_trial, mdp_trial) order.
 
     Chains are seeded without k, so the column draws its chains and forms
@@ -102,95 +93,98 @@ def run_column(config: SweepConfig, gamma_index: int, n: int) -> list[TrialRecor
     r = np.stack([c.rewards for c in chains])
     L, v = kernels.chain_terms(np.stack([c.transitions for c in chains]), r, gamma)
     pts = range(config.feature_trials)
-    pt, mt = np.divmod(np.arange(config.feature_trials * config.mdp_trials), config.mdp_trials)
-    records = []
+    cell_size = config.feature_trials * config.mdp_trials
+    out = np.recarray(n * cell_size, dtype=TRIAL_DTYPE)
+    out.gamma, out.n = gamma, n
+    out.phi_trial, out.mdp_trial = np.divmod(np.arange(len(out)) % cell_size, config.mdp_trials)
     for k in range(1, n + 1):
         phi = np.stack([random_features(n, k, root.derive(_ROLE_FEATURES, gamma_index, n, k, p))
                         .matrix for p in pts])
         xi = np.stack([random_weights(n, root.derive(_ROLE_WEIGHTS, gamma_index, n, k, p))
                        .weights for p in pts])
         stats = kernels.cell_stats(L, r, v, phi, xi)
-        records += [TrialRecord(gamma, n, k, p, m, *row[kernels.E_BEST:kernels.COND_TD],
-                                td_singular=bool(row[kernels.TD_SINGULAR]),
-                                v_norm=row[kernels.V_NORM])
-                    for p, m, row in zip(pt.tolist(), mt.tolist(), stats.tolist())]
-    return records
+        rows = out[(k - 1) * cell_size:k * cell_size]
+        rows.k = k
+        for field, column in zip(TRIAL_DTYPE.names[5:], stats.T):
+            rows[field] = column
+    return out
 
 
-def sweep(config: SweepConfig, workers: int = 1) -> list[TrialRecord]:
+def sweep(config: SweepConfig, workers: int = 1) -> np.recarray:
     """All trials of the grid, in canonical order regardless of worker count.
 
     A column's cost grows steeply with n, so columns are handed out largest
     n first, one at a time, and no worker is left alone with a heavy one at
-    the end.
+    the end. Each column is copied into its place as it arrives, so the
+    grid's records are held once.
     """
     columns = [(gi, n) for gi in range(len(config.gammas))
                for n in range(config.n_min, config.n_max + 1)]
     schedule = sorted(columns, key=lambda col: -col[1])
+    sizes = [n * config.feature_trials * config.mdp_trials for _, n in columns]
+    starts = dict(zip(columns, np.cumsum([0, *sizes]).tolist()))
+    out = np.recarray(sum(sizes), dtype=TRIAL_DTYPE)
+
+    def place(results):
+        for col, recs in zip(schedule, results):
+            out[starts[col]:starts[col] + len(recs)] = recs
+
     args = (run_column, [config] * len(schedule), *zip(*schedule))
     if workers <= 1:
-        done = dict(zip(schedule, map(*args)))
+        place(map(*args))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            done = dict(zip(schedule, pool.map(*args, chunksize=1)))
-    return [rec for col in columns for rec in done[col]]
+            place(pool.map(*args, chunksize=1))
+    return out
 
 
-def aggregate(records: list[TrialRecord],
+def _mean(values: np.ndarray) -> float:
+    return float(np.mean(values)) if values.size else float("nan")
+
+
+def aggregate(records: np.ndarray,
               singular_policy: str = "worst",
               expected_cell_size: int | None = None) -> list[CellStats]:
-    """Per-cell statistics of a sweep's records.
+    """Per-cell statistics of a sweep's records, cells in (gamma, n, k) order.
 
     Under the "worst" policy a singular TD trial counts as a TD loss (and as
     a correctly predicted loss) in the indicator means; under "exclude" it is
     dropped from them. Singular trials never enter the ratio means, and
-    records with a degenerate best error (below 1e-12) are excluded from all
-    ratio means; both counts are reported.
+    degenerate trials, whose best error e is at most
+    max(1e-12, 1e-9 * ||v||_xi), are excluded from all ratio means; both
+    counts are reported. A cell's means sum its values in record order.
     """
     if singular_policy not in SINGULAR_POLICIES:
         raise ValueError(f"singular_policy must be one of {SINGULAR_POLICIES}")
-    cells: dict[tuple[float, int, int], list[TrialRecord]] = {}
-    for rec in records:
-        cells.setdefault((rec.gamma, rec.n, rec.k), []).append(rec)
+    order = np.lexsort((records["k"], records["n"], records["gamma"]))  # stable
+    keys = [records[f][order] for f in ("gamma", "n", "k")]
+    new_cell = np.ones(len(order), dtype=bool)
+    new_cell[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
+    starts = np.flatnonzero(new_cell)
 
     out = []
-    for (gamma, n, k), recs in sorted(cells.items()):
-        if expected_cell_size is not None and len(recs) != expected_cell_size:
-            raise ValueError(
-                f"cell (gamma={gamma}, n={n}, k={k}) has {len(recs)} records, "
-                f"expected {expected_cell_size}")
-        wins, predictions = [], []
-        ratio_td_br, rel_td, rel_br = [], [], []
-        singular = excluded = 0
-        for rec in recs:
-            if rec.td_singular:
-                singular += 1
-                if singular_policy == "worst":
-                    wins.append(0.0)          # a diverged TD solve loses
-                    predictions.append(1.0)   # and the infinite bound predicts it
-            else:
-                td_wins = rec.e_td < rec.e_br
-                wins.append(1.0 if td_wins else 0.0)
-                predictions.append(1.0 if td_wins == (rec.b_td < rec.b_br) else 0.0)
-            if rec.degenerate:
-                excluded += 1
-                continue
-            rel_br.append(rec.e_br / rec.e)
-            if not rec.td_singular:
-                ratio_td_br.append(rec.e_td / rec.e_br)
-                rel_td.append(rec.e_td / rec.e)
-
-        def mean(xs):
-            return float(np.mean(xs)) if xs else float("nan")
-
+    for start, stop in zip(starts, [*starts[1:], len(order)]):
+        c = records[order[start:stop]]
+        gamma, n, k = float(c["gamma"][0]), int(c["n"][0]), int(c["k"][0])
+        if expected_cell_size is not None and len(c) != expected_cell_size:
+            raise ValueError(f"cell (gamma={gamma}, n={n}, k={k}) has {len(c)} records, "
+                             f"expected {expected_cell_size}")
+        e, e_td, e_br, singular = c["e"], c["e_td"], c["e_br"], c["td_singular"]
+        td_wins = e_td < e_br
+        wins = td_wins & ~singular                                  # a diverged TD solve loses
+        predictions = (td_wins == (c["b_td"] < c["b_br"])) | singular  # as its bound says
+        scored = ~singular if singular_policy == "exclude" else ...
+        degenerate = e <= np.fmax(DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR * c["v_norm"])
+        br = ~degenerate
+        td = br & ~singular
         out.append(CellStats(
             gamma=gamma, n=n, k=k,
-            td_win_ratio=mean(wins),
-            bound_prediction_ratio=mean(predictions),
-            mean_td_over_br=mean(ratio_td_br),
-            mean_rel_td=mean(rel_td),
-            mean_rel_br=mean(rel_br),
-            singular_count=singular,
-            excluded_count=excluded,
+            td_win_ratio=_mean(wins[scored]),
+            bound_prediction_ratio=_mean(predictions[scored]),
+            mean_td_over_br=_mean(e_td[td] / e_br[td]),
+            mean_rel_td=_mean(e_td[td] / e[td]),
+            mean_rel_br=_mean(e_br[br] / e[br]),
+            singular_count=int(np.count_nonzero(singular)),
+            excluded_count=int(np.count_nonzero(degenerate)),
         ))
     return out

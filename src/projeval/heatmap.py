@@ -1,8 +1,9 @@
 """Self-contained SVG heatmaps of per-cell sweep statistics.
 
 Renders one colored rect per (n, k) cell for a fixed gamma, n on the x axis
-and k on the y axis. Cells dominated by singular or degenerate trials are
-hatched. No plotting library is involved; the output is plain SVG 1.1.
+and k on the y axis. A cell is hatched when its statistic is NaN or when
+its singular plus excluded (degenerate) trials are more than half of it.
+No plotting library is involved; the output is plain SVG 1.1.
 """
 
 from __future__ import annotations

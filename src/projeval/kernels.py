@@ -29,8 +29,8 @@ from .projections import projected_system
 
 BACKEND = "numpy"
 
-# result row layout
-E_BEST, E_TD, E_BR, B_TD, B_BR, COND_TD, TD_SINGULAR, V_NORM = range(8)
+# result row layout: the fields e to v_norm of harness.TRIAL_DTYPE, then cond_td
+E_BEST, E_TD, E_BR, B_TD, B_BR, TD_SINGULAR, V_NORM, COND_TD = range(8)
 
 
 def _xi_norm(xi, d):
@@ -55,8 +55,8 @@ def cell_stats(L, r, v, phi, xi):
 
     L is (M, n, n) and r and v are (M, n), as from `chain_terms`; phi is
     (F, n, k) and xi is (F, n). Returns an (F*M, 8) array in (basis, chain)
-    order whose rows are (e, e_td, e_br, b_td, b_br, cond_td, singular flag,
-    ||v||_xi); e_td and b_td are NaN where the TD system is singular.
+    order whose rows are (e, e_td, e_br, b_td, b_br, singular flag, ||v||_xi,
+    cond_td); e_td and b_td are NaN where the TD system is singular.
     """
     L, r, v = L[None], r[None], v[None]  # (1, M, n, n) and (1, M, n)
     phi, xi = phi[:, None], xi[:, None]  # (F, 1, n, k) and (F, 1, n)

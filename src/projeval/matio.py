@@ -12,13 +12,14 @@ import csv
 
 import numpy as np
 
-from .harness import CellStats, TrialRecord
+from .harness import CellStats
 
 TRIAL_HEADER = ["gamma", "n", "k", "phi_trial", "mdp_trial",
                 "e", "e_td", "e_br", "b_td", "b_br", "td_singular"]
 CELL_HEADER = ["gamma", "n", "k", "td_win_ratio", "bound_prediction_ratio",
                "mean_td_over_br", "mean_rel_td", "mean_rel_br",
                "singular_count", "excluded_count"]
+_CSV_CHUNK_ROWS = 4096
 
 
 class MatrixParseError(ValueError):
@@ -74,16 +75,18 @@ def _num(x: float) -> str:
     return f"{x:.12g}"
 
 
-def write_trial_csv(path: str, records: list[TrialRecord]) -> None:
+def write_trial_csv(path: str, records: np.ndarray) -> None:
+    """Write a sweep's record array, converting _CSV_CHUNK_ROWS rows at a time to Python values."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_HEADER)
-        for r in records:
-            writer.writerow([
-                _num(r.gamma), r.n, r.k, r.phi_trial, r.mdp_trial,
-                _num(r.e), _num(r.e_td), _num(r.e_br),
-                _num(r.b_td), _num(r.b_br), int(r.td_singular),
-            ])
+        for start in range(0, len(records), _CSV_CHUNK_ROWS):
+            rows = records[start:start + _CSV_CHUNK_ROWS]
+            writer.writerows(
+                [_num(gamma), n, k, pt, mt, _num(e), _num(e_td), _num(e_br),
+                 _num(b_td), _num(b_br), int(singular)]
+                for gamma, n, k, pt, mt, e, e_td, e_br, b_td, b_br, singular
+                in zip(*(rows[field].tolist() for field in TRIAL_HEADER)))
 
 
 def write_cell_csv(path: str, cells: list[CellStats]) -> None:

@@ -70,7 +70,9 @@ class StateWeights:
 
 
 def make_state_weights(weights) -> StateWeights:
-    xi = np.array(weights, dtype=float).ravel()
+    xi = np.array(weights, dtype=float)
+    if xi.ndim != 1:
+        raise ValueError(f"state weights must be a vector, got shape {xi.shape}")
     if not np.all(np.isfinite(xi)):
         raise ValueError("state weights must be finite")
     if np.any(xi <= 0.0):

@@ -2,15 +2,17 @@
 
 Coefficient maps of (oblique) projections as explicit m x N matrices, the
 projector norm computed from them through small m x m products, a full-size
-singular-value oracle for induced xi-operator norms, and the matrix-free L
-and L' products. The package itself needs none of these; they exist to
-cross-check its solvers and bounds by an independent route.
+singular-value oracle for induced xi-operator norms, the matrix-free L
+and L' products, and a record-by-record loop over a sweep's cells. The
+package itself needs none of these; they exist to cross-check its
+solvers, bounds and statistics by an independent route.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from projeval.harness import DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR, CellStats
 from projeval.projections import FeatureBasis, StateWeights, projected_system
 
 
@@ -117,3 +119,39 @@ def apply_L_transpose(mdp, v: np.ndarray) -> np.ndarray:
     if v.shape != (mdp.n_states,):
         raise ValueError(f"value vector has length {v.size}, expected {mdp.n_states}")
     return v - mdp.discount * (mdp.transitions.T @ v)
+
+
+def aggregate_loop(records, singular_policy: str = "worst") -> list[CellStats]:
+    """`harness.aggregate` one record at a time: each cell's values are
+    gathered in record order into Python lists and averaged by np.mean."""
+    cells = {}
+    for rec in records:
+        cells.setdefault((float(rec.gamma), int(rec.n), int(rec.k)), []).append(rec)
+    out = []
+    for (gamma, n, k), recs in sorted(cells.items()):
+        wins, predictions, ratio_td_br, rel_td, rel_br = [], [], [], [], []
+        singular = excluded = 0
+        for rec in recs:
+            if rec.td_singular:
+                singular += 1
+                if singular_policy == "worst":
+                    wins.append(0.0)
+                    predictions.append(1.0)
+            else:
+                td_wins = rec.e_td < rec.e_br
+                wins.append(1.0 if td_wins else 0.0)
+                predictions.append(1.0 if td_wins == (rec.b_td < rec.b_br) else 0.0)
+            if rec.e <= max(DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR * rec.v_norm):
+                excluded += 1
+                continue
+            rel_br.append(rec.e_br / rec.e)
+            if not rec.td_singular:
+                ratio_td_br.append(rec.e_td / rec.e_br)
+                rel_td.append(rec.e_td / rec.e)
+
+        def mean(xs):
+            return float(np.mean(xs)) if xs else float("nan")
+
+        out.append(CellStats(gamma, n, k, mean(wins), mean(predictions), mean(ratio_td_br),
+                             mean(rel_td), mean(rel_br), singular, excluded))
+    return out

@@ -200,7 +200,7 @@ def test_criterion_06_exactness_corollary():
 def test_criterion_07_performance_guarantees():
     for mdp, phi, xi, _ in sample_instances(50, seed=7, gamma=0.9):
         sol = solve_br(mdp, phi, xi)
-        lhs, rhs = br_guarantee(mdp, phi, xi, sol.value_estimate)
+        lhs, rhs = br_guarantee(mdp, xi, sol.value_estimate)
         assert lhs <= rhs + 1e-8
     rng = np.random.default_rng(70)
     constant = 1.0 / math.sqrt(1.0 - 0.9 ** 2)

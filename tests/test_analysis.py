@@ -183,14 +183,14 @@ class TestBrGuarantee:
         mdp, _, xi = random_instance(rng, n_max=8, m_max=1)
         phi = make_feature_basis(np.eye(mdp.n_states))
         sol = solve_br(mdp, phi, xi)
-        lhs, rhs = br_guarantee(mdp, phi, xi, sol.value_estimate)
+        lhs, rhs = br_guarantee(mdp, xi, sol.value_estimate)
         assert lhs == pytest.approx(0.0, abs=1e-8)
         assert rhs == pytest.approx(0.0, abs=1e-8)
 
     def test_two_state_hand_value(self):
         inst = example1(0.5, 0.0)
         sol = solve_br(inst.mdp, inst.phi, inst.xi)
-        lhs, rhs = br_guarantee(inst.mdp, inst.phi, inst.xi, sol.value_estimate)
+        lhs, rhs = br_guarantee(inst.mdp, inst.xi, sol.value_estimate)
         assert lhs == pytest.approx(np.sqrt(0.5), rel=1e-10)
         assert lhs <= rhs + 1e-8
 
@@ -204,7 +204,7 @@ class TestBrGuarantee:
             phi = random_features(n, int(rng.integers(1, n + 1)), seed.derive(1))
             xi = random_weights(n, seed.derive(2))
             sol = solve_br(mdp, phi, xi)
-            lhs, rhs = br_guarantee(mdp, phi, xi, sol.value_estimate)
+            lhs, rhs = br_guarantee(mdp, xi, sol.value_estimate)
             assert lhs <= rhs + 1e-8
 
 

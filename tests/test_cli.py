@@ -243,6 +243,22 @@ class TestSweepCommand:
         for name in ("trials.csv", "cells.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--gammas", "", "gammas must be nonempty and distinct"),
+        ("--gammas", "0.9 0.9", "gammas must be nonempty and distinct"),
+        ("--n-max", "1", "need 2 <= n_min <= n_max"),
+        ("--n-max", "-4", "need 2 <= n_min <= n_max"),
+    ])
+    def test_grid_that_runs_nothing_or_wrongly_rejected(self, flag, value, message,
+                                                        tmp_path, capsys):
+        out = tmp_path / "out"
+        # the last occurrence of a flag wins
+        assert main(["sweep", "--gammas", "0.9", "--n-max", "3", "--trials", "2",
+                     "--out-dir", str(out), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 class TestHeatmapCommand:
     @pytest.fixture

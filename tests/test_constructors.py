@@ -104,7 +104,6 @@ def test_make_mdp(data):
 
 @SETTINGS
 @given(st.data())
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_make_feature_basis(data):
     draw = data.draw
     n, m = draw(st.integers(0, 5)), draw(st.integers(0, 6))

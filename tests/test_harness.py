@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from collections import Counter
 
@@ -7,7 +8,6 @@ import pytest
 from projeval import (
     SeedSpec,
     SweepConfig,
-    TrialRecord,
     aggregate,
     error_bound,
     harness,
@@ -25,6 +25,8 @@ from projeval import (
 from projeval.mdp import exact_value
 from projeval.solvers import br_direction, td_direction
 
+from oracles import aggregate_loop
+
 SMALL = SweepConfig(gammas=(0.9, 0.99), n_min=2, n_max=5,
                     feature_trials=2, mdp_trials=2, master_seed=123)
 UNEVEN = SweepConfig(gammas=(0.95,), n_min=2, n_max=6,
@@ -38,6 +40,18 @@ CSV_DIGESTS = {
     "UNEVEN": ("7884a7712c383483b7af24628f9d4e15901d7235835b8b91cc59ec52e2b09f7a",
                "6ecfc37f9afe2b5cd2dd08cd52ac15ad2f03bbfa3a9ca10e1174b4278b6e89dc"),
 }
+
+
+def trials(*rows):
+    """A record array of hand-built trials, each with ||v||_xi = 1."""
+    return np.rec.array([row + (1.0,) for row in rows], dtype=harness.TRIAL_DTYPE)
+
+
+def assert_records_equal(a, b):
+    """Field by field, NaN equal to NaN."""
+    assert a.dtype == b.dtype == harness.TRIAL_DTYPE
+    for field in harness.TRIAL_DTYPE.names:
+        np.testing.assert_array_equal(a[field], b[field], err_msg=field, strict=True)
 
 
 def run_trial(config, gamma_index, n, k, phi_trial, mdp_trial):
@@ -105,7 +119,7 @@ class TestRunTrial:
     def test_deterministic(self):
         a = run_trial(SMALL, 1, 5, 3, 1, 0)
         b = run_trial(SMALL, 1, 5, 3, 1, 0)
-        assert a == b
+        assert_records_equal(a, b)
 
 
 class TestSweep:
@@ -116,14 +130,22 @@ class TestSweep:
         cells = {(r.gamma, r.n, r.k) for r in records}
         assert len(cells) == 28
 
+    def test_result_is_one_record_array(self):
+        records = sweep(SMALL)
+        assert isinstance(records, np.recarray)
+        assert len(records) == 14 * 4 * 2
+        rec = records[1]
+        assert (rec.gamma, rec.n, rec.k, rec.phi_trial, rec.mdp_trial) == (0.9, 2, 1, 0, 1)
+        assert rec.e <= rec.e_br and isinstance(rec.td_singular, np.bool_)
+
     def test_repeat_runs_identical(self):
-        assert sweep(SMALL) == sweep(SMALL)
+        assert_records_equal(sweep(SMALL), sweep(SMALL))
 
     @pytest.mark.parametrize("name", ["SMALL", "UNEVEN"])
     def test_parallel_matches_serial(self, name):
         # columns are scheduled largest n first; the records come back in grid order
         config = {"SMALL": SMALL, "UNEVEN": UNEVEN}[name]
-        assert sweep(config, workers=2) == sweep(config)
+        assert_records_equal(sweep(config, workers=2), sweep(config))
 
     def test_chains_drawn_once_per_column(self, monkeypatch):
         calls = Counter()
@@ -154,10 +176,10 @@ class TestSweep:
 
 class TestAggregate:
     def test_hand_built_cell(self):
-        recs = [
-            TrialRecord(0.9, 4, 2, 0, 0, 0.5, 1.0, 2.0, 1.5, 2.5, False),
-            TrialRecord(0.9, 4, 2, 0, 1, 0.5, 3.0, 1.0, 3.5, 1.5, False),
-        ]
+        recs = trials(
+            (0.9, 4, 2, 0, 0, 0.5, 1.0, 2.0, 1.5, 2.5, False),
+            (0.9, 4, 2, 0, 1, 0.5, 3.0, 1.0, 3.5, 1.5, False),
+        )
         (cell,) = aggregate(recs)
         assert cell.td_win_ratio == pytest.approx(0.5)
         assert cell.mean_td_over_br == pytest.approx(1.75)
@@ -167,10 +189,10 @@ class TestAggregate:
         assert cell.mean_rel_br == pytest.approx((4.0 + 2.0) / 2)
 
     def test_singular_policies(self):
-        recs = [
-            TrialRecord(0.9, 4, 2, 0, 0, 0.5, np.nan, 2.0, np.nan, 2.5, True),
-            TrialRecord(0.9, 4, 2, 0, 1, 0.5, 1.0, 2.0, 1.5, 2.5, False),
-        ]
+        recs = trials(
+            (0.9, 4, 2, 0, 0, 0.5, np.nan, 2.0, np.nan, 2.5, True),
+            (0.9, 4, 2, 0, 1, 0.5, 1.0, 2.0, 1.5, 2.5, False),
+        )
         (worst,) = aggregate(recs, singular_policy="worst")
         assert worst.td_win_ratio == pytest.approx(0.5)
         assert worst.singular_count == 1
@@ -181,9 +203,9 @@ class TestAggregate:
         assert worst.mean_td_over_br == excl.mean_td_over_br == pytest.approx(0.5)
 
     def test_degenerate_records_excluded_from_ratios(self):
-        recs = [
-            TrialRecord(0.9, 3, 3, 0, 0, 1e-15, 1e-15, 1e-15, 1.0, 1.0, False),
-        ]
+        recs = trials(
+            (0.9, 3, 3, 0, 0, 1e-15, 1e-15, 1e-15, 1.0, 1.0, False),
+        )
         (cell,) = aggregate(recs)
         assert cell.excluded_count == 1
         assert np.isnan(cell.mean_td_over_br)
@@ -191,9 +213,33 @@ class TestAggregate:
         assert np.isnan(cell.mean_rel_br)
 
     def test_incomplete_cell_raises(self):
-        recs = [TrialRecord(0.9, 4, 2, 0, 0, 0.5, 1.0, 2.0, 1.5, 2.5, False)]
+        recs = trials((0.9, 4, 2, 0, 0, 0.5, 1.0, 2.0, 1.5, 2.5, False))
         with pytest.raises(ValueError, match="gamma=0.9"):
             aggregate(recs, expected_cell_size=4)
+
+    def test_cell_order_does_not_matter(self):
+        # whole cells shuffled, each cell's records kept in their order
+        records = sweep(UNEVEN)
+        size = UNEVEN.feature_trials * UNEVEN.mdp_trials
+        cells = np.split(records, len(records) // size)
+        order = np.random.default_rng(0).permutation(len(cells))
+        shuffled = np.concatenate([cells[i] for i in order])
+        expected = aggregate(records, expected_cell_size=size)
+        got = aggregate(shuffled, expected_cell_size=size)
+        np.testing.assert_array_equal([dataclasses.astuple(c) for c in got],
+                                      [dataclasses.astuple(c) for c in expected])
+        assert not np.array_equal(shuffled["k"], records["k"])
+
+    @pytest.mark.parametrize("policy", harness.SINGULAR_POLICIES)
+    def test_matches_record_loop_bit_for_bit(self, policy):
+        records = np.concatenate([sweep(SMALL), sweep(UNEVEN)]).view(np.recarray)
+        # every 7th trial made singular, as the kernel writes one
+        records.td_singular[::7] = True
+        records.e_td[::7] = records.b_td[::7] = np.nan
+        np.testing.assert_array_equal(
+            [dataclasses.astuple(c) for c in aggregate(records, singular_policy=policy)],
+            [dataclasses.astuple(c) for c in aggregate_loop(records, policy)])
+        assert sum(c.excluded_count for c in aggregate(records)) > 0
 
     def test_relative_means_at_least_one(self):
         records = sweep(SMALL)
@@ -216,3 +262,13 @@ class TestConfigValidation:
     def test_bad_policy(self):
         with pytest.raises(ValueError):
             SweepConfig(singular_policy="ignore")
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(gammas=()), "gammas must be nonempty and distinct"),
+        (dict(gammas=(0.9, 0.99, 0.9)), "gammas must be nonempty and distinct"),
+        (dict(n_min=1), "need 2 <= n_min <= n_max, got 1 and 30"),
+        (dict(n_min=5, n_max=4), "need 2 <= n_min <= n_max, got 5 and 4"),
+    ])
+    def test_grids_that_run_nothing_or_wrongly(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(**fields)

@@ -45,6 +45,11 @@ class TestConstructors:
         with pytest.raises(ValueError, match="finite"):
             make_state_weights([0.5, bad, 0.5])
 
+    @pytest.mark.parametrize("shape", [(), (2, 2), (1, 3)])
+    def test_weights_must_be_a_vector(self, shape):
+        with pytest.raises(ValueError, match="vector"):
+            make_state_weights(np.ones(shape))
+
     def test_weights_normalized(self):
         xi = make_state_weights([2.0, 2.0])
         np.testing.assert_allclose(xi.weights, [0.5, 0.5])
