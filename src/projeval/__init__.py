@@ -50,7 +50,6 @@ from .instances import (
     random_weights,
 )
 from .harness import (
-    CellStats,
     SweepConfig,
     aggregate,
     run_column,

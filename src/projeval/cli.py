@@ -21,8 +21,8 @@ import numpy as np
 
 from . import analysis, heatmap, instances, matio, solvers
 from .harness import SweepConfig, aggregate, sweep
-from .mdp import make_mdp
-from .projections import make_feature_basis, make_state_weights, weight_column
+from .mdp import exact_value, make_mdp
+from .projections import make_feature_basis, make_state_weights, weight_column, weighted_norm
 
 EXIT_OK, EXIT_INPUT, EXIT_SINGULAR = 0, 1, 2
 
@@ -92,6 +92,8 @@ def cmd_example1(args) -> int:
             raise ValueError("grids must be nonempty")
         if any(not 0.0 < g < 1.0 for g in gammas):
             raise ValueError("every gamma must be in (0,1)")
+        if not all(math.isfinite(t) for t in thetas):
+            raise ValueError("every theta must be finite")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -104,11 +106,10 @@ def cmd_example1(args) -> int:
                 for theta in thetas:
                     inst = instances.example1(gamma, theta)
                     ref = inst.reference
-                    v = np.array([math.cos(theta) + gamma * math.sin(theta) / (1 - gamma),
-                                  math.sin(theta) / (1 - gamma)])
+                    v = exact_value(inst.mdp)
 
                     def sq_err(w):
-                        return 0.5 * (v[0] - w) ** 2 + 0.5 * (v[1] - 2 * w) ** 2
+                        return weighted_norm(v - inst.phi.matrix @ [w], inst.xi) ** 2
 
                     def ratio(w):
                         e_best = sq_err(ref.w_best)
@@ -145,10 +146,10 @@ def cmd_sweep(args) -> int:
         return EXIT_INPUT
 
     for gamma in gammas:
-        sub = [c for c in cells if c.gamma == gamma]
-        wins = float(np.mean([c.td_win_ratio for c in sub]))
-        ratios = [c.mean_td_over_br for c in sub if not math.isnan(c.mean_td_over_br)]
-        mean_ratio = float(np.mean(ratios)) if ratios else float("nan")
+        sub = cells[cells["gamma"] == gamma]
+        wins = float(np.mean(sub["td_win_ratio"]))
+        ratios = sub["mean_td_over_br"][~np.isnan(sub["mean_td_over_br"])]
+        mean_ratio = float(np.mean(ratios)) if ratios.size else float("nan")
         print(f"gamma={gamma:g}: cells={len(sub)} td_win_ratio={wins:.4f} "
               f"mean_td_over_br={mean_ratio:.4f}")
     return EXIT_OK

@@ -41,6 +41,14 @@ TRIAL_DTYPE = np.dtype(
     + [(f, np.float64) for f in ("e", "e_td", "e_br", "b_td", "b_br")]
     + [("td_singular", np.bool_), ("v_norm", np.float64)])
 
+# one row per cell, as `aggregate` returns it; a ratio mean is NaN when every
+# trial it would average is excluded. Both dtypes are the sweep CSVs' columns.
+STAT_FIELDS = ("td_win_ratio", "bound_prediction_ratio", "mean_td_over_br",
+               "mean_rel_td", "mean_rel_br")
+CELL_DTYPE = np.dtype([("gamma", np.float64), ("n", np.int32), ("k", np.int32)]
+                      + [(f, np.float64) for f in STAT_FIELDS]
+                      + [("singular_count", np.int32), ("excluded_count", np.int32)])
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -63,20 +71,6 @@ class SweepConfig:
             raise ValueError(f"need 2 <= n_min <= n_max, got {self.n_min} and {self.n_max}")
         if self.singular_policy not in SINGULAR_POLICIES:
             raise ValueError(f"singular_policy must be one of {SINGULAR_POLICIES}")
-
-
-@dataclass(frozen=True)
-class CellStats:
-    gamma: float
-    n: int
-    k: int
-    td_win_ratio: float
-    bound_prediction_ratio: float
-    mean_td_over_br: float   # NaN when every record is excluded
-    mean_rel_td: float
-    mean_rel_br: float
-    singular_count: int
-    excluded_count: int
 
 
 def run_column(config: SweepConfig, gamma_index: int, n: int) -> np.recarray:
@@ -144,8 +138,8 @@ def _mean(values: np.ndarray) -> float:
 
 def aggregate(records: np.ndarray,
               singular_policy: str = "worst",
-              expected_cell_size: int | None = None) -> list[CellStats]:
-    """Per-cell statistics of a sweep's records, cells in (gamma, n, k) order.
+              expected_cell_size: int | None = None) -> np.recarray:
+    """A `CELL_DTYPE` row of statistics per cell of the records, in (gamma, n, k) order.
 
     Under the "worst" policy a singular TD trial counts as a TD loss (and as
     a correctly predicted loss) in the indicator means; under "exclude" it is
@@ -162,8 +156,8 @@ def aggregate(records: np.ndarray,
     new_cell[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
     starts = np.flatnonzero(new_cell)
 
-    out = []
-    for start, stop in zip(starts, [*starts[1:], len(order)]):
+    out = np.recarray(len(starts), dtype=CELL_DTYPE)
+    for i, (start, stop) in enumerate(zip(starts, [*starts[1:], len(order)])):
         c = records[order[start:stop]]
         gamma, n, k = float(c["gamma"][0]), int(c["n"][0]), int(c["k"][0])
         if expected_cell_size is not None and len(c) != expected_cell_size:
@@ -177,14 +171,7 @@ def aggregate(records: np.ndarray,
         degenerate = e <= np.fmax(DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR * c["v_norm"])
         br = ~degenerate
         td = br & ~singular
-        out.append(CellStats(
-            gamma=gamma, n=n, k=k,
-            td_win_ratio=_mean(wins[scored]),
-            bound_prediction_ratio=_mean(predictions[scored]),
-            mean_td_over_br=_mean(e_td[td] / e_br[td]),
-            mean_rel_td=_mean(e_td[td] / e[td]),
-            mean_rel_br=_mean(e_br[br] / e[br]),
-            singular_count=int(np.count_nonzero(singular)),
-            excluded_count=int(np.count_nonzero(degenerate)),
-        ))
+        out[i] = (gamma, n, k, _mean(wins[scored]), _mean(predictions[scored]),
+                  _mean(e_td[td] / e_br[td]), _mean(e_td[td] / e[td]), _mean(e_br[br] / e[br]),
+                  np.count_nonzero(singular), np.count_nonzero(degenerate))
     return out

@@ -1,8 +1,10 @@
 """Self-contained SVG heatmaps of per-cell sweep statistics.
 
-Renders one colored rect per (n, k) cell for a fixed gamma, n on the x axis
-and k on the y axis. A cell is hatched when its statistic is NaN or when
-its singular plus excluded (degenerate) trials are more than half of it.
+Renders one colored rect per (n, k) row of a cell record array
+(`harness.CELL_DTYPE`, from `aggregate` or `matio.read_cell_csv`) for a
+fixed gamma, n on the x axis and k on the y axis. A cell is hatched when
+its statistic is NaN or when its singular plus excluded (degenerate)
+trials are more than half of it.
 No plotting library is involved; the output is plain SVG 1.1.
 """
 
@@ -10,10 +12,9 @@ from __future__ import annotations
 
 import math
 
-from .harness import CellStats
+import numpy as np
 
-STAT_FIELDS = ("td_win_ratio", "bound_prediction_ratio", "mean_td_over_br",
-               "mean_rel_td", "mean_rel_br")
+from .harness import STAT_FIELDS
 # indicator means live in [0,1] and get a fixed color scale
 UNIT_SCALE_STATS = {"td_win_ratio", "bound_prediction_ratio"}
 
@@ -37,31 +38,30 @@ def _color(t: float) -> str:
     return "rgb(253,231,37)"
 
 
-def _infer_cell_size(cells: list[CellStats]) -> int | None:
+def _infer_cell_size(cells: np.ndarray) -> int | None:
     # full-basis (k = n) cells have every trial degenerate, so their excluded
     # count reveals the per-cell trial total
-    totals = [c.excluded_count for c in cells if c.k == c.n]
-    return max(totals) if totals and max(totals) > 0 else None
+    return int(np.max(cells["excluded_count"], where=cells["k"] == cells["n"], initial=0)) or None
 
 
-def render_heatmap(cells: list[CellStats], stat: str, gamma: float,
+def render_heatmap(cells: np.ndarray, stat: str, gamma: float,
                    log_scale: bool = False) -> str:
-    """Return an SVG document for one statistic at one gamma."""
+    """Return an SVG document for one statistic at one gamma of a
+    `harness.CELL_DTYPE` record array."""
     if stat not in STAT_FIELDS:
         raise ValueError(f"unknown statistic {stat!r}; choose from {STAT_FIELDS}")
-    selected = [c for c in cells if c.gamma == gamma]
-    if not selected:
-        available = sorted({c.gamma for c in cells})
+    cells = np.asarray(cells)  # a plain array: a recarray's field lookups cost more than its masks
+    selected = cells[cells["gamma"] == gamma]
+    if not selected.size:
+        available = sorted(set(cells["gamma"].tolist()))
         raise ValueError(f"no cells for gamma={gamma}; available: {available}")
 
     cell_size = _infer_cell_size(cells)
-    values = {(c.n, c.k): getattr(c, stat) for c in selected}
-    hatched = set()
-    for c in selected:
-        broken = c.singular_count + c.excluded_count
-        v = values[(c.n, c.k)]
-        if math.isnan(v) or (cell_size is not None and 2 * broken > cell_size):
-            hatched.add((c.n, c.k))
+    ns, ks = selected["n"].tolist(), selected["k"].tolist()
+    values = dict(zip(zip(ns, ks), selected[stat].tolist()))
+    broken = (selected["singular_count"] + selected["excluded_count"]).tolist()
+    hatched = {key for key, b in zip(zip(ns, ks), broken)
+               if math.isnan(values[key]) or (cell_size is not None and 2 * b > cell_size)}
 
     finite = [v for v in values.values() if not math.isnan(v)]
     if stat in UNIT_SCALE_STATS and not log_scale:
@@ -81,9 +81,7 @@ def render_heatmap(cells: list[CellStats], stat: str, gamma: float,
         def scale(v):
             return 0.5 if hi == lo else (v - lo) / (hi - lo)
 
-    n_min = min(c.n for c in selected)
-    n_max = max(c.n for c in selected)
-    k_max = max(c.k for c in selected)
+    n_min, n_max, k_max = min(ns), max(ns), max(ks)
     width = _MARGIN_LEFT + (n_max - n_min + 1) * _CELL + _MARGIN_RIGHT
     height = _MARGIN_TOP + k_max * _CELL + _MARGIN_BOTTOM
 

@@ -12,9 +12,9 @@ stack of one would see, so a row equals, bit for bit, the same instance
 run alone.
 
 TD and BR are the oblique solve (X' L Phi) w = X' r with X = Xi Phi and
-X = Xi L Phi, both through one direction helper; only the TD systems that
-pass the gate of `projections.projected_system` are solved, while the BR
-system, a Gram matrix of the independent columns of L Phi, is not gated.
+X = Xi L Phi, both through one direction helper. A TD system that fails
+the gate of `projections.projected_system` gets NaN errors and bounds; the
+BR system, a Gram matrix of the independent columns of L Phi, is not gated.
 The sweep's CSVs are compared byte for byte against earlier runs, so the
 operation order of every written column is fixed, including the operand
 order of the BR system.
@@ -72,16 +72,11 @@ def cell_stats(L, r, v, phi, xi):
     out[..., V_NORM] = _xi_norm(xi, v)
 
     m_td, out[..., COND_TD], status = projected_system(xiphi, lphi)
-    regular = status == "ok"
-    out[..., TD_SINGULAR] = ~regular
-    terms = (L, r, v, phi, xi, a_half, m_td, xiphi)
-    if regular.all():
-        td = ...
-    else:  # boolean-mask copies only when some TD system is singular
-        td = regular
-        terms = [np.broadcast_to(t, regular.shape + t.shape[2:])[regular] for t in terms]
-    out[..., E_TD][td], out[..., B_TD][td] = _direction(*terms)
-    del m_td, terms  # with a singular row, pair-sized copies of L and Phi
+    singular = status != "ok"
+    out[..., TD_SINGULAR] = singular
+    m_td[singular] = np.eye(m_td.shape[-1])  # a stand-in, so the stacked solve cannot fail
+    out[..., E_TD], out[..., B_TD] = _direction(L, r, v, phi, xi, a_half, m_td, xiphi)
+    out[singular, E_TD] = out[singular, B_TD] = np.nan
 
     xilphi = lphi * xi_col               # Xi L Phi
     out[..., E_BR], out[..., B_BR] = _direction(L, r, v, phi, xi, a_half,

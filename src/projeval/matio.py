@@ -1,9 +1,10 @@
-"""Text I/O: matrix files and the two sweep CSV schemas.
+"""Text I/O: matrix files and the two sweep CSVs.
 
 Matrix format: one row per line, entries separated by commas and/or
 whitespace; blank lines and lines starting with '#' are skipped. Export uses
-17 significant digits so a write/read round trip is bit-identical; CSVs use
-12 significant digits.
+17 significant digits so a write/read round trip is bit-identical. The CSVs
+hold the fields of the record arrays `harness.TRIAL_DTYPE` (but v_norm) and
+`harness.CELL_DTYPE`, floats at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -12,18 +13,16 @@ import csv
 
 import numpy as np
 
-from .harness import CellStats
+from .harness import CELL_DTYPE, TRIAL_DTYPE
 
-TRIAL_HEADER = ["gamma", "n", "k", "phi_trial", "mdp_trial",
-                "e", "e_td", "e_br", "b_td", "b_br", "td_singular"]
-CELL_HEADER = ["gamma", "n", "k", "td_win_ratio", "bound_prediction_ratio",
-               "mean_td_over_br", "mean_rel_td", "mean_rel_br",
-               "singular_count", "excluded_count"]
+# v_norm only scales the degeneracy cutoff and is not written
+TRIAL_HEADER = [f for f in TRIAL_DTYPE.names if f != "v_norm"]
+CELL_HEADER = list(CELL_DTYPE.names)
 _CSV_CHUNK_ROWS = 4096
 
 
 class MatrixParseError(ValueError):
-    """A matrix file line failed to parse; carries the 1-based line number."""
+    """A line of a matrix file or cells.csv failed to parse; carries the 1-based line number."""
 
     def __init__(self, path: str, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")
@@ -71,52 +70,41 @@ def write_matrix(path: str, matrix: np.ndarray) -> None:
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def _num(x: float) -> str:
-    return f"{x:.12g}"
+def _write_csv(path: str, rows: np.ndarray, fields: list[str]) -> None:
+    """Write the named fields of a record array, _CSV_CHUNK_ROWS rows at a time
+    through one format line; lines end in the csv module's \\r\\n."""
+    line = ",".join("{:.12g}" if rows.dtype[f].kind == "f" else "{:d}" for f in fields) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(fields) + "\r\n")
+        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+            chunk = rows[start:start + _CSV_CHUNK_ROWS]
+            fh.writelines(line.format(*row) for row in zip(*(chunk[f].tolist() for f in fields)))
 
 
 def write_trial_csv(path: str, records: np.ndarray) -> None:
-    """Write a sweep's record array, converting _CSV_CHUNK_ROWS rows at a time to Python values."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIAL_HEADER)
-        for start in range(0, len(records), _CSV_CHUNK_ROWS):
-            rows = records[start:start + _CSV_CHUNK_ROWS]
-            writer.writerows(
-                [_num(gamma), n, k, pt, mt, _num(e), _num(e_td), _num(e_br),
-                 _num(b_td), _num(b_br), int(singular)]
-                for gamma, n, k, pt, mt, e, e_td, e_br, b_td, b_br, singular
-                in zip(*(rows[field].tolist() for field in TRIAL_HEADER)))
+    _write_csv(path, records, TRIAL_HEADER)
 
 
-def write_cell_csv(path: str, cells: list[CellStats]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CELL_HEADER)
-        for c in cells:
-            writer.writerow([
-                _num(c.gamma), c.n, c.k,
-                _num(c.td_win_ratio), _num(c.bound_prediction_ratio),
-                _num(c.mean_td_over_br), _num(c.mean_rel_td), _num(c.mean_rel_br),
-                c.singular_count, c.excluded_count,
-            ])
+def write_cell_csv(path: str, cells: np.ndarray) -> None:
+    _write_csv(path, cells, CELL_HEADER)
 
 
-def read_cell_csv(path: str) -> list[CellStats]:
+def read_cell_csv(path: str) -> np.recarray:
+    """Read a cells.csv back into a `CELL_DTYPE` record array, checking its
+    header and the width and values of every row."""
+    types = [CELL_DTYPE[f].type for f in CELL_HEADER]
     cells = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CELL_HEADER:
-            raise ValueError(f"{path}: unexpected header {reader.fieldnames}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != CELL_HEADER:
+            raise MatrixParseError(path, reader.line_num, f"unexpected header {header}")
         for row in reader:
-            cells.append(CellStats(
-                gamma=float(row["gamma"]), n=int(row["n"]), k=int(row["k"]),
-                td_win_ratio=float(row["td_win_ratio"]),
-                bound_prediction_ratio=float(row["bound_prediction_ratio"]),
-                mean_td_over_br=float(row["mean_td_over_br"]),
-                mean_rel_td=float(row["mean_rel_td"]),
-                mean_rel_br=float(row["mean_rel_br"]),
-                singular_count=int(row["singular_count"]),
-                excluded_count=int(row["excluded_count"]),
-            ))
-    return cells
+            if len(row) != len(types):
+                raise MatrixParseError(path, reader.line_num,
+                                       f"row has {len(row)} fields, expected {len(types)}")
+            try:
+                cells.append(tuple(t(x) for t, x in zip(types, row)))
+            except (ValueError, OverflowError) as exc:
+                raise MatrixParseError(path, reader.line_num, f"bad value: {exc}") from None
+    return np.array(cells, dtype=CELL_DTYPE).view(np.recarray)

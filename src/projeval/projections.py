@@ -77,7 +77,8 @@ def make_state_weights(weights) -> StateWeights:
         raise ValueError("state weights must be finite")
     if np.any(xi <= 0.0):
         raise ValueError("state weights must be strictly positive")
-    total = xi.sum()
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected just below
+        total = xi.sum()
     if not np.isfinite(total) or total <= 0:
         raise ValueError("state weights must have a positive finite sum")
     xi = xi / total

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from projeval.harness import DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR, CellStats
+from projeval.harness import CELL_DTYPE, DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR
 from projeval.projections import FeatureBasis, StateWeights, projected_system
 
 
@@ -121,9 +121,10 @@ def apply_L_transpose(mdp, v: np.ndarray) -> np.ndarray:
     return v - mdp.discount * (mdp.transitions.T @ v)
 
 
-def aggregate_loop(records, singular_policy: str = "worst") -> list[CellStats]:
+def aggregate_loop(records, singular_policy: str = "worst") -> np.recarray:
     """`harness.aggregate` one record at a time: each cell's values are
-    gathered in record order into Python lists and averaged by np.mean."""
+    gathered in record order into Python lists and averaged by np.mean,
+    and each cell becomes one row of a `CELL_DTYPE` record array."""
     cells = {}
     for rec in records:
         cells.setdefault((float(rec.gamma), int(rec.n), int(rec.k)), []).append(rec)
@@ -152,6 +153,6 @@ def aggregate_loop(records, singular_policy: str = "worst") -> list[CellStats]:
         def mean(xs):
             return float(np.mean(xs)) if xs else float("nan")
 
-        out.append(CellStats(gamma, n, k, mean(wins), mean(predictions), mean(ratio_td_br),
-                             mean(rel_td), mean(rel_br), singular, excluded))
-    return out
+        out.append((gamma, n, k, mean(wins), mean(predictions), mean(ratio_td_br),
+                    mean(rel_td), mean(rel_br), singular, excluded))
+    return np.array(out, dtype=CELL_DTYPE).view(np.recarray)

@@ -2,13 +2,15 @@ import csv
 import os
 import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from projeval import SweepConfig, aggregate, sweep
 from projeval.cli import main
-from projeval.matio import parse_matrix, write_matrix
+from projeval.matio import parse_matrix, read_cell_csv, write_cell_csv, write_matrix
 
 
 @pytest.fixture
@@ -214,6 +216,14 @@ class TestExample1Command:
         assert main(["example1", "--gamma-grid", "1.5", "--theta-grid", "0",
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "0 -inf"])
+    def test_non_finite_theta_rejected_before_writing(self, theta, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["example1", "--gamma-grid", "0.5", "--theta-grid", theta,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: every theta must be finite\n"
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_smoke_run(self, tmp_path, capsys):
@@ -289,6 +299,34 @@ class TestHeatmapCommand:
         assert main(["heatmap", "--cells", cells_csv, "--stat", "td_win_ratio",
                      "--gamma", "0.42", "--out", str(tmp_path / "x.svg")]) == 1
         assert "0.9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.9,2,1,0.5,0.5,1.1,1.2", "row has 7 fields, expected 10"),
+        ("0.9,2,1,0.5,0.5,1.1,1.2,1.3,0,0,7", "row has 11 fields, expected 10"),
+        ("0.9,2,1,0.5,0.5,1.1,1.2,1.3,0,zero", "bad value"),
+        ("0.9,2.5,1,0.5,0.5,1.1,1.2,1.3,0,0", "bad value"),
+    ])
+    def test_malformed_row_reports_line(self, row, message, cells_csv, tmp_path, capsys):
+        lines = Path(cells_csv).read_text().splitlines()
+        lines.insert(3, row)
+        bad = tmp_path / "cells.csv"
+        bad.write_text("\r\n".join(lines) + "\r\n")
+        svg = tmp_path / "x.svg"
+        assert main(["heatmap", "--cells", str(bad), "--stat", "td_win_ratio",
+                     "--gamma", "0.9", "--out", str(svg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:4: {message}") and err.count("\n") == 1
+        assert not svg.exists()
+
+    def test_read_back_equals_aggregate(self, tmp_path):
+        records = sweep(SweepConfig(gammas=(0.9,), n_max=4, feature_trials=2, mdp_trials=2))
+        cells = aggregate(records)
+        path = tmp_path / "cells.csv"
+        write_cell_csv(path, cells)
+        back = read_cell_csv(path)
+        assert isinstance(back, np.recarray) and back.dtype == cells.dtype
+        for field in cells.dtype.names:
+            np.testing.assert_allclose(back[field], cells[field], rtol=1e-11, err_msg=field)
 
 
 class TestMatrixRoundTrip:

@@ -38,6 +38,11 @@ class TestConstructors:
         with pytest.raises(ValueError, match="positive"):
             make_state_weights([0.5, 0.0, 0.5])
 
+    def test_weights_whose_sum_overflows_rejected(self):
+        # the sum overflows; a RuntimeWarning fails the tests
+        with pytest.raises(ValueError, match="positive finite sum"):
+            make_state_weights([1e300, np.finfo(float).max])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
