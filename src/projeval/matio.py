@@ -1,8 +1,13 @@
 """Text I/O: matrix files and the two sweep CSVs.
 
-Matrix format: one row per line, entries separated by commas and/or
-whitespace; blank lines and lines starting with '#' are skipped. Export uses
-17 significant digits so a write/read round trip is bit-identical. The CSVs
+Matrix format: one row per line, every row of the same width. Entries are
+separated by commas and/or whitespace. An entry is an ASCII decimal number
+as Python's `float()` reads it (`-1.5`, `2e-3`, `1e400` is inf) or `nan`,
+`inf`, `infinity` in any case and with an optional sign; digit-group
+underscores (`1_0`) and non-ASCII digits are rejected. Blank lines are
+skipped, and so is a line whose first non-blank character is '#'; a '#'
+later in a line is an error. Export uses 17 significant digits so a
+write/read round trip is bit-identical, nan and inf included. The CSVs
 hold the fields of the record arrays `harness.TRIAL_DTYPE` (but v_norm) and
 `harness.CELL_DTYPE`, floats at 12 significant digits.
 """
@@ -31,28 +36,50 @@ class MatrixParseError(ValueError):
 
 
 def parse_matrix(path: str) -> np.ndarray:
-    """Read a 2-D matrix; a file of single numbers yields a column vector."""
-    rows = []
-    width = None
+    """Read a 2-D matrix; a file of single numbers yields a column vector.
+
+    Python keeps the data lines and their numbers, and one `np.loadtxt` call
+    converts every row in C with the correctly rounded conversion `float()`
+    uses. Only when that call fails are the lines read one by one, to name
+    the first bad one.
+    """
+    line_nos, lines = [], []
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.replace(",", " ").split()
-            try:
-                row = [float(tok) for tok in fields]
-            except ValueError as exc:
-                raise MatrixParseError(path, line_no, f"bad number: {exc}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise MatrixParseError(
-                    path, line_no, f"row has {len(row)} entries, expected {width}")
-            rows.append(row)
-    if not rows:
+            if line and line[0] != "#":
+                line_nos.append(line_no)
+                lines.append(line.replace(",", " "))
+    if not lines:
         raise MatrixParseError(path, 0, "file contains no matrix rows")
-    return np.array(rows, dtype=float)
+    # np.loadtxt would skip a row of separators only
+    if not any(map(str.isspace, lines)):
+        try:
+            return np.loadtxt(lines, ndmin=2, comments=None)
+        except ValueError:
+            pass
+    raise _first_bad_line(path, line_nos, lines)
+
+
+def _first_bad_line(path: str, line_nos: list[int], lines: list[str]) -> MatrixParseError:
+    """The error of the first line that is not a matrix row: its numbers are
+    checked first, then its width against the first row's."""
+    width = None
+    for line_no, line in zip(line_nos, lines):
+        fields = line.split()
+        try:
+            for tok in fields:
+                float(tok)
+                if not tok.isascii() or "_" in tok:
+                    raise ValueError(f"only ASCII digits without underscores are read: {tok!r}")
+        except ValueError as exc:
+            return MatrixParseError(path, line_no, f"bad number: {exc}")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            return MatrixParseError(
+                path, line_no, f"row has {len(fields)} entries, expected {width}")
+    return MatrixParseError(path, line_nos[0], "row has no entries")
 
 
 def parse_vector(path: str) -> np.ndarray:
@@ -91,9 +118,11 @@ def write_cell_csv(path: str, cells: np.ndarray) -> None:
 
 def read_cell_csv(path: str) -> np.recarray:
     """Read a cells.csv back into a `CELL_DTYPE` record array, checking its
-    header and the width and values of every row."""
+    header, the width and values of every row, and that the rows form a
+    grid: each `(gamma, n, k)` once, `n >= 2`, `1 <= k <= n`, counts >= 0."""
     types = [CELL_DTYPE[f].type for f in CELL_HEADER]
     cells = []
+    first_line = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -104,7 +133,29 @@ def read_cell_csv(path: str) -> np.recarray:
                 raise MatrixParseError(path, reader.line_num,
                                        f"row has {len(row)} fields, expected {len(types)}")
             try:
-                cells.append(tuple(t(x) for t, x in zip(types, row)))
+                cell = tuple(t(x) for t, x in zip(types, row))
             except (ValueError, OverflowError) as exc:
                 raise MatrixParseError(path, reader.line_num, f"bad value: {exc}") from None
+            problem = _grid_problem(dict(zip(CELL_HEADER, cell)), first_line, reader.line_num)
+            if problem:
+                raise MatrixParseError(path, reader.line_num, problem)
+            cells.append(cell)
     return np.array(cells, dtype=CELL_DTYPE).view(np.recarray)
+
+
+def _grid_problem(cell: dict, first_line: dict, line_no: int) -> str | None:
+    """Why a cells.csv row does not fit the grid, or None; `first_line` maps
+    each `(gamma, n, k)` seen so far to its line."""
+    gamma, n, k = cell["gamma"], cell["n"], cell["k"]
+    if (gamma, n, k) in first_line:
+        return (f"duplicate cell gamma={gamma} n={n} k={k}, "
+                f"first on line {first_line[gamma, n, k]}")
+    first_line[gamma, n, k] = line_no
+    if n < 2:
+        return f"n is {n}, expected at least 2"
+    if not 1 <= k <= n:
+        return f"k is {k}, expected 1..{n}"
+    for field in ("singular_count", "excluded_count"):
+        if cell[field] < 0:
+            return f"{field} is {cell[field]}, expected at least 0"
+    return None

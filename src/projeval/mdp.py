@@ -7,6 +7,7 @@ algebra with L = I - gamma * P.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,7 +16,11 @@ ROW_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Mdp:
-    """An uncontrolled finite-state MDP: row-stochastic P, rewards r, discount."""
+    """An uncontrolled finite-state MDP: row-stochastic P, rewards r, discount.
+
+    `make_mdp` makes P and r read-only, so L and the exact value are formed
+    on first use and kept, read-only too: see `l_matrix` and `exact_value`.
+    """
 
     transitions: np.ndarray
     rewards: np.ndarray
@@ -24,6 +29,19 @@ class Mdp:
     @property
     def n_states(self) -> int:
         return self.transitions.shape[0]
+
+    @cached_property
+    def _l(self) -> np.ndarray:
+        return _read_only(np.eye(self.n_states) - self.discount * self.transitions)
+
+    @cached_property
+    def _v(self) -> np.ndarray:
+        return _read_only(checked_solve(self._l, self.rewards, "value"))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def make_mdp(transitions, rewards, discount: float) -> Mdp:
@@ -39,10 +57,7 @@ def make_mdp(transitions, rewards, discount: float) -> Mdp:
         raise ValueError("invalid MDP: " + "; ".join(problems))
     # file-parsed probabilities carry rounding noise; renormalize inside tolerance
     row_sums = P.sum(axis=1, keepdims=True)
-    P = P / row_sums
-    P.flags.writeable = False
-    r.flags.writeable = False
-    return Mdp(P, r, float(discount))
+    return Mdp(_read_only(P / row_sums), _read_only(r), float(discount))
 
 
 def validate(mdp: Mdp) -> list[str]:
@@ -69,7 +84,8 @@ def validate(mdp: Mdp) -> list[str]:
     if np.any(P < 0.0) or np.any(P > 1.0):
         i, j = np.unravel_index(np.argmin(P) if P.min() < 0 else np.argmax(P), P.shape)
         problems.append(f"probability out of [0,1] at ({i},{j}): {P[i, j]}")
-    row_sums = P.sum(axis=1)
+    with np.errstate(over="ignore"):  # entries far above 1 may overflow; reported below
+        row_sums = P.sum(axis=1)
     bad = np.nonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)[0]
     for i in bad:
         problems.append(f"row {i} sums to {row_sums[i]!r}")
@@ -85,8 +101,8 @@ def bellman_apply(mdp: Mdp, v: np.ndarray) -> np.ndarray:
 
 
 def l_matrix(mdp: Mdp) -> np.ndarray:
-    """The dense matrix L = I - gamma P."""
-    return np.eye(mdp.n_states) - mdp.discount * mdp.transitions
+    """The dense matrix L = I - gamma P, formed once per Mdp."""
+    return mdp._l
 
 
 def checked_solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
@@ -100,8 +116,8 @@ def checked_solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
 
 
 def exact_value(mdp: Mdp) -> np.ndarray:
-    """Unique solution of (I - gamma P) v = r."""
-    return checked_solve(l_matrix(mdp), mdp.rewards, "value")
+    """Unique solution of (I - gamma P) v = r, solved once per Mdp."""
+    return mdp._v
 
 
 def stationary_distribution(mdp: Mdp) -> np.ndarray | None:

@@ -47,10 +47,15 @@ def _solve(left: np.ndarray, right: np.ndarray, b: np.ndarray,
     return ProjectionSolution(w, v_hat, method, cond, status)
 
 
-def _oblique(mdp: Mdp, phi: FeatureBasis, x: np.ndarray, method: str) -> ProjectionSolution:
-    """The oblique solve on a direction X; Phi's rows are checked before X's shape."""
-    psi = l_matrix(mdp) @ feature_matrix(phi, mdp.n_states)
-    return _solve(direction_matrix(x, phi), psi, mdp.rewards, phi, method)
+def _lphi(mdp: Mdp, phi: FeatureBasis) -> np.ndarray:
+    """L Phi, with Phi's rows checked against the chain."""
+    return l_matrix(mdp) @ feature_matrix(phi, mdp.n_states)
+
+
+def _oblique(mdp: Mdp, phi: FeatureBasis, x: np.ndarray, lphi: np.ndarray,
+             method: str) -> ProjectionSolution:
+    """The oblique solve (X' L Phi) w = X' r, given L Phi; X's shape is checked here."""
+    return _solve(direction_matrix(x, phi), lphi, mdp.rewards, phi, method)
 
 
 def solve_best(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
@@ -61,17 +66,19 @@ def solve_best(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolut
 
 def solve_td(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
     """TD(0) fixed point: the value in span(Phi) with zero projected TD error."""
-    return _oblique(mdp, phi, td_direction(mdp, phi, xi), "td")
+    lphi = _lphi(mdp, phi)
+    return _oblique(mdp, phi, td_direction(mdp, phi, xi), lphi, "td")
 
 
 def solve_br(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
     """Minimizer of the xi-weighted Bellman residual over span(Phi)."""
-    return _oblique(mdp, phi, br_direction(mdp, phi, xi), "br")
+    lphi = _lphi(mdp, phi)
+    return _oblique(mdp, phi, row_weighted(xi, lphi), lphi, "br")
 
 
 def solve_oblique(mdp: Mdp, phi: FeatureBasis, x: np.ndarray) -> ProjectionSolution:
     """Solution of the projected equation for an arbitrary direction matrix X."""
-    return _oblique(mdp, phi, x, "oblique")
+    return _oblique(mdp, phi, x, _lphi(mdp, phi), "oblique")
 
 
 def optimal_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:
@@ -86,4 +93,4 @@ def td_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:
 
 def br_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:
     """X = Xi L Phi, the direction whose oblique solve is the BR minimizer."""
-    return row_weighted(xi, l_matrix(mdp) @ feature_matrix(phi, mdp.n_states))
+    return row_weighted(xi, _lphi(mdp, phi))

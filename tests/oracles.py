@@ -3,7 +3,8 @@
 Coefficient maps of (oblique) projections as explicit m x N matrices, the
 projector norm computed from them through small m x m products, a full-size
 singular-value oracle for induced xi-operator norms, the matrix-free L
-and L' products, and a record-by-record loop over a sweep's cells. The
+and L' products, a record-by-record loop over a sweep's cells, and a
+token-by-token matrix file reader. The
 package itself needs none of these; they exist to cross-check its
 solvers, bounds and statistics by an independent route.
 """
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from projeval.harness import CELL_DTYPE, DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR
+from projeval.matio import MatrixParseError
 from projeval.projections import FeatureBasis, StateWeights, projected_system
 
 
@@ -156,3 +158,29 @@ def aggregate_loop(records, singular_policy: str = "worst") -> np.recarray:
         out.append((gamma, n, k, mean(wins), mean(predictions), mean(ratio_td_br),
                     mean(rel_td), mean(rel_br), singular, excluded))
     return np.array(out, dtype=CELL_DTYPE).view(np.recarray)
+
+
+def parse_matrix_loop(path: str) -> np.ndarray:
+    """A matrix file read one `float()` call per token: the reader that
+    `matio.parse_matrix` replaced, with the same messages and line numbers."""
+    rows = []
+    width = None
+    with open(path) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.replace(",", " ").split()
+            try:
+                row = [float(tok) for tok in fields]
+            except ValueError as exc:
+                raise MatrixParseError(path, line_no, f"bad number: {exc}") from None
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise MatrixParseError(
+                    path, line_no, f"row has {len(row)} entries, expected {width}")
+            rows.append(row)
+    if not rows:
+        raise MatrixParseError(path, 0, "file contains no matrix rows")
+    return np.array(rows, dtype=float)

@@ -99,6 +99,9 @@ class TestSolve:
         ("phi", "1\nnan\n", "non-finite"),
         ("xi", "0.5\n", "weights have length 1, expected 2"),
         ("phi", "1\n2\n3\n", "features have 3 rows, expected 2"),
+        # float() reads these two, the C reader does not
+        ("xi", "0.5\n1_0\n", "bad.txt:2: bad number: only ASCII digits"),
+        ("xi", "0.5\n٣\n", "bad.txt:2: bad number: only ASCII digits"),
     ])
     def test_bad_input_exit_code(self, example1_files, tmp_path, capsys,
                                  name, content, expected):
@@ -120,6 +123,38 @@ class TestSolve:
         example1_files["P"] = str(bad)
         assert run_solve(example1_files, 0.5) == 1
         assert "row 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["td", "br", "best", "oblique"])
+    def test_one_l_and_one_value_per_request(self, tmp_path, monkeypatch, capsys, method):
+        n, k = 6, 2
+        rng = np.random.default_rng(7)
+        P = rng.uniform(size=(n, n))
+        paths = {}
+        for name, array in (("P", P / P.sum(axis=1, keepdims=True)),
+                            ("r", rng.uniform(-1.0, 1.0, n)),
+                            ("phi", rng.uniform(-1.0, 1.0, (n, k))),
+                            ("xi", rng.uniform(0.1, 1.0, n)),
+                            ("x", rng.uniform(-1.0, 1.0, (n, k)))):
+            paths[name] = str(tmp_path / f"{name}.txt")
+            np.savetxt(paths[name], array, fmt="%.17g")
+        formed, solved = [], []
+        eye, solve = np.eye, np.linalg.solve
+
+        def counting_eye(N, *args, **kwargs):
+            formed.append(N)
+            return eye(N, *args, **kwargs)
+
+        def counting_solve(a, b):
+            solved.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np, "eye", counting_eye)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        assert run_solve(paths, 0.9, method, ("--direction", paths["x"])) == 0
+        # L = I - gamma P once; L v = r once, for best's solve and the report's error
+        assert formed.count(n) == 1
+        assert solved.count((n, n)) == 1
+        assert "approx_error" in capsys.readouterr().out
 
 
 @st.composite
@@ -305,6 +340,13 @@ class TestHeatmapCommand:
         ("0.9,2,1,0.5,0.5,1.1,1.2,1.3,0,0,7", "row has 11 fields, expected 10"),
         ("0.9,2,1,0.5,0.5,1.1,1.2,1.3,0,zero", "bad value"),
         ("0.9,2.5,1,0.5,0.5,1.1,1.2,1.3,0,0", "bad value"),
+        ("0.9,2,1,0.5,0.5,1.1,1.2,1.3,0,0", "duplicate cell gamma=0.9 n=2 k=1, first on line 2"),
+        ("0.9,1,1,0.5,0.5,1.1,1.2,1.3,0,0", "n is 1, expected at least 2"),
+        ("0.9,-3,-7,0.5,0.5,1.1,1.2,1.3,-4,0", "n is -3, expected at least 2"),
+        ("0.9,3,4,0.5,0.5,1.1,1.2,1.3,0,0", "k is 4, expected 1..3"),
+        ("0.9,3,0,0.5,0.5,1.1,1.2,1.3,0,0", "k is 0, expected 1..3"),
+        ("0.9,6,1,0.5,0.5,1.1,1.2,1.3,-4,0", "singular_count is -4, expected at least 0"),
+        ("0.9,6,1,0.5,0.5,1.1,1.2,1.3,0,-1", "excluded_count is -1, expected at least 0"),
     ])
     def test_malformed_row_reports_line(self, row, message, cells_csv, tmp_path, capsys):
         lines = Path(cells_csv).read_text().splitlines()
@@ -335,6 +377,13 @@ class TestMatrixRoundTrip:
         path = tmp_path / "m.txt"
         write_matrix(str(path), mat)
         assert np.array_equal(parse_matrix(str(path)), mat)
+        special = np.array([[np.nan, np.inf, -np.inf],
+                            [-0.0, 5e-324, 1.7976931348623157e308]])
+        for mat in (special, special.reshape(1, 6), special.reshape(6, 1)):
+            write_matrix(str(path), mat)
+            back = parse_matrix(str(path))
+            assert back.shape == mat.shape
+            assert np.array_equal(back.view(np.uint64), mat.view(np.uint64))
 
     def test_comma_and_whitespace_mix(self, tmp_path):
         path = tmp_path / "m.txt"

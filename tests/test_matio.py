@@ -1,0 +1,108 @@
+"""The matrix-file reader against the token-by-token loop it replaced.
+
+`matio.parse_matrix` hands whole rows to `np.loadtxt`, which converts each
+token in C with the correctly rounded conversion `float()` uses, and only
+reads line by line to name the first bad line. Every generated file must
+give a bit-equal array, or the same message at the same line, as
+`oracles.parse_matrix_loop`. Two declared differences: tokens that
+`float()` reads but the C reader does not (digit-group underscores and
+non-ASCII digits) are errors at their line, and a file whose every row is
+empty (lines of commas only) is an error instead of an N x 0 array.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from projeval.matio import MatrixParseError, parse_matrix
+
+from oracles import parse_matrix_loop
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.17g}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["nan", "-nan", "+NaN", "inf", "-inf", "-infinity", "Infinity",
+                     "1e400", "-1e400", "5e-324", "1e-400", "-0", "-0.0", ".5", "5.",
+                     "1E+3", "0001"]),
+)
+BAD = st.sampled_from(["x", "1.5e", "--1", "0x10", "1e", "#", "#1", "1#", "nanx", "in f"])
+# read by float() but not by the C reader: rejected at their line
+DECLARED = st.sampled_from(["1_0", "2_5e-3", "٣", "1٣", "１"])
+SEPARATORS = st.sampled_from([" ", ",", "\t", ", ", " ,\t", "\xa0", "\x0b", "\x0c", ",,"])
+PADDING = st.sampled_from(["", "", " ", "\t", "\xa0", " \x0b"])
+# a line of separators only is an empty row, which np.loadtxt would skip
+EXTRA_LINES = st.sampled_from(["", "   ", "\xa0", "# comment", "  # indented, 1 2", "#"] * 3
+                              + [",", " , ,"])
+SENTINEL = "?"  # float() rejects it, as the C reader rejects a declared token
+
+
+@st.composite
+def matrix_files(draw):
+    """(file text, the same text with each declared token replaced by SENTINEL)."""
+    width = draw(st.integers(1, 4))
+    texts, sentinel_texts = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        for _ in range(draw(st.integers(0, 2))):
+            texts.append(draw(EXTRA_LINES))
+            sentinel_texts.append(texts[-1])
+        n_tokens = width + draw(st.sampled_from([0] * 18 + [-1, 1]))
+        kinds = [draw(st.sampled_from(["number"] * 60 + ["bad", "declared"]))
+                 for _ in range(max(n_tokens, 0))]
+        tokens = [draw({"number": NUMBERS, "bad": BAD, "declared": DECLARED}[kind])
+                  for kind in kinds]
+        sentinels = [SENTINEL if kind == "declared" else tok for kind, tok in zip(kinds, tokens)]
+        seps = [draw(SEPARATORS) for _ in tokens[1:]]
+        pad, tail = draw(PADDING), draw(PADDING)
+        comment = draw(st.sampled_from([""] * 30 + [" # mid-line"]))
+
+        def join(toks):
+            body = toks[0] if toks else ""
+            for sep, tok in zip(seps, toks[1:]):
+                body += sep + tok
+            return pad + body + comment + tail
+
+        texts.append(join(tokens))
+        sentinel_texts.append(join(sentinels))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    final = draw(st.sampled_from(["", ending]))
+    return (ending.join(texts) + final, ending.join(sentinel_texts) + final)
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except MatrixParseError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_files())
+@example(("1 2\n٣ x\n", f"1 2\n{SENTINEL} x\n"))
+@example(("1_0\n", f"{SENTINEL}\n"))
+@example((",\n, ,\n", ",\n, ,\n"))
+@example(("1 2\r\n,\r\n3 4\r\n", "1 2\r\n,\r\n3 4\r\n"))
+@example(("nan\t-infinity,1e400 5e-324\n", "nan\t-infinity,1e400 5e-324\n"))
+def test_reader_matches_token_loop(tmp_path_factory, files):
+    text, sentinel_text = files
+    directory = tmp_path_factory.mktemp("m")
+    path, sentinel_path = directory / "m.txt", directory / "sentinel.txt"
+    path.write_bytes(text.encode())
+    sentinel_path.write_bytes(sentinel_text.encode())
+    got = outcome(parse_matrix, str(path))
+    expected = outcome(parse_matrix_loop, str(sentinel_path))
+    if isinstance(expected, np.ndarray) and expected.shape[1] == 0:
+        # every row empty: an N x 0 array before, now an error at the first row
+        assert isinstance(got, MatrixParseError) and str(got).endswith("row has no entries")
+    elif isinstance(expected, np.ndarray):
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    else:
+        assert isinstance(got, MatrixParseError), got
+        assert got.line_no == expected.line_no
+        message = str(expected).replace(str(sentinel_path), str(path))
+        if repr(SENTINEL) in message:
+            assert "only ASCII digits without underscores are read" in str(got)
+        else:
+            assert str(got) == message
+

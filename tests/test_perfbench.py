@@ -1,9 +1,11 @@
 """What the benchmark in perfbench/ relies on, checked without running it.
 
 The benchmark fails a run whose sweep CSVs differ from the digests in
-perfbench/golden.json, and its traced run wraps projeval's functions by
-name. These tests load perfbench's own modules, so a changed byte or a
-removed name fails here before it fails the benchmark.
+perfbench/golden.json, or a solve request with a wrong exit code or
+weights off their projected equation, and its traced run wraps projeval's
+functions by name. These tests load perfbench's own modules, so a changed
+byte, a wrong answer or a removed name fails here before it fails the
+benchmark.
 """
 
 import os
@@ -18,6 +20,7 @@ sys.path.insert(0, PERFBENCH)
 dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 
 import layers  # noqa: E402
+import solve  # noqa: E402
 import sweeps  # noqa: E402
 from run import load_projeval  # noqa: E402
 
@@ -38,6 +41,18 @@ def test_sweep_small_golden_digests(pe, tmp_path):
     cfg = sweeps.config(pe, "sweep-small", sweeps.GOLDEN_SEED)
     sweeps.pipeline(pe, cfg, str(tmp_path))
     assert sweeps.digests(str(tmp_path)) == sweeps.golden("sweep-small")
+
+
+def test_solve_requests_pass_their_checks(pe, tmp_path):
+    cycle, probes = solve.make_requests(1, str(tmp_path))
+    for request in cycle:
+        code, stdout, _ = solve.call(pe.cli, request.argv)
+        assert solve.problem(request, code, stdout) is None
+    # NaN in P and a short weights file: once tracebacks, now exit 1
+    assert {request.label for request in probes} == {"nan-in-P", "short-weights"}
+    for request in probes:
+        code, stdout, _ = solve.call(pe.cli, request.argv)
+        assert code == 1 and solve.problem(request, code, stdout) is None
 
 
 def test_traced_run_finds_its_names(pe, tmp_path, capsys):
