@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import analysis, heatmap, instances, matio, solvers
-from .harness import SweepConfig, aggregate, sweep
+from .harness import SweepConfig, aggregate, sweep_columns
 from .mdp import exact_value, make_mdp
 from .projections import make_feature_basis, make_state_weights, weight_column, weighted_norm
 
@@ -135,11 +135,18 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    records = sweep(config, workers=args.workers)
-    cells = aggregate(records, singular_policy=config.singular_policy,
-                      expected_cell_size=config.feature_trials * config.mdp_trials)
+    cell_blocks = []
+
+    def columns():
+        # each column's trial rows are written, and its cells kept, as it arrives
+        for records in sweep_columns(config, workers=args.workers):
+            cell_blocks.append(aggregate(records, config.singular_policy,
+                                         config.feature_trials * config.mdp_trials))
+            yield records
+
     try:
-        matio.write_trial_csv(os.path.join(args.out_dir, "trials.csv"), records)
+        matio.write_csv(os.path.join(args.out_dir, "trials.csv"), columns(), matio.TRIAL_HEADER)
+        cells = np.concatenate(cell_blocks)
         matio.write_cell_csv(os.path.join(args.out_dir, "cells.csv"), cells)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,15 +7,18 @@ one record array (`TRIAL_DTYPE`), in (gamma, n, k, phi_trial, mdp_trial)
 order. A (gamma, n) column, the cells k = 1..n, is the unit of work:
 `run_column` draws the column's chains once, forms their L and v once
 (`kernels.chain_terms`), and fills each cell's rows from one
-`kernels.cell_stats` call on that cell's (Phi, xi) pairs. Seeds are
-derived from the master seed and the draw's labels (the chain's from
-gamma, n and mdp_trial, the features' and weights' from gamma, n, k and
-phi_trial), so any worker layout produces the same records.
+`kernels.cell_stats` call on that cell's (Phi, xi) pairs; `sweep_columns`
+yields the columns in order, so each can be aggregated and written as it
+arrives. Seeds are derived from the master seed and the draw's labels
+(the chain's from gamma, n and mdp_trial, the features' and weights'
+from gamma, n, k and phi_trial), so any worker layout produces the same
+records.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,31 +107,29 @@ def run_column(config: SweepConfig, gamma_index: int, n: int) -> np.recarray:
     return out
 
 
-def sweep(config: SweepConfig, workers: int = 1) -> np.recarray:
-    """All trials of the grid, in canonical order regardless of worker count.
-
-    A column's cost grows steeply with n, so columns are handed out largest
-    n first, one at a time, and no worker is left alone with a heavy one at
-    the end. Each column is copied into its place as it arrives, so the
-    grid's records are held once.
-    """
-    columns = [(gi, n) for gi in range(len(config.gammas))
-               for n in range(config.n_min, config.n_max + 1)]
-    schedule = sorted(columns, key=lambda col: -col[1])
-    sizes = [n * config.feature_trials * config.mdp_trials for _, n in columns]
-    starts = dict(zip(columns, np.cumsum([0, *sizes]).tolist()))
-    out = np.recarray(sum(sizes), dtype=TRIAL_DTYPE)
-
-    def place(results):
-        for col, recs in zip(schedule, results):
-            out[starts[col]:starts[col] + len(recs)] = recs
-
-    args = (run_column, [config] * len(schedule), *zip(*schedule))
+def sweep_columns(config: SweepConfig, workers: int = 1) -> Iterator[np.recarray]:
+    """Each (gamma, n) column's `run_column` records, in canonical (gamma_index, n)
+    order; with more than one worker, from a pool of at most one process per column."""
+    grid = [(gi, n) for gi in range(len(config.gammas))
+            for n in range(config.n_min, config.n_max + 1)]
+    args = (run_column, [config] * len(grid), *zip(*grid))
+    workers = min(workers, len(grid))
     if workers <= 1:
-        place(map(*args))
+        yield from map(*args)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            place(pool.map(*args, chunksize=1))
+            yield from pool.map(*args, chunksize=1)
+
+
+def sweep(config: SweepConfig, workers: int = 1) -> np.recarray:
+    """All trials of the grid, in canonical order regardless of worker count; each
+    column is copied into its place as it arrives, so the grid's records are held once."""
+    cells = len(config.gammas) * sum(range(config.n_min, config.n_max + 1))
+    out = np.recarray(cells * config.feature_trials * config.mdp_trials, dtype=TRIAL_DTYPE)
+    start = 0
+    for records in sweep_columns(config, workers):
+        out[start:start + len(records)] = records
+        start += len(records)
     return out
 
 
@@ -139,7 +140,8 @@ def _mean(values: np.ndarray) -> float:
 def aggregate(records: np.ndarray,
               singular_policy: str = "worst",
               expected_cell_size: int | None = None) -> np.recarray:
-    """A `CELL_DTYPE` row of statistics per cell of the records, in (gamma, n, k) order.
+    """A `CELL_DTYPE` row of statistics per cell, in input order; a cell is a run of
+    adjacent records with equal (gamma, n, k), and one in two runs raises `ValueError`.
 
     Under the "worst" policy a singular TD trial counts as a TD loss (and as
     a correctly predicted loss) in the indicator means; under "exclude" it is
@@ -150,16 +152,19 @@ def aggregate(records: np.ndarray,
     """
     if singular_policy not in SINGULAR_POLICIES:
         raise ValueError(f"singular_policy must be one of {SINGULAR_POLICIES}")
-    order = np.lexsort((records["k"], records["n"], records["gamma"]))  # stable
-    keys = [records[f][order] for f in ("gamma", "n", "k")]
-    new_cell = np.ones(len(order), dtype=bool)
+    keys = [records[f] for f in ("gamma", "n", "k")]
+    new_cell = np.ones(len(records), dtype=bool)
     new_cell[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
     starts = np.flatnonzero(new_cell)
+    cell_keys = list(zip(*(key[starts].tolist() for key in keys)))
+    if len(set(cell_keys)) < len(cell_keys):
+        gamma, n, k = next(key for key in cell_keys if cell_keys.count(key) > 1)
+        raise ValueError(f"cell (gamma={gamma}, n={n}, k={k}) is split into separate runs")
 
     out = np.recarray(len(starts), dtype=CELL_DTYPE)
-    for i, (start, stop) in enumerate(zip(starts, [*starts[1:], len(order)])):
-        c = records[order[start:stop]]
-        gamma, n, k = float(c["gamma"][0]), int(c["n"][0]), int(c["k"][0])
+    for i, ((gamma, n, k), start, stop) in enumerate(
+            zip(cell_keys, starts, [*starts[1:], len(records)])):
+        c = records[start:stop]
         if expected_cell_size is not None and len(c) != expected_cell_size:
             raise ValueError(f"cell (gamma={gamma}, n={n}, k={k}) has {len(c)} records, "
                              f"expected {expected_cell_size}")

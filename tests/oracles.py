@@ -126,12 +126,13 @@ def apply_L_transpose(mdp, v: np.ndarray) -> np.ndarray:
 def aggregate_loop(records, singular_policy: str = "worst") -> np.recarray:
     """`harness.aggregate` one record at a time: each cell's values are
     gathered in record order into Python lists and averaged by np.mean,
-    and each cell becomes one row of a `CELL_DTYPE` record array."""
+    and each cell becomes one row of a `CELL_DTYPE` record array, in order
+    of first appearance."""
     cells = {}
     for rec in records:
         cells.setdefault((float(rec.gamma), int(rec.n), int(rec.k)), []).append(rec)
     out = []
-    for (gamma, n, k), recs in sorted(cells.items()):
+    for (gamma, n, k), recs in cells.items():
         wins, predictions, ratio_td_br, rel_td, rel_br = [], [], [], [], []
         singular = excluded = 0
         for rec in recs:

@@ -1,4 +1,6 @@
+import concurrent.futures
 import csv
+import hashlib
 import os
 import tempfile
 import xml.etree.ElementTree as ET
@@ -8,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from projeval import SweepConfig, aggregate, sweep
+from projeval import SweepConfig, aggregate, harness, sweep
 from projeval.cli import main
 from projeval.matio import parse_matrix, read_cell_csv, write_cell_csv, write_matrix
+
+from test_harness import CSV_DIGESTS
 
 
 @pytest.fixture
@@ -287,6 +291,65 @@ class TestSweepCommand:
         assert main(args + ["--out-dir", str(b), "--workers", "2"]) == 0
         for name in ("trials.csv", "cells.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_csv_bytes_pinned(self, workers, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep", "--gammas", "0.9 0.99", "--n-max", "5", "--trials", "2",
+                     "--seed", "123", "--workers", workers, "--out-dir", str(out)]) == 0
+        got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("trials.csv", "cells.csv"))
+        assert got == CSV_DIGESTS["SMALL"]
+
+    def test_cells_follow_gammas_order(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep", "--gammas", "0.99 0.9", "--n-max", "4", "--trials", "2",
+                     "--out-dir", str(out)]) == 0
+
+        def keys(name):
+            with open(out / name) as fh:
+                return [(row["gamma"], row["n"], row["k"]) for row in csv.DictReader(fh)]
+
+        assert keys("cells.csv") == list(dict.fromkeys(keys("trials.csv")))
+        assert keys("cells.csv")[0] == ("0.99", "2", "1")
+
+    def test_pool_capped_at_columns(self, monkeypatch, tmp_path):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        assert main(["sweep", "--gammas", "0.9", "--n-max", "3", "--trials", "2",
+                     "--workers", "64", "--out-dir", str(tmp_path / "out")]) == 0
+        assert pools == [2]
+
+    def test_unwritable_trials_fails_before_computing(self, monkeypatch, tmp_path, capsys):
+        calls = []
+
+        def counted(*args, _run=harness.run_column):
+            calls.append(args[1:])
+            return _run(*args)
+
+        monkeypatch.setattr(harness, "run_column", counted)
+        out = tmp_path / "out"
+        (out / "trials.csv").mkdir(parents=True)
+        assert main(["sweep", "--gammas", "0.9", "--n-max", "3", "--trials", "2",
+                     "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert calls == []
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--gammas", "", "gammas must be nonempty and distinct"),

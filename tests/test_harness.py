@@ -142,7 +142,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("name", ["SMALL", "UNEVEN"])
     def test_parallel_matches_serial(self, name):
-        # columns are scheduled largest n first; the records come back in grid order
+        # the pool hands the columns back in canonical order, one at a time
         config = {"SMALL": SMALL, "UNEVEN": UNEVEN}[name]
         assert_records_equal(sweep(config, workers=2), sweep(config))
 
@@ -216,17 +216,24 @@ class TestAggregate:
         with pytest.raises(ValueError, match="gamma=0.9"):
             aggregate(recs, expected_cell_size=4)
 
-    def test_cell_order_does_not_matter(self):
+    def test_cells_come_back_in_input_order(self):
         # whole cells shuffled, each cell's records kept in their order
         records = sweep(UNEVEN)
         size = UNEVEN.feature_trials * UNEVEN.mdp_trials
         cells = np.split(records, len(records) // size)
         order = np.random.default_rng(0).permutation(len(cells))
         shuffled = np.concatenate([cells[i] for i in order])
-        expected = aggregate(records, expected_cell_size=size)
+        expected = aggregate(records, expected_cell_size=size)[order]
         got = aggregate(shuffled, expected_cell_size=size)
         assert_records_equal(got, expected)
         assert not np.array_equal(shuffled["k"], records["k"])
+
+    def test_split_cell_raises(self):
+        # the cell (0.95, 2, 1) in two runs, the cell (0.95, 2, 2) between them
+        records = sweep(UNEVEN)
+        split = np.concatenate([records[:3], records[6:12], records[3:6], records[12:]])
+        with pytest.raises(ValueError, match=r"^cell \(gamma=0.95, n=2, k=1\) is split"):
+            aggregate(split, expected_cell_size=UNEVEN.feature_trials * UNEVEN.mdp_trials)
 
     @pytest.mark.parametrize("policy", harness.SINGULAR_POLICIES)
     def test_matches_record_loop_bit_for_bit(self, policy):
