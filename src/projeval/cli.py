@@ -144,10 +144,12 @@ def cmd_sweep(args) -> int:
                                          config.feature_trials * config.mdp_trials))
             yield records
 
-    try:
-        matio.write_csv(os.path.join(args.out_dir, "trials.csv"), columns(), matio.TRIAL_HEADER)
-        cells = np.concatenate(cell_blocks)
-        matio.write_cell_csv(os.path.join(args.out_dir, "cells.csv"), cells)
+    try:  # both files are open before the first column runs
+        with open(os.path.join(args.out_dir, "trials.csv"), "w", newline="") as trials_fh, \
+                open(os.path.join(args.out_dir, "cells.csv"), "w", newline="") as cells_fh:
+            matio.write_csv(trials_fh, columns(), matio.TRIAL_HEADER)
+            cells = np.concatenate(cell_blocks)
+            matio.write_csv(cells_fh, [cells], matio.CELL_HEADER)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -5,14 +5,14 @@ feature/weight draws with `mdp_trials` random chains and records each
 trial's best / TD / BR errors and both spectral-radius bounds as a row of
 one record array (`TRIAL_DTYPE`), in (gamma, n, k, phi_trial, mdp_trial)
 order. A (gamma, n) column, the cells k = 1..n, is the unit of work:
-`run_column` draws the column's chains once, forms their L and v once
-(`kernels.chain_terms`), and fills each cell's rows from one
-`kernels.cell_stats` call on that cell's (Phi, xi) pairs; `sweep_columns`
-yields the columns in order, so each can be aggregated and written as it
-arrives. Seeds are derived from the master seed and the draw's labels
-(the chain's from gamma, n and mdp_trial, the features' and weights'
-from gamma, n, k and phi_trial), so any worker layout produces the same
-records.
+`run_column` draws the column's chains as one stack and forms their L and
+v once, then fills each cell's rows from one `kernels.cell_stats` call on
+the cell's stacks of bases and weights, each drawn by one call;
+`sweep_columns` yields the columns in order, so each can be aggregated and
+written as it arrives. Seeds are derived from the master seed and the
+draw's labels (the chain's from gamma, n and mdp_trial, the features' and
+weights' from gamma, n, k and phi_trial), so any worker layout produces
+the same records.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from . import kernels
 from .instances import SeedSpec, random_chain, random_features, random_weights
+from .mdp import exact_value, l_matrix
 
 # a record is degenerate (exactly-representable value, errors pure numerical
 # noise) below either cutoff; the relative one matters at discounts near 1,
@@ -79,27 +80,25 @@ class SweepConfig:
 def run_column(config: SweepConfig, gamma_index: int, n: int) -> np.recarray:
     """Every trial of one (gamma, n) column, in (k, phi_trial, mdp_trial) order.
 
-    Chains are seeded without k, so the column draws its chains and forms
-    their L and v once; each cell's (Phi, xi) pairs are drawn just before
-    its kernel call, so only one cell's bases are alive at a time.
+    Chains are seeded without k, so the column draws its chains as one
+    stack and forms their L and v once; each cell's (Phi, xi) pairs are
+    drawn as two stacks just before its kernel call, so only one cell's
+    bases are alive at a time.
     """
     root = SeedSpec(config.master_seed)
     gamma = config.gammas[gamma_index]
-    chains = [random_chain(n, gamma, root.derive(_ROLE_MDP, gamma_index, n, mt))
-              for mt in range(config.mdp_trials)]
-    r = np.stack([c.rewards for c in chains])
-    L, v = kernels.chain_terms(np.stack([c.transitions for c in chains]), r, gamma)
-    pts = range(config.feature_trials)
+    chains = random_chain(n, gamma, root.derive(_ROLE_MDP, gamma_index, n),
+                          count=config.mdp_trials)
+    L, r, v = l_matrix(chains), chains.rewards, exact_value(chains)
     cell_size = config.feature_trials * config.mdp_trials
     out = np.recarray(n * cell_size, dtype=TRIAL_DTYPE)
     out.gamma, out.n = gamma, n
     out.phi_trial, out.mdp_trial = np.divmod(np.arange(len(out)) % cell_size, config.mdp_trials)
     for k in range(1, n + 1):
-        phi = np.stack([random_features(n, k, root.derive(_ROLE_FEATURES, gamma_index, n, k, p))
-                        .matrix for p in pts])
-        xi = np.stack([random_weights(n, root.derive(_ROLE_WEIGHTS, gamma_index, n, k, p))
-                       .weights for p in pts])
-        stats = kernels.cell_stats(L, r, v, phi, xi)
+        labels, count = (gamma_index, n, k), config.feature_trials
+        phi = random_features(n, k, root.derive(_ROLE_FEATURES, *labels), count=count)
+        xi = random_weights(n, root.derive(_ROLE_WEIGHTS, *labels), count=count)
+        stats = kernels.cell_stats(L, r, v, phi.matrix, xi.weights)
         rows = out[(k - 1) * cell_size:k * cell_size]
         rows.k = k
         for field, column in zip(TRIAL_DTYPE.names[5:], stats.T):

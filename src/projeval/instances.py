@@ -2,7 +2,8 @@
 
 The two analytic fixtures carry closed-form reference weights; the random
 generators (chains, features, weights) are pure functions of a SeedSpec, so
-any trial of a sweep can be regenerated bit-identically in isolation.
+any trial of a sweep can be regenerated bit-identically in isolation: member
+p of a stack, checked at once, is the single draw from seed.derive(p).
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import Mdp, make_mdp
-from .projections import FeatureBasis, StateWeights, make_feature_basis, make_state_weights
+from .projections import (FeatureBasis, MemberCheckError, StateWeights, make_feature_basis,
+                          make_state_weights)
 
 _RESAMPLE_LIMIT = 100
 _WEIGHT_FLOOR = 1e-3
@@ -52,6 +54,10 @@ class SeedSpec:
 
     def derive(self, *labels: int) -> "SeedSpec":
         return SeedSpec(self.master_seed, self.labels + tuple(labels))
+
+    def rngs(self, count: int | None) -> list[np.random.Generator]:
+        """[rng()] for a single draw; for a stack of `count`, member p's is derive(p).rng()."""
+        return [self.rng()] if count is None else [self.derive(p).rng() for p in range(count)]
 
 
 def example1(gamma: float, theta: float) -> Instance:
@@ -100,15 +106,14 @@ def block_triangular(k: int, l: int, seed: SeedSpec, gamma: float = 0.9) -> Inst
     mdp = make_mdp(P, r, gamma)
 
     s2_dim = max(1, l - 1)
+    phi_mat = np.zeros((n, k + s2_dim))
+    phi_mat[:k, :k] = np.eye(k)
     for _ in range(_RESAMPLE_LIMIT):
-        s2 = rng.uniform(-1.0, 1.0, size=(l, s2_dim))
-        phi_mat = np.zeros((n, k + s2_dim))
-        phi_mat[:k, :k] = np.eye(k)
-        phi_mat[k:, k:] = s2
+        phi_mat[k:, k:] = rng.uniform(-1.0, 1.0, size=(l, s2_dim))
         try:
             phi = make_feature_basis(phi_mat)
             break
-        except ValueError:
+        except MemberCheckError:
             continue
     else:
         raise RuntimeError("could not draw an independent second-block basis")
@@ -116,44 +121,49 @@ def block_triangular(k: int, l: int, seed: SeedSpec, gamma: float = 0.9) -> Inst
     return Instance(mdp, phi, xi)
 
 
-def random_chain(n: int, gamma: float, seed: SeedSpec) -> Mdp:
+def random_chain(n: int, gamma: float, seed: SeedSpec, count: int | None = None) -> Mdp:
     """Random forward chain: state i advances with probability p_i, else stays.
 
     The last state is absorbing; p_i are uniform on (0,1) and rewards uniform
-    on [-1,1].
+    on [-1,1]. With a count, one Mdp holding a stack of `count` chains.
     """
     if n < 2:
         raise ValueError("chain needs at least 2 states")
-    rng = seed.rng()
-    p = rng.uniform(size=n - 1)
-    P = np.zeros((n, n))
+    rngs, stack = seed.rngs(count), count is not None
+    p = np.array([rng.uniform(size=n - 1) for rng in rngs])
+    r = np.array([rng.uniform(-1.0, 1.0, size=n) for rng in rngs])
+    P = np.zeros((len(rngs), n, n))
     idx = np.arange(n - 1)
-    P[idx, idx + 1] = p
-    P[idx, idx] = 1.0 - p
-    P[n - 1, n - 1] = 1.0
-    r = rng.uniform(-1.0, 1.0, size=n)
-    return make_mdp(P, r, gamma)
+    P[:, idx, idx + 1] = p
+    P[:, idx, idx] = 1.0 - p
+    P[:, n - 1, n - 1] = 1.0
+    return make_mdp(P if stack else P[0], r if stack else r[0], gamma, stack=stack)
 
 
-def random_features(n: int, k: int, seed: SeedSpec) -> FeatureBasis:
-    """Random basis with entries uniform on [-1,1], resampled until independent."""
+def random_features(n: int, k: int, seed: SeedSpec, count: int | None = None) -> FeatureBasis:
+    """Random basis with entries uniform on [-1,1], resampled until independent;
+    with a count, a stack of `count` bases in which only the failing ones are redrawn."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    rng = seed.rng()
+    rngs, stack = seed.rngs(count), count is not None
+    phi = np.array([rng.uniform(-1.0, 1.0, size=(n, k)) for rng in rngs])
     for _ in range(_RESAMPLE_LIMIT):
         try:
-            return make_feature_basis(rng.uniform(-1.0, 1.0, size=(n, k)))
-        except ValueError:
-            continue
+            return make_feature_basis(phi if stack else phi[0], stack=stack)
+        except MemberCheckError as exc:
+            for p in exc.members:
+                phi[p] = rngs[p].uniform(-1.0, 1.0, size=(n, k))
     raise RuntimeError(f"could not draw an independent {n}x{k} basis")
 
 
-def random_weights(n: int, seed: SeedSpec) -> StateWeights:
-    """Random strictly positive distribution: uniform on [floor, 1], normalized."""
+def random_weights(n: int, seed: SeedSpec, count: int | None = None) -> StateWeights:
+    """Random strictly positive distribution: uniform on [floor, 1], normalized;
+    with a count, a stack of `count` of them."""
     if n < 1:
         raise ValueError("need n >= 1")
-    rng = seed.rng()
-    return make_state_weights(rng.uniform(_WEIGHT_FLOOR, 1.0, size=n))
+    rngs, stack = seed.rngs(count), count is not None
+    xi = np.array([rng.uniform(_WEIGHT_FLOOR, 1.0, size=n) for rng in rngs])
+    return make_state_weights(xi if stack else xi[0], stack=stack)
 
 
 def ergodic_chain(n: int, gamma: float, seed: SeedSpec) -> Mdp:

@@ -2,10 +2,10 @@
 
 A sweep cell crosses F bases (Phi, xi) with M chains (P, r). Each term is
 computed once per the inputs it depends on: the chain terms L = I - gamma P
-and v = L^-1 r once per chain (`chain_terms`, once per (gamma, n) column of
-the sweep), the basis terms Xi Phi, A = Phi' Xi Phi and A^1/2 once per
-basis, and only the pair terms (L Phi, the TD and BR systems, the errors,
-C and the bounds) once per trial. Chains enter `cell_stats` as (1, M, ...)
+and v = L^-1 r once per chain (`mdp.l_matrix` and `mdp.exact_value` of a
+(gamma, n) column's stack of chains), the basis terms Xi Phi, A = Phi' Xi
+Phi and A^1/2 once per basis, and only the pair terms (L Phi, the TD and
+BR systems, the errors, C and the bounds) once per trial. Chains enter `cell_stats` as (1, M, ...)
 stacks and bases as (F, 1, ...) stacks, so numpy's stacked calls broadcast
 them into the (F, M) trial grid; each trial's matrices are the ones a
 stack of one would see, so a row equals, bit for bit, the same instance
@@ -44,17 +44,11 @@ def _direction(L, r, v, phi, xi, a_half, m, x):
             amplification_bound(a_half, np.linalg.inv(m), c_matrix(L, x, xi)))
 
 
-def chain_terms(P, r, gamma):
-    """L = I - gamma P and v = L^-1 r of M chains: P is (M, n, n), r is (M, n)."""
-    L = np.eye(P.shape[-1]) - gamma * P
-    return L, np.linalg.solve(L, r[..., None])[..., 0]
-
-
 def cell_stats(L, r, v, phi, xi):
     """Errors and bounds of every pair of F bases with M chains.
 
-    L is (M, n, n) and r and v are (M, n), as from `chain_terms`; phi is
-    (F, n, k) and xi is (F, n). Returns an (F*M, 8) array in (basis, chain)
+    L is (M, n, n) and r and v are (M, n), a stack of chains' L, r and v;
+    phi is (F, n, k) and xi is (F, n). Returns an (F*M, 8) array in (basis, chain)
     order whose rows are (e, e_td, e_br, b_td, b_br, singular flag, ||v||_xi,
     cond_td); e_td and b_td are NaN where the TD system is singular.
     """

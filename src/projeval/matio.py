@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Iterable
+from typing import TextIO
 
 import numpy as np
 
@@ -98,27 +99,25 @@ def write_matrix(path: str, matrix: np.ndarray) -> None:
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def write_csv(path: str, blocks: Iterable[np.ndarray], fields: list[str]) -> None:
-    """Write the named fields of each record array of `blocks` in turn,
-    _CSV_CHUNK_ROWS rows at a time through one format line; lines end in the
-    csv module's \\r\\n. The file is opened before the first block is drawn."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(fields) + "\r\n")
-        for rows in blocks:
-            line = ",".join("{:.12g}" if rows.dtype[f].kind == "f" else "{:d}"
-                            for f in fields) + "\r\n"
-            for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-                chunk = rows[start:start + _CSV_CHUNK_ROWS]
-                fh.writelines(line.format(*row)
-                              for row in zip(*(chunk[f].tolist() for f in fields)))
+def write_csv(fh: TextIO, blocks: Iterable[np.ndarray], fields: list[str]) -> None:
+    """Write a header, then the named fields of each record array of `blocks`, to `fh` opened
+    with newline="" (lines end in \\r\\n), _CSV_CHUNK_ROWS rows at a time, one %-format line."""
+    fh.write(",".join(fields) + "\r\n")
+    for rows in blocks:
+        line = ",".join("%.12g" if rows.dtype[f].kind == "f" else "%d" for f in fields) + "\r\n"
+        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+            chunk = rows[start:start + _CSV_CHUNK_ROWS]
+            fh.writelines(line % row for row in zip(*(chunk[f].tolist() for f in fields)))
 
 
 def write_trial_csv(path: str, records: np.ndarray) -> None:
-    write_csv(path, [records], TRIAL_HEADER)
+    with open(path, "w", newline="") as fh:
+        write_csv(fh, [records], TRIAL_HEADER)
 
 
 def write_cell_csv(path: str, cells: np.ndarray) -> None:
-    write_csv(path, [cells], CELL_HEADER)
+    with open(path, "w", newline="") as fh:
+        write_csv(fh, [cells], CELL_HEADER)
 
 
 def read_cell_csv(path: str) -> np.recarray:

@@ -20,6 +20,7 @@ class Mdp:
 
     `make_mdp` makes P and r read-only, so L and the exact value are formed
     on first use and kept, read-only too: see `l_matrix` and `exact_value`.
+    A stack of M chains (`make_mdp(..., stack=True)`) holds M x n x n P and M x n r.
     """
 
     transitions: np.ndarray
@@ -28,7 +29,7 @@ class Mdp:
 
     @property
     def n_states(self) -> int:
-        return self.transitions.shape[0]
+        return self.transitions.shape[-1]
 
     @cached_property
     def _l(self) -> np.ndarray:
@@ -36,7 +37,7 @@ class Mdp:
 
     @cached_property
     def _v(self) -> np.ndarray:
-        return _read_only(checked_solve(self._l, self.rewards, "value"))
+        return _read_only(checked_solve(self._l, self.rewards[..., None], "value")[..., 0])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -44,51 +45,53 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def make_mdp(transitions, rewards, discount: float) -> Mdp:
-    """Build a validated Mdp, renormalizing rows that are within tolerance.
+def make_mdp(transitions, rewards, discount: float, stack: bool = False) -> Mdp:
+    """Build a validated Mdp, renormalizing rows that are within tolerance; with
+    `stack`, one Mdp of M x n x n transitions and M x n rewards, checked at once.
 
     Raises ValueError listing every violated invariant otherwise.
     """
     P = np.array(transitions, dtype=float)
-    r = np.array(rewards, dtype=float).ravel()
-    m = Mdp(P, r, float(discount))
-    problems = validate(m)
+    r = np.array(rewards, dtype=float)
+    m = Mdp(P, r if stack else r.ravel(), float(discount))
+    problems = validate(m, stack)
     if problems:
         raise ValueError("invalid MDP: " + "; ".join(problems))
     # file-parsed probabilities carry rounding noise; renormalize inside tolerance
-    row_sums = P.sum(axis=1, keepdims=True)
-    return Mdp(_read_only(P / row_sums), _read_only(r), float(discount))
+    return Mdp(_read_only(P / P.sum(axis=-1, keepdims=True)), _read_only(m.rewards), m.discount)
 
 
-def validate(mdp: Mdp) -> list[str]:
-    """Check all Mdp invariants; return a list of violations (empty means ok)."""
-    problems = []
+def validate(mdp: Mdp, stack: bool = False) -> list[str]:
+    """Check all Mdp invariants; return a list of violations (empty means ok).
+    With `stack`, all chains are checked at once and a violation names its first chain."""
+
+    def of(chain):  # where in a stack
+        return f" of chain {chain[0]}" if chain else ""
+
     P, r, gamma = mdp.transitions, mdp.rewards, mdp.discount
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        problems.append(f"transition matrix is {P.shape}, expected square")
-        return problems
-    n = P.shape[0]
-    if n == 0:
-        problems.append("transition matrix has no states")
-        return problems
-    if r.shape != (n,):
-        problems.append(f"rewards has length {r.size}, expected {n}")
+    if P.ndim != 2 + stack or P.shape[-1] != P.shape[-2]:
+        return [f"transition matrix is {P.shape}, expected square{' stack' * stack}"]
+    if P.shape[-1] == 0:
+        return ["transition matrix has no states"]
+    problems = []
+    if r.shape != P.shape[:-1]:
+        problems.append(f"rewards has length {r.size}, expected {P[..., 0].size}")
     elif not np.all(np.isfinite(r)):
-        problems.append(f"non-finite reward at {np.flatnonzero(~np.isfinite(r))[0]}")
+        *chain, i = np.argwhere(~np.isfinite(r))[0]
+        problems.append(f"non-finite reward at {i}{of(chain)}")
     if not (0.0 < gamma < 1.0):
         problems.append("discount not in (0,1)")
     if not np.all(np.isfinite(P)):
-        i, j = np.argwhere(~np.isfinite(P))[0]
-        problems.append(f"non-finite probability at ({i},{j}): {P[i, j]}")
+        *chain, i, j = np.argwhere(~np.isfinite(P))[0]
+        problems.append(f"non-finite probability at ({i},{j}){of(chain)}: {P[(*chain, i, j)]}")
         return problems
     if np.any(P < 0.0) or np.any(P > 1.0):
-        i, j = np.unravel_index(np.argmin(P) if P.min() < 0 else np.argmax(P), P.shape)
-        problems.append(f"probability out of [0,1] at ({i},{j}): {P[i, j]}")
+        *chain, i, j = np.argwhere((P < 0.0) | (P > 1.0))[0]
+        problems.append(f"probability out of [0,1] at ({i},{j}){of(chain)}: {P[(*chain, i, j)]}")
     with np.errstate(over="ignore"):  # entries far above 1 may overflow; reported below
-        row_sums = P.sum(axis=1)
-    bad = np.nonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)[0]
-    for i in bad:
-        problems.append(f"row {i} sums to {row_sums[i]!r}")
+        row_sums = P.sum(axis=-1)
+    for *chain, i in np.argwhere(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
+        problems.append(f"row {i}{of(chain)} sums to {float(row_sums[(*chain, i)])!r}")
     return problems
 
 

@@ -23,67 +23,80 @@ SINGULAR_CONDITION_LIMIT = 1e12
 INDEPENDENCE_SV_RATIO = 1e-10
 
 
+class MemberCheckError(ValueError):
+    """A failed check of a constructor; `members` indexes each failing member of a stack."""
+
+    def __init__(self, message: str, members: np.ndarray):
+        super().__init__(message)
+        self.members = members
+
+
+def _require(ok: np.ndarray, message: str, *values: np.ndarray) -> None:
+    """A MemberCheckError unless all of `ok` holds; `message` is formatted with the first
+    failing member's name (" i" in a stack, "" alone) and its entries of `values`."""
+    if not np.all(ok):
+        bad = np.flatnonzero(~ok)
+        raise MemberCheckError(message.format(f" {bad[0]}" if ok.ndim else "",
+                                              *(v.reshape(-1)[bad[0]] for v in values)), bad)
+
+
 @dataclass(frozen=True)
 class FeatureBasis:
-    """N x m feature matrix with linearly independent columns."""
+    """N x m feature matrix with linearly independent columns, or an F x N x m stack."""
 
     matrix: np.ndarray
 
     @property
     def n_states(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[1]
+        return self.matrix.shape[-1]
 
 
-def make_feature_basis(matrix) -> FeatureBasis:
+def make_feature_basis(matrix, stack: bool = False) -> FeatureBasis:
+    """A basis from an N x m matrix, or with `stack` an F x N x m stack checked at once."""
     phi = np.array(matrix, dtype=float)
-    if phi.ndim == 1:
+    if phi.ndim == 1 and not stack:
         phi = phi[:, None]
-    if phi.ndim != 2:
-        raise ValueError(f"feature matrix has shape {phi.shape}, expected N x m")
-    n, m = phi.shape
+    if phi.ndim != 2 + stack:
+        raise ValueError(f"feature matrix has shape {phi.shape}, expected {'F x ' * stack}N x m")
+    n, m = phi.shape[-2:]
     if not 1 <= m <= n:
         raise ValueError(f"feature matrix is {n}x{m}, need 1 <= m <= N")
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("feature matrix has non-finite entries")
+    _require(np.isfinite(phi).all(axis=(-2, -1)), "feature matrix{0} has non-finite entries")
     s = np.linalg.svd(phi, compute_uv=False)
-    if s[-1] <= INDEPENDENCE_SV_RATIO * s[0]:
-        raise ValueError(
-            f"feature columns are not linearly independent "
-            f"(singular values {s[-1]:.3e} and {s[0]:.3e})")
+    _require(s[..., -1] > INDEPENDENCE_SV_RATIO * s[..., 0],
+             "feature columns{0} are not linearly independent "
+             "(singular values {1:.3e} and {2:.3e})", s[..., -1], s[..., 0])
     phi.flags.writeable = False
     return FeatureBasis(phi)
 
 
 @dataclass(frozen=True)
 class StateWeights:
-    """Strictly positive distribution over states, inducing the weighted norm."""
+    """Strictly positive distribution over states, inducing the weighted norm (or F x N stack)."""
 
     weights: np.ndarray
 
     @property
     def n_states(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-1]
 
 
-def make_state_weights(weights) -> StateWeights:
+def make_state_weights(weights, stack: bool = False) -> StateWeights:
     xi = np.array(weights, dtype=float)
-    if xi.ndim != 1:
-        raise ValueError(f"state weights must be a vector, got shape {xi.shape}")
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("state weights must be finite")
-    if np.any(xi <= 0.0):
-        raise ValueError("state weights must be strictly positive")
+    if xi.ndim != 1 + stack:
+        raise ValueError(f"state weights must be a vector{' stack' * stack}, got shape {xi.shape}")
+    _require(np.isfinite(xi).all(axis=-1), "state weights{0} must be finite")
+    _require((xi > 0.0).all(axis=-1), "state weights{0} must be strictly positive")
     with np.errstate(over="ignore"):  # an overflowing sum is rejected just below
-        total = xi.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise ValueError("state weights must have a positive finite sum")
-    xi = xi / total
-    if np.any(xi <= 0.0):
-        raise ValueError("state weights span too wide a range: some are zero once normalized")
+        total = xi.sum(axis=-1)
+    _require(np.isfinite(total) & (total > 0), "state weights{0} must have a positive finite sum")
+    xi = xi / total[..., None]
+    _require((xi > 0.0).all(axis=-1),
+             "state weights{0} span too wide a range: some are zero once normalized")
     xi.flags.writeable = False
     return StateWeights(xi)
 

@@ -3,8 +3,8 @@
 Coefficient maps of (oblique) projections as explicit m x N matrices, the
 projector norm computed from them through small m x m products, a full-size
 singular-value oracle for induced xi-operator norms, the matrix-free L
-and L' products, a record-by-record loop over a sweep's cells, and a
-token-by-token matrix file reader. The
+and L' products, a record-by-record loop over a sweep's cells, a
+token-by-token matrix file reader and a `str.format` CSV writer. The
 package itself needs none of these; they exist to cross-check its
 solvers, bounds and statistics by an independent route.
 """
@@ -185,3 +185,13 @@ def parse_matrix_loop(path: str) -> np.ndarray:
     if not rows:
         raise MatrixParseError(path, 0, "file contains no matrix rows")
     return np.array(rows, dtype=float)
+
+
+def write_csv_format(fh, blocks, fields) -> None:
+    """The sweep CSV writer that `matio.write_csv` replaced: each row through
+    one `str.format` line of "{:.12g}" and "{:d}" fields."""
+    fh.write(",".join(fields) + "\r\n")
+    for rows in blocks:
+        line = ",".join("{:.12g}" if rows.dtype[f].kind == "f" else "{:d}"
+                        for f in fields) + "\r\n"
+        fh.writelines(line.format(*row) for row in zip(*(rows[f].tolist() for f in fields)))

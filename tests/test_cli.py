@@ -351,6 +351,23 @@ class TestSweepCommand:
         assert "Traceback" not in captured.err and captured.out == ""
         assert calls == []
 
+    def test_unwritable_cells_fails_before_computing(self, monkeypatch, tmp_path, capsys):
+        calls = []
+
+        def counted(*args, _run=harness.run_column):
+            calls.append(args[1:])
+            return _run(*args)
+
+        monkeypatch.setattr(harness, "run_column", counted)
+        out = tmp_path / "out"
+        (out / "cells.csv").mkdir(parents=True)
+        assert main(["sweep", "--gammas", "0.9", "--n-max", "3", "--trials", "2",
+                     "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert calls == []
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--gammas", "", "gammas must be nonempty and distinct"),
         ("--gammas", "0.9 0.9", "gammas must be nonempty and distinct"),

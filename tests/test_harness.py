@@ -147,18 +147,31 @@ class TestSweep:
         assert_records_equal(sweep(config, workers=2), sweep(config))
 
     def test_chains_drawn_once_per_column(self, monkeypatch):
-        calls = Counter()
-        for name in ("random_chain", "random_features", "random_weights"):
-            def counted(*args, _draw=getattr(harness, name), _name=name):
-                calls[_name] += 1
-                return _draw(*args)
-            monkeypatch.setattr(harness, name, counted)
+        # every generator the sweep seeds, counted by its labels: one per chain
+        # of a column and one per basis and weight vector of a cell, redraws included
+        drawn = Counter()
+
+        def counted(seed, _rng=SeedSpec.rng):
+            drawn[seed.labels] += 1
+            return _rng(seed)
+
+        monkeypatch.setattr(SeedSpec, "rng", counted)
         records = sweep(SMALL)
-        n_columns = len({(r.gamma, r.n) for r in records})
-        n_cells = len({(r.gamma, r.n, r.k) for r in records})
-        assert calls == {"random_chain": n_columns * SMALL.mdp_trials,
-                         "random_features": n_cells * SMALL.feature_trials,
-                         "random_weights": n_cells * SMALL.feature_trials}
+        expected = Counter()
+        for r in records:
+            gamma_index = SMALL.gammas.index(r.gamma)
+            expected[0, gamma_index, r.n, r.mdp_trial] = 1
+            expected[1, gamma_index, r.n, r.k, r.phi_trial] = 1
+            expected[2, gamma_index, r.n, r.k, r.phi_trial] = 1
+        assert drawn == expected
+
+    def test_default_trial_counts_pinned(self, tmp_path):
+        # one default-grid column, 20x20 trials a cell: gamma 0.99, n = 12
+        records = run_column(SweepConfig(), 2, 12)
+        assert len(records) == 4800
+        matio.write_trial_csv(tmp_path / "trials.csv", records)
+        assert hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest() == \
+            "a3ad9f164de794983290f2796a66004fd8fa47f82f162dc9fde7ae31a48382b0"
 
     @pytest.mark.parametrize("name", sorted(CSV_DIGESTS))
     def test_csv_bytes_pinned(self, name, tmp_path):

@@ -9,6 +9,7 @@ from projeval import (
     validate,
     weighted_norm,
 )
+from projeval import instances, projections
 from projeval.instances import (
     SeedSpec,
     block_triangular,
@@ -199,3 +200,85 @@ class TestSeedSpec:
         a = SeedSpec(9, (1, 2, 3)).rng().uniform(size=8)
         b = SeedSpec(9, (1, 2, 3)).rng().uniform(size=8)
         assert np.array_equal(a, b)
+
+
+STACK_SEED = SeedSpec(17, (1, 0, 6, 3))
+
+
+def first_draws(n, k, seed, count):
+    """Each member's first basis draw, before any redraw."""
+    return np.array([seed.derive(p).rng().uniform(-1.0, 1.0, size=(n, k))
+                     for p in range(count)])
+
+
+def draws_needed(n, k, seed, ratio):
+    """How many draws the single draw from seed makes to pass the independence
+    test at `ratio`, counted by a plain loop."""
+    rng = seed.rng()
+    for draws in range(1, 10_000):
+        s = np.linalg.svd(rng.uniform(-1.0, 1.0, size=(n, k)), compute_uv=False)
+        if s[-1] > ratio * s[0]:
+            return draws
+    raise AssertionError("no independent draw")
+
+
+class TestStackedDraws:
+    """A stacked draw is the stack of the single draws from seed.derive(p)."""
+
+    @pytest.mark.parametrize("n, count", [(2, 1), (5, 4), (9, 20)])
+    def test_chains_equal_single_draws(self, n, count):
+        stack = random_chain(n, 0.95, STACK_SEED, count=count)
+        singles = [random_chain(n, 0.95, STACK_SEED.derive(p)) for p in range(count)]
+        assert stack.transitions.shape == (count, n, n) and stack.n_states == n
+        np.testing.assert_array_equal(stack.transitions,
+                                      np.stack([c.transitions for c in singles]), strict=True)
+        np.testing.assert_array_equal(stack.rewards, np.stack([c.rewards for c in singles]),
+                                      strict=True)
+        assert validate(stack, stack=True) == []
+        assert not stack.transitions.flags.writeable
+
+    @pytest.mark.parametrize("n, count", [(1, 3), (6, 1), (9, 20)])
+    def test_weights_equal_single_draws(self, n, count):
+        stack = random_weights(n, STACK_SEED, count=count).weights
+        singles = [random_weights(n, STACK_SEED.derive(p)).weights for p in range(count)]
+        np.testing.assert_array_equal(stack, np.stack(singles), strict=True)
+        assert not stack.flags.writeable
+
+    @pytest.mark.parametrize("n, k, count", [(1, 1, 2), (6, 3, 1), (8, 8, 20)])
+    def test_features_equal_single_draws(self, n, k, count):
+        stack = random_features(n, k, STACK_SEED, count=count)
+        singles = [random_features(n, k, STACK_SEED.derive(p)).matrix for p in range(count)]
+        assert (stack.n_states, stack.dim) == (n, k)
+        np.testing.assert_array_equal(stack.matrix, np.stack(singles), strict=True)
+
+    def test_some_bases_redrawn(self, monkeypatch):
+        # about a third of the 5x3 draws fail this test: members need 1 to 6 draws
+        monkeypatch.setattr(projections, "INDEPENDENCE_SV_RATIO", 0.4)
+        n, k, count = 5, 3, 12
+        stack = random_features(n, k, STACK_SEED, count=count).matrix
+        singles = [random_features(n, k, STACK_SEED.derive(p)).matrix for p in range(count)]
+        np.testing.assert_array_equal(stack, np.stack(singles), strict=True)
+        kept = np.all(stack == first_draws(n, k, STACK_SEED, count), axis=(1, 2))
+        needed = [draws_needed(n, k, STACK_SEED.derive(p), 0.4) for p in range(count)]
+        np.testing.assert_array_equal(kept, np.equal(needed, 1))
+        assert 0 < kept.sum() < count and max(needed) > 2
+
+    def test_resample_limit(self, monkeypatch):
+        # the stack returns when its slowest member passes on its last allowed draw
+        monkeypatch.setattr(projections, "INDEPENDENCE_SV_RATIO", 0.4)
+        n, k, count = 5, 3, 12
+        needed = max(draws_needed(n, k, STACK_SEED.derive(p), 0.4) for p in range(count))
+        monkeypatch.setattr(instances, "_RESAMPLE_LIMIT", needed)
+        expected = random_features(n, k, STACK_SEED, count=count).matrix
+        monkeypatch.setattr(instances, "_RESAMPLE_LIMIT", needed - 1)
+        with pytest.raises(RuntimeError, match="could not draw an independent 5x3 basis"):
+            random_features(n, k, STACK_SEED, count=count)
+        monkeypatch.setattr(instances, "_RESAMPLE_LIMIT", 100)
+        np.testing.assert_array_equal(random_features(n, k, STACK_SEED, count=count).matrix,
+                                      expected, strict=True)
+
+    @pytest.mark.parametrize("count", [None, 1, 4])
+    def test_basis_that_always_fails_raises(self, monkeypatch, count):
+        monkeypatch.setattr(projections, "INDEPENDENCE_SV_RATIO", 1.0)
+        with pytest.raises(RuntimeError, match="could not draw an independent 4x2 basis"):
+            random_features(4, 2, STACK_SEED, count=count)

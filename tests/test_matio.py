@@ -11,11 +11,13 @@ empty (lines of commas only) is an error instead of an N x 0 array.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from projeval.matio import MatrixParseError, parse_matrix
+from projeval import harness
+from projeval.matio import CELL_HEADER, TRIAL_HEADER, MatrixParseError, parse_matrix, write_csv
 
-from oracles import parse_matrix_loop
+from oracles import parse_matrix_loop, write_csv_format
 
 NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.17g}"),
@@ -106,3 +108,30 @@ def test_reader_matches_token_loop(tmp_path_factory, files):
         else:
             assert str(got) == message
 
+
+
+EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e17, 0.1, 1.0 / 3.0,
+               -2.5e-7, 123456789012.5, 1e300, np.finfo(float).max]
+EDGE_INTS = [0, 1, -1, np.iinfo(np.int32).max, np.iinfo(np.int32).min]
+
+
+@pytest.mark.parametrize("dtype, header", [(harness.TRIAL_DTYPE, TRIAL_HEADER),
+                                           (harness.CELL_DTYPE, CELL_HEADER)])
+def test_csv_writer_matches_format_oracle(dtype, header, tmp_path):
+    # every float and int field takes every edge value, and both bool flags occur
+    size = len(EDGE_FLOATS) * len(EDGE_INTS)
+    rows = np.zeros(size, dtype=dtype)
+    for i, f in enumerate(dtype.names):
+        values = EDGE_FLOATS if dtype[f].kind == "f" else EDGE_INTS
+        if dtype[f].kind == "b":
+            values = [False, True]
+        rows[f] = np.roll(np.resize(np.array(values, dtype=dtype[f]), size), i)
+    blocks = [rows[:7], rows[7:], rows[:0]]
+    for write, name in ((write_csv, "got.csv"), (write_csv_format, "expected.csv")):
+        with open(tmp_path / name, "w", newline="") as fh:
+            write(fh, blocks, header)
+    expected = (tmp_path / "expected.csv").read_bytes()
+    assert (tmp_path / "got.csv").read_bytes() == expected
+    for token in (b"nan", b"-inf", b"-0,", b"4.94065645841e-324", b"1e+16", b"0.333333333333",
+                  b"2147483647", b"-2147483648"):
+        assert token in expected

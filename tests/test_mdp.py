@@ -58,6 +58,39 @@ class TestValidate:
         with pytest.raises(ValueError, match="row 0 sums"):
             make_mdp([[0.4, 0.5], [0.0, 1.0]], [0.0, 0.0], 0.9)
 
+    def test_stack_names_the_first_bad_chain(self):
+        P = np.tile(np.eye(3), (4, 1, 1))
+        r = np.zeros((4, 3))
+        P[2, 1] = [0.4, 0.5, 0.0]
+        P[3, 0] = [0.0, 0.9, 0.0]
+        r[1, 2] = r[3, 0] = np.nan
+        problems = validate(Mdp(P, r, 0.9), stack=True)
+        assert problems == ["non-finite reward at 2 of chain 1",
+                            "row 1 of chain 2 sums to 0.9", "row 0 of chain 3 sums to 0.9"]
+        P[3, 2, 2] = -1.0
+        assert "probability out of [0,1] at (2,2) of chain 3: -1.0" in validate(
+            Mdp(P, r, 0.9), stack=True)
+        with pytest.raises(ValueError, match="row 1 of chain 2 sums"):
+            make_mdp(P, np.zeros((4, 3)), 0.9, stack=True)
+
+    def test_stack_equals_its_members(self):
+        rng = np.random.default_rng(3)
+        P = rng.uniform(size=(5, 4, 4))
+        P /= P.sum(axis=-1, keepdims=True)
+        P[:, 0, 0] += 1e-13  # renormalized within tolerance
+        r = rng.uniform(-1.0, 1.0, (5, 4))
+        stack = make_mdp(P, r, 0.9, stack=True)
+        singles = [make_mdp(p, q, 0.9) for p, q in zip(P, r)]
+        np.testing.assert_array_equal(stack.transitions, [m.transitions for m in singles],
+                                      strict=True)
+        np.testing.assert_array_equal(exact_value(stack), [exact_value(m) for m in singles],
+                                      strict=True)
+        assert stack.n_states == 4
+
+    def test_single_chain_rejects_a_stack(self):
+        with pytest.raises(ValueError, match=r"transition matrix is \(1, 2, 2\), expected square"):
+            make_mdp(np.eye(2)[None], [0.0, 0.0], 0.9)
+
     def test_make_mdp_renormalizes_within_tolerance(self):
         eps = 5e-13
         m = make_mdp([[0.5 + eps, 0.5], [0.0, 1.0]], [0.0, 0.0], 0.9)

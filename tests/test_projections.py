@@ -9,6 +9,7 @@ from projeval import (
 )
 from projeval.instances import SeedSpec, ergodic_chain, example1
 from projeval.mdp import l_matrix, stationary_distribution
+from projeval.projections import MemberCheckError
 
 from conftest import random_instance
 from oracles import (
@@ -58,6 +59,38 @@ class TestConstructors:
     def test_weights_normalized(self):
         xi = make_state_weights([2.0, 2.0])
         np.testing.assert_allclose(xi.weights, [0.5, 0.5])
+
+    def test_stack_failure_names_first_bad_member(self):
+        phi = np.tile(np.eye(3)[:, :2], (4, 1, 1))
+        phi[3, 0, 0] = phi[1, 2, 1] = np.nan
+        with pytest.raises(MemberCheckError, match="^feature matrix 1 has non-finite entries$"):
+            make_feature_basis(phi, stack=True)
+        phi[1, 2, 1] = phi[3, 0, 0] = 0.0
+        phi[2, :, 1] = phi[3, :, 1] = phi[2, :, 0]
+        with pytest.raises(MemberCheckError, match="^feature columns 2 are not linearly") as exc:
+            make_feature_basis(phi, stack=True)
+        assert exc.value.members.tolist() == [2, 3]
+        xi = np.ones((3, 2))
+        xi[2, 1] = xi[1, 0] = 0.0
+        with pytest.raises(MemberCheckError, match="^state weights 1 must be strictly positive$"):
+            make_state_weights(xi, stack=True)
+
+    def test_stack_equals_its_members(self):
+        rng = np.random.default_rng(5)
+        phi, xi = rng.uniform(-1.0, 1.0, (6, 5, 3)), rng.uniform(1e-3, 1.0, (6, 5))
+        np.testing.assert_array_equal(make_state_weights(xi, stack=True).weights,
+                                      [make_state_weights(w).weights for w in xi], strict=True)
+        stack = make_feature_basis(phi, stack=True)
+        assert (stack.n_states, stack.dim) == (5, 3) and not stack.matrix.flags.writeable
+        np.testing.assert_array_equal(stack.matrix, phi, strict=True)
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_stack_flag_sets_the_dimensions(self, stack):
+        with pytest.raises(ValueError, match="expected F x N x m" if stack else "expected N x m"):
+            make_feature_basis(np.ones((2, 3, 2) if not stack else (3, 2)), stack=stack)
+        message = "must be a vector stack" if stack else "must be a vector,"
+        with pytest.raises(ValueError, match=message):
+            make_state_weights(np.ones((2, 3) if not stack else 3), stack=stack)
 
 
 class TestWeightedNorm:
