@@ -52,11 +52,7 @@ class ErrorReport:
 
 @dataclass(frozen=True)
 class BoundReport:
-    direction_tag: str
-    a_matrix: np.ndarray
-    b_matrix: np.ndarray | None
-    c_matrix: np.ndarray
-    bound: float | None
+    bound: float | None         # None when singular
     condition_estimate: float   # of X' L Phi
     status: str  # "ok" | "singular"
 
@@ -126,16 +122,15 @@ def error_bound(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
     reported as a status, never as a sentinel number.
     """
     phi_mat = feature_matrix(phi, mdp.n_states)
+    xiphi = row_weighted(xi, phi_mat)  # checks xi's length, singular or not
     x = direction_matrix(x, phi)
     L = l_matrix(mdp)
-    a = phi_mat.T @ row_weighted(xi, phi_mat)
-    c = c_matrix(L, x, xi.weights)
     xlphi, cond, status = projected_system(x, L @ phi_mat)
     if status != "ok":
-        return BoundReport("oblique-X", a, None, c, None, cond, status)
-    b = np.linalg.inv(xlphi)
-    return BoundReport("oblique-X", a, b, c, amplification_bound(psd_sqrt(a), b, c),
-                       cond, status)
+        return BoundReport(None, cond, status)
+    a = phi_mat.T @ xiphi
+    bound = amplification_bound(psd_sqrt(a), np.linalg.inv(xlphi), c_matrix(L, x, xi.weights))
+    return BoundReport(bound, cond, status)
 
 
 def concentration_coefficient(mdp: Mdp, xi: StateWeights) -> float:

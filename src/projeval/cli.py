@@ -6,7 +6,10 @@ Subcommands:
   sweep     the random-chain benchmark sweep, emitting trial and cell CSVs
   heatmap   render one cell statistic as an SVG heatmap
 
-Exit codes: 0 success, 1 input/validation error, 2 numerical singularity.
+Exit codes: 0 success; 1 with an `error: <message>` line on stderr for any
+`ValueError` or `OSError`, usage errors included; 2 with a `singular:
+<message>` line for any numerically singular system, whether a singular
+status or an `ArithmeticError`. The commands raise; only `main` catches.
 """
 
 from __future__ import annotations
@@ -31,43 +34,30 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _singular(what: str, condition: float) -> int:
-    print(f"singular: {what} has condition estimate {condition:.6g}", file=sys.stderr)
-    return EXIT_SINGULAR
-
-
-def cmd_solve(args) -> int:
-    try:
-        P = matio.parse_matrix(args.transitions)
-        r = matio.parse_vector(args.rewards)
-        phi_mat = matio.parse_matrix(args.features)
-        xi_vec = matio.parse_vector(args.weights)
-        mdp = make_mdp(P, r, args.gamma)
-        phi = make_feature_basis(phi_mat)
-        xi = make_state_weights(xi_vec)
-        # the library checks the features', the weights' and the direction's sizes
-        if args.method == "best":
-            sol = solvers.solve_best(mdp, phi, xi)
-        elif args.method == "td":
-            sol = solvers.solve_td(mdp, phi, xi)
-        elif args.method == "br":
-            sol = solvers.solve_br(mdp, phi, xi)
-        else:
-            if args.direction is None:
-                raise ValueError("--direction is required for method oblique")
-            # only the report reads xi, and a singular solve skips the report
-            weight_column(xi, mdp.n_states)
-            sol = solvers.solve_oblique(mdp, phi, matio.parse_matrix(args.direction))
-        report = analysis.error_report(mdp, phi, xi, sol.weights) if sol.ok else None
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+def cmd_solve(args) -> None:
+    P = matio.parse_matrix(args.transitions)
+    r = matio.parse_vector(args.rewards)
+    phi_mat = matio.parse_matrix(args.features)
+    xi_vec = matio.parse_vector(args.weights)
+    mdp = make_mdp(P, r, args.gamma)
+    phi = make_feature_basis(phi_mat)
+    xi = make_state_weights(xi_vec)
+    # the library checks the features', the weights' and the direction's sizes
+    if args.method != "oblique":
+        sol = getattr(solvers, f"solve_{args.method}")(mdp, phi, xi)
+    elif args.direction is None:
+        raise ValueError("--direction is required for method oblique")
+    else:
+        # only the report reads xi, and a singular solve skips the report
+        weight_column(xi, mdp.n_states)
+        sol = solvers.solve_oblique(mdp, phi, matio.parse_matrix(args.direction))
     if not sol.ok:
-        return _singular(f"{sol.method} system", sol.condition_estimate)
+        raise ArithmeticError(f"{sol.method} system has condition estimate "
+                              f"{sol.condition_estimate:.6g}")
+    report = analysis.error_report(mdp, phi, xi, sol.weights)
     if not report.ok:
-        return _singular("Gram system of the error report's projection",
-                         report.condition_estimate)
+        raise ArithmeticError("Gram system of the error report's projection has "
+                              f"condition estimate {report.condition_estimate:.6g}")
 
     print(f"method: {sol.method}")
     print("w: " + " ".join(_fmt(x) for x in sol.weights))
@@ -77,63 +67,51 @@ def cmd_solve(args) -> int:
     print(f"br_residual: {_fmt(report.br_residual)}")
     print(f"adequacy: {_fmt(report.adequacy)}")
     print(f"condition_estimate: {_fmt(sol.condition_estimate)}")
-    return EXIT_OK
 
 
 def _parse_grid(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
-def cmd_example1(args) -> int:
-    try:
-        gammas = _parse_grid(args.gamma_grid)
-        thetas = _parse_grid(args.theta_grid)
-        if not gammas or not thetas:
-            raise ValueError("grids must be nonempty")
-        if any(not 0.0 < g < 1.0 for g in gammas):
-            raise ValueError("every gamma must be in (0,1)")
-        if not all(math.isfinite(t) for t in thetas):
-            raise ValueError("every theta must be finite")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_example1(args) -> None:
+    gammas = _parse_grid(args.gamma_grid)
+    thetas = _parse_grid(args.theta_grid)
+    if not gammas or not thetas:
+        raise ValueError("grids must be nonempty")
+    if not all(math.isfinite(t) for t in thetas):
+        raise ValueError("every theta must be finite")
 
-    try:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gamma", "theta", "ratio_td", "ratio_br"])
-            for gamma in gammas:
-                for theta in thetas:
-                    inst = instances.example1(gamma, theta)
-                    ref = inst.reference
-                    v = exact_value(inst.mdp)
+    rows = []  # all of them before the file is created, so an error leaves none
+    for gamma in gammas:
+        for theta in thetas:
+            inst = instances.example1(gamma, theta)
+            ref = inst.reference
+            v = exact_value(inst.mdp)
 
-                    def sq_err(w):
-                        return weighted_norm(v - inst.phi.matrix @ [w], inst.xi) ** 2
+            def sq_err(w):
+                return weighted_norm(v - inst.phi.matrix @ [w], inst.xi) ** 2
 
-                    def ratio(w):
-                        e_best = sq_err(ref.w_best)
-                        return _fmt(sq_err(w) / e_best if e_best > 0 else math.nan)
+            def ratio(w):
+                e_best = sq_err(ref.w_best)
+                return _fmt(sq_err(w) / e_best if e_best > 0 else math.nan)
 
-                    ratio_td = "singular" if ref.w_td is None else ratio(ref.w_td)
-                    writer.writerow([_fmt(gamma), _fmt(theta), ratio_td, ratio(ref.w_br)])
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    return EXIT_OK
+            ratio_td = "singular" if ref.w_td is None else ratio(ref.w_td)
+            rows.append([_fmt(gamma), _fmt(theta), ratio_td, ratio(ref.w_br)])
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["gamma", "theta", "ratio_td", "ratio_br"])
+        writer.writerows(rows)
 
 
-def cmd_sweep(args) -> int:
-    try:
-        gammas = tuple(_parse_grid(args.gammas))
-        config = SweepConfig(gammas=gammas, n_min=2, n_max=args.n_max,
-                             feature_trials=args.trials, mdp_trials=args.trials,
-                             master_seed=args.seed,
-                             singular_policy=args.singular_policy)
-        os.makedirs(args.out_dir, exist_ok=True)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_sweep(args) -> None:
+    gammas = tuple(_parse_grid(args.gammas))
+    config = SweepConfig(gammas=gammas, n_min=2, n_max=args.n_max,
+                         feature_trials=args.trials, mdp_trials=args.trials,
+                         master_seed=args.seed,
+                         singular_policy=args.singular_policy)
+    if args.workers < 1:
+        raise ValueError(f"--workers is {args.workers}, expected at least 1")
+    os.makedirs(args.out_dir, exist_ok=True)
 
     cell_blocks = []
 
@@ -144,15 +122,12 @@ def cmd_sweep(args) -> int:
                                          config.feature_trials * config.mdp_trials))
             yield records
 
-    try:  # both files are open before the first column runs
-        with open(os.path.join(args.out_dir, "trials.csv"), "w", newline="") as trials_fh, \
-                open(os.path.join(args.out_dir, "cells.csv"), "w", newline="") as cells_fh:
-            matio.write_csv(trials_fh, columns(), matio.TRIAL_HEADER)
-            cells = np.concatenate(cell_blocks)
-            matio.write_csv(cells_fh, [cells], matio.CELL_HEADER)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # both files are open before the first column runs
+    with open(os.path.join(args.out_dir, "trials.csv"), "w", newline="") as trials_fh, \
+            open(os.path.join(args.out_dir, "cells.csv"), "w", newline="") as cells_fh:
+        matio.write_csv(trials_fh, columns(), matio.TRIAL_HEADER)
+        cells = np.concatenate(cell_blocks)
+        matio.write_csv(cells_fh, [cells], matio.CELL_HEADER)
 
     for gamma in gammas:
         sub = cells[cells["gamma"] == gamma]
@@ -161,24 +136,24 @@ def cmd_sweep(args) -> int:
         mean_ratio = float(np.mean(ratios)) if ratios.size else float("nan")
         print(f"gamma={gamma:g}: cells={len(sub)} td_win_ratio={wins:.4f} "
               f"mean_td_over_br={mean_ratio:.4f}")
-    return EXIT_OK
 
 
-def cmd_heatmap(args) -> int:
-    try:
-        cells = matio.read_cell_csv(args.cells)
-        svg = heatmap.render_heatmap(cells, args.stat, args.gamma,
-                                     log_scale=args.log)
-        with open(args.out, "w") as fh:
-            fh.write(svg)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    return EXIT_OK
+def cmd_heatmap(args) -> None:
+    cells = matio.read_cell_csv(args.cells)
+    svg = heatmap.render_heatmap(cells, args.stat, args.gamma, log_scale=args.log)
+    with open(args.out, "w") as fh:
+        fh.write(svg)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are `ValueError`s, so that they exit 1."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="projeval",
         description="Linear policy evaluation by projection: TD(0), BR, oblique.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -221,8 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        args.func(args)
+    except ArithmeticError as exc:
+        print(f"singular: {exc}", file=sys.stderr)
+        return EXIT_SINGULAR
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

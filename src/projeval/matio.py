@@ -122,8 +122,8 @@ def write_cell_csv(path: str, cells: np.ndarray) -> None:
 
 def read_cell_csv(path: str) -> np.recarray:
     """Read a cells.csv back into a `CELL_DTYPE` record array, checking its
-    header, the width and values of every row, and that the rows form a
-    grid: each `(gamma, n, k)` once, `n >= 2`, `1 <= k <= n`, counts >= 0."""
+    header, each row's width and values, and that the rows form a grid: each
+    `(gamma, n, k)` once, `0 < gamma < 1`, `n >= 2`, `1 <= k <= n`, counts >= 0."""
     types = [CELL_DTYPE[f].type for f in CELL_HEADER]
     cells = []
     first_line = {}
@@ -151,6 +151,8 @@ def _grid_problem(cell: dict, first_line: dict, line_no: int) -> str | None:
     """Why a cells.csv row does not fit the grid, or None; `first_line` maps
     each `(gamma, n, k)` seen so far to its line."""
     gamma, n, k = cell["gamma"], cell["n"], cell["k"]
+    if not 0.0 < gamma < 1.0:
+        return f"gamma is {gamma}, expected in (0, 1)"
     if (gamma, n, k) in first_line:
         return (f"duplicate cell gamma={gamma} n={n} k={k}, "
                 f"first on line {first_line[gamma, n, k]}")

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against.
 
 Coefficient maps of (oblique) projections as explicit m x N matrices, the
-projector norm computed from them through small m x m products, a full-size
+projector norm computed from them through small m x m products, the
+matrices A, B and C of the amplification bound, a full-size
 singular-value oracle for induced xi-operator norms, the matrix-free L
 and L' products, a record-by-record loop over a sweep's cells, a
 token-by-token matrix file reader and a `str.format` CSV writer. The
@@ -59,6 +60,19 @@ def oblique_coefficient_map(phi: FeatureBasis, x: np.ndarray) -> CoefficientMap:
         raise ValueError(f"direction matrix is {x.shape}, expected {phi.matrix.shape}")
     return CoefficientMap(_coefficient_matrix(x, phi.matrix, "direction product X'Phi"),
                           "oblique-X")
+
+
+def bound_matrices(mdp, phi: FeatureBasis, xi: StateWeights,
+                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The m x m matrices of the amplification bound of direction X, each
+    formed from dense N x N matrices: A = Phi' Xi Phi, B = (X' L Phi)^-1 and
+    C = X' L Xi^-1 L' X."""
+    L = np.eye(mdp.n_states) - mdp.discount * mdp.transitions
+    Xi = np.diag(xi.weights)
+    a = phi.matrix.T @ Xi @ phi.matrix
+    b = np.linalg.inv(x.T @ L @ phi.matrix)
+    c = x.T @ L @ np.linalg.inv(Xi) @ L.T @ x
+    return a, b, c
 
 
 def spectral_radius(m_matrix: np.ndarray) -> float:

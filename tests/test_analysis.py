@@ -24,7 +24,8 @@ from projeval.instances import SeedSpec, ergodic_chain, example1
 from projeval.mdp import l_matrix, stationary_distribution
 
 from conftest import random_instance
-from oracles import SingularMatrixError, oblique_coefficient_map, operator_norm_oracle
+from oracles import (SingularMatrixError, bound_matrices, oblique_coefficient_map,
+                     operator_norm_oracle)
 
 
 class TestErrorReport:
@@ -80,20 +81,22 @@ class TestErrorReport:
 class TestErrorBound:
     def test_two_state_td_direction(self):
         inst = example1(0.5, 0.0)
-        rep = error_bound(inst.mdp, inst.phi, inst.xi,
-                          td_direction(inst.mdp, inst.phi, inst.xi))
-        assert rep.a_matrix[0, 0] == pytest.approx(2.5)
-        assert rep.b_matrix[0, 0] == pytest.approx(1.0)
-        assert rep.c_matrix[0, 0] == pytest.approx(0.625)
+        x = td_direction(inst.mdp, inst.phi, inst.xi)
+        a, b, c = bound_matrices(inst.mdp, inst.phi, inst.xi, x)
+        assert a[0, 0] == pytest.approx(2.5)
+        assert b[0, 0] == pytest.approx(1.0)
+        assert c[0, 0] == pytest.approx(0.625)
+        rep = error_bound(inst.mdp, inst.phi, inst.xi, x)
         assert rep.bound == pytest.approx(1.25, abs=1e-12)
 
     def test_two_state_br_direction(self):
         inst = example1(0.5, 0.0)
-        rep = error_bound(inst.mdp, inst.phi, inst.xi,
-                          br_direction(inst.mdp, inst.phi, inst.xi))
-        assert rep.a_matrix[0, 0] == pytest.approx(2.5)
-        assert rep.b_matrix[0, 0] == pytest.approx(2.0)
-        assert rep.c_matrix[0, 0] == pytest.approx(0.125)
+        x = br_direction(inst.mdp, inst.phi, inst.xi)
+        a, b, c = bound_matrices(inst.mdp, inst.phi, inst.xi, x)
+        assert a[0, 0] == pytest.approx(2.5)
+        assert b[0, 0] == pytest.approx(2.0)
+        assert c[0, 0] == pytest.approx(0.125)
+        rep = error_bound(inst.mdp, inst.phi, inst.xi, x)
         assert rep.bound == pytest.approx(np.sqrt(1.25), abs=1e-12)
 
     def test_optimal_direction_has_bound_one(self, rng):

@@ -52,6 +52,31 @@ def near_dependent_files(tmp_path, seed):
     return paths
 
 
+def random_files(tmp_path, seed, n=6, k=2):
+    """Files of a dense random instance with n states, k features and a
+    random n x k direction ("x")."""
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(size=(n, n))
+    paths = {}
+    for name, array in (("P", P / P.sum(axis=1, keepdims=True)),
+                        ("r", rng.uniform(-1.0, 1.0, n)),
+                        ("phi", rng.uniform(-1.0, 1.0, (n, k))),
+                        ("xi", rng.uniform(0.1, 1.0, n)),
+                        ("x", rng.uniform(-1.0, 1.0, (n, k)))):
+        paths[name] = str(tmp_path / f"{name}.txt")
+        np.savetxt(paths[name], array, fmt="%.17g")
+    return paths
+
+
+# 1 - 2**-53 passes the 0 < gamma < 1 check, but L = I - gamma P is
+# numerically singular, and L v = r fails its residual check
+NEXT_TO_ONE = 1.0 - 2.0 ** -53
+
+
+def assert_one_line(err, prefix):
+    assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+
+
 def run_solve(paths, gamma, method="td", extra=()):
     return main(["solve",
                  "--transitions", paths["P"], "--rewards", paths["r"],
@@ -129,18 +154,17 @@ class TestSolve:
         assert "row 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["td", "br", "best", "oblique"])
+    def test_discount_next_to_one_is_singular(self, tmp_path, capsys, method):
+        paths = random_files(tmp_path, 7)
+        assert run_solve(paths, NEXT_TO_ONE, method, ("--direction", paths["x"])) == 2
+        captured = capsys.readouterr()
+        assert_one_line(captured.err, "singular: value solve residual too large: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("method", ["td", "br", "best", "oblique"])
     def test_one_l_and_one_value_per_request(self, tmp_path, monkeypatch, capsys, method):
-        n, k = 6, 2
-        rng = np.random.default_rng(7)
-        P = rng.uniform(size=(n, n))
-        paths = {}
-        for name, array in (("P", P / P.sum(axis=1, keepdims=True)),
-                            ("r", rng.uniform(-1.0, 1.0, n)),
-                            ("phi", rng.uniform(-1.0, 1.0, (n, k))),
-                            ("xi", rng.uniform(0.1, 1.0, n)),
-                            ("x", rng.uniform(-1.0, 1.0, (n, k)))):
-            paths[name] = str(tmp_path / f"{name}.txt")
-            np.savetxt(paths[name], array, fmt="%.17g")
+        n = 6
+        paths = random_files(tmp_path, 7, n)
         formed, solved = [], []
         eye, solve = np.eye, np.linalg.solve
 
@@ -186,7 +210,7 @@ def solve_inputs(draw):
         a = arrays[non_finite]
         a.flat[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from([np.nan, np.inf]))
     method = draw(st.sampled_from(["td", "br", "best", "oblique"]))
-    gamma = draw(st.sampled_from([0.5, 0.9, 0.99]))
+    gamma = draw(st.sampled_from([0.5, 0.9, 0.99, NEXT_TO_ONE]))
     return arrays, method, gamma, {resized, non_finite} - {None}
 
 
@@ -195,8 +219,15 @@ NAN_DIRECTION = ({"P": np.array([[0.0, 1.0], [0.0, 1.0]]), "r": np.array([1.0, 0
                   "x": np.array([0.5, np.nan])}, "oblique", 0.5, {"x"})
 
 
+# valid files whose L is numerically singular at this discount
+DENSE_NEXT_TO_ONE = ({"P": np.array([[0.3, 0.7], [0.6, 0.4]]), "r": np.array([1.0, -1.0]),
+                      "phi": np.array([1.0, 2.0]), "xi": np.array([0.5, 0.5]),
+                      "x": np.array([0.5, 1.0])}, "td", NEXT_TO_ONE, set())
+
+
 @settings(max_examples=50, deadline=None)
 @example(NAN_DIRECTION)
+@example(DENSE_NEXT_TO_ONE)
 @given(solve_inputs())
 def test_solve_exit_code_property(inputs):
     # bad input exits 1 and a singular system exits 2; nothing may escape main
@@ -254,6 +285,13 @@ class TestExample1Command:
     def test_bad_gamma_rejected(self, tmp_path, capsys):
         assert main(["example1", "--gamma-grid", "1.5", "--theta-grid", "0",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    def test_discount_next_to_one_is_singular_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["example1", "--gamma-grid", f"0.5 {NEXT_TO_ONE!r}",
+                     "--theta-grid", "0.3", "--out", str(out)]) == 2
+        assert_one_line(capsys.readouterr().err, "singular: value solve residual too large: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("theta", ["nan", "inf", "0 -inf"])
     def test_non_finite_theta_rejected_before_writing(self, theta, tmp_path, capsys):
@@ -368,7 +406,16 @@ class TestSweepCommand:
         assert "Traceback" not in captured.err and captured.out == ""
         assert calls == []
 
+    def test_discount_next_to_one_is_singular(self, tmp_path, capsys):
+        assert main(["sweep", "--gammas", repr(NEXT_TO_ONE), "--n-max", "3",
+                     "--trials", "2", "--out-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert_one_line(captured.err, "singular: value solve residual too large: ")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag, value, message", [
+        ("--workers", "0", "--workers is 0, expected at least 1"),
+        ("--workers", "-4", "--workers is -4, expected at least 1"),
         ("--gammas", "", "gammas must be nonempty and distinct"),
         ("--gammas", "0.9 0.9", "gammas must be nonempty and distinct"),
         ("--n-max", "1", "need 2 <= n_min <= n_max"),
@@ -421,6 +468,9 @@ class TestHeatmapCommand:
         ("0.9,2,1,0.5,0.5,1.1,1.2,1.3,0,zero", "bad value"),
         ("0.9,2.5,1,0.5,0.5,1.1,1.2,1.3,0,0", "bad value"),
         ("0.9,2,1,0.5,0.5,1.1,1.2,1.3,0,0", "duplicate cell gamma=0.9 n=2 k=1, first on line 2"),
+        ("nan,2,1,0.5,0.5,1.1,1.2,1.3,0,0", "gamma is nan, expected in (0, 1)"),
+        ("7,2,1,0.5,0.5,1.1,1.2,1.3,0,0", "gamma is 7.0, expected in (0, 1)"),
+        ("0,2,1,0.5,0.5,1.1,1.2,1.3,0,0", "gamma is 0.0, expected in (0, 1)"),
         ("0.9,1,1,0.5,0.5,1.1,1.2,1.3,0,0", "n is 1, expected at least 2"),
         ("0.9,-3,-7,0.5,0.5,1.1,1.2,1.3,-4,0", "n is -3, expected at least 2"),
         ("0.9,3,4,0.5,0.5,1.1,1.2,1.3,0,0", "k is 4, expected 1..3"),
@@ -449,6 +499,30 @@ class TestHeatmapCommand:
         assert isinstance(back, np.recarray) and back.dtype == cells.dtype
         for field in cells.dtype.names:
             np.testing.assert_allclose(back[field], cells[field], rtol=1e-11, err_msg=field)
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--gamma", "0.5"], "projeval solve: the following arguments are required"),
+        (["solve", "--transitions", "P", "--rewards", "r", "--gamma", "0.5",
+          "--features", "phi", "--weights", "xi", "--method", "lstd"],
+         "projeval solve: argument --method: invalid choice: 'lstd'"),
+        (["sweep", "--workers", "two", "--out-dir", "out"],
+         "projeval sweep: argument --workers: invalid int value: 'two'"),
+        (["lstd"], "projeval: argument command: invalid choice: 'lstd'"),
+    ])
+    def test_usage_error_exits_1(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert_one_line(captured.err, f"error: {message}")
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--transitions" in capsys.readouterr().out
 
 
 class TestMatrixRoundTrip:

@@ -108,8 +108,10 @@ class TestObliqueUnification:
                      optimal_direction):
             with pytest.raises(ValueError, match="weights have length 1"):
                 call(mdp, phi, short)
-        with pytest.raises(ValueError, match="weights have length 1"):
-            error_bound(mdp, phi, short, td_direction(mdp, phi, xi))
+        # a zero direction makes X' L Phi singular; the weights are checked all the same
+        for x in (td_direction(mdp, phi, xi), np.zeros(phi.matrix.shape)):
+            with pytest.raises(ValueError, match="weights have length 1"):
+                error_bound(mdp, phi, short, x)
         with pytest.raises(ValueError, match="weights have length 1"):
             error_report(mdp, phi, short, np.zeros(phi.dim))
         with pytest.raises(ValueError, match="weights have length 1"):
