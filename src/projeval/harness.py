@@ -18,6 +18,7 @@ the same records.
 from __future__ import annotations
 
 import concurrent.futures
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -75,6 +76,12 @@ class SweepConfig:
             raise ValueError(f"need 2 <= n_min <= n_max, got {self.n_min} and {self.n_max}")
         if self.singular_policy not in SINGULAR_POLICIES:
             raise ValueError(f"singular_policy must be one of {SINGULAR_POLICIES}")
+        try:
+            seed = operator.index(self.master_seed)  # numpy integers pass too
+        except TypeError:
+            seed = -1
+        if seed < 0:
+            raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
 
 
 def run_column(config: SweepConfig, gamma_index: int, n: int) -> np.recarray:

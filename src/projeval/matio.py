@@ -6,10 +6,9 @@ as Python's `float()` reads it (`-1.5`, `2e-3`, `1e400` is inf) or `nan`,
 `inf`, `infinity` in any case and with an optional sign; digit-group
 underscores (`1_0`) and non-ASCII digits are rejected. Blank lines are
 skipped, and so is a line whose first non-blank character is '#'; a '#'
-later in a line is an error. Export uses 17 significant digits so a
-write/read round trip is bit-identical, nan and inf included. The CSVs
-hold the fields of the record arrays `harness.TRIAL_DTYPE` (but v_norm) and
-`harness.CELL_DTYPE`, floats at 12 significant digits.
+later in a line is an error. The CSVs hold the fields of the record arrays
+`harness.TRIAL_DTYPE` (but v_norm) and `harness.CELL_DTYPE`, floats at 12
+significant digits.
 """
 
 from __future__ import annotations
@@ -89,14 +88,6 @@ def parse_vector(path: str) -> np.ndarray:
     if 1 not in mat.shape and mat.ndim == 2:
         raise MatrixParseError(path, 0, f"expected a vector, got shape {mat.shape}")
     return mat.ravel()
-
-
-def write_matrix(path: str, matrix: np.ndarray) -> None:
-    """Export a matrix at full (round-trippable) precision."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w") as fh:
-        for row in matrix:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def write_csv(fh: TextIO, blocks: Iterable[np.ndarray], fields: list[str]) -> None:

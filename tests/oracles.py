@@ -5,9 +5,10 @@ projector norm computed from them through small m x m products, the
 matrices A, B and C of the amplification bound, a full-size
 singular-value oracle for induced xi-operator norms, the matrix-free L
 and L' products, a record-by-record loop over a sweep's cells, a
-token-by-token matrix file reader and a `str.format` CSV writer. The
-package itself needs none of these; they exist to cross-check its
-solvers, bounds and statistics by an independent route.
+token-by-token matrix file reader, a 17-digit matrix file writer and a
+`str.format` CSV writer. The package itself needs none of these; they
+exist to cross-check its solvers, bounds and statistics by an independent
+route.
 """
 
 from dataclasses import dataclass
@@ -209,3 +210,12 @@ def write_csv_format(fh, blocks, fields) -> None:
         line = ",".join("{:.12g}" if rows.dtype[f].kind == "f" else "{:d}"
                         for f in fields) + "\r\n"
         fh.writelines(line.format(*row) for row in zip(*(rows[f].tolist() for f in fields)))
+
+
+def write_matrix(path: str, matrix: np.ndarray) -> None:
+    """Write a matrix file at 17 significant digits, so that `parse_matrix` reads it back
+    bit for bit, nan and inf included."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    with open(path, "w") as fh:
+        for row in matrix:
+            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")

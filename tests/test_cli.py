@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from projeval import SweepConfig, aggregate, harness, sweep
-from projeval.cli import main
-from projeval.matio import parse_matrix, read_cell_csv, write_cell_csv, write_matrix
+from projeval import SweepConfig, aggregate, cli, harness, sweep
+from projeval.cli import build_parser, main
+from projeval.matio import parse_matrix, read_cell_csv, write_cell_csv
 
+from oracles import write_matrix
 from test_harness import CSV_DIGESTS
 
 
@@ -351,6 +352,33 @@ class TestSweepCommand:
         assert keys("cells.csv") == list(dict.fromkeys(keys("trials.csv")))
         assert keys("cells.csv")[0] == ("0.99", "2", "1")
 
+    def test_tail_summary_recomputed_from_trials_csv(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        # 28 * 36 = 1008 trials with k < n per gamma, so the top 0.1% is 2 trials
+        assert main(["sweep", "--gammas", "0.9 0.99", "--n-max", "8", "--trials", "6",
+                     "--out-dir", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        with open(out / "trials.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(lines) == 4
+        for gamma, head, line in zip(("0.9", "0.99"), lines[::2], lines[1::2]):
+            assert head.startswith(f"gamma={gamma}: cells=35 ")
+            kept = [row for row in rows if row["gamma"] == gamma
+                    and int(row["k"]) < int(row["n"]) and row["td_singular"] == "0"]
+            e_td = np.array([float(row["e_td"]) for row in kept])
+            e_br = np.array([float(row["e_br"]) for row in kept])
+            ratios = np.sort(e_td / e_br)
+            top = int(np.ceil(0.001 * len(ratios)))
+            assert line.startswith(f"  k<n: trials={len(kept)} ") and top == 2
+            printed = dict(tok.split("=") for tok in line.split() if "=" in tok)
+            expected = {"td_win_share": np.mean(e_td < e_br), "median": np.median(ratios),
+                        "mean": np.mean(ratios), "p99": np.percentile(ratios, 99),
+                        f"top{top}_share": ratios[-top:].sum() / ratios.sum()}
+            assert set(printed) == {"trials"} | set(expected)
+            for key, value in expected.items():
+                # printed to 4 decimals; the CSV's 12 digits move a ratio by ~1e-11
+                assert abs(float(printed[key]) - value) <= 0.5e-4 + 1e-9 * abs(value), key
+
     def test_pool_capped_at_columns(self, monkeypatch, tmp_path):
         pools = []
 
@@ -420,6 +448,7 @@ class TestSweepCommand:
         ("--gammas", "0.9 0.9", "gammas must be nonempty and distinct"),
         ("--n-max", "1", "need 2 <= n_min <= n_max"),
         ("--n-max", "-4", "need 2 <= n_min <= n_max"),
+        ("--seed", "-1", "master_seed must be an integer >= 0, got -1"),
     ])
     def test_grid_that_runs_nothing_or_wrongly_rejected(self, flag, value, message,
                                                         tmp_path, capsys):
@@ -523,6 +552,77 @@ class TestUsage:
             main(["solve", "--help"])
         assert exc.value.code == 0
         assert "--transitions" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; the commands are looked up per call."""
+
+    def run(self, argv, monkeypatch, capsys, fresh):
+        if fresh:
+            monkeypatch.setattr(cli, "_parser", None, raising=False)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_parser_built_once(self, example1_files, monkeypatch, capsys):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None, raising=False)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        for _ in range(5):
+            assert run_solve(example1_files, 0.5) == 0
+            assert main(["solve", "--gamma", "0.5"]) == 1
+        capsys.readouterr()
+        assert len(built) == 1
+
+    def test_mixed_sequence_matches_fresh_parser_per_call(self, example1_files, tmp_path,
+                                                          monkeypatch, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1\n0 x\n")
+        solve = ["solve", "--transitions", example1_files["P"],
+                 "--rewards", example1_files["r"], "--features", example1_files["phi"],
+                 "--weights", example1_files["xi"], "--method", "td"]
+
+        def sequence(out_dir):
+            return [["solve", "--gamma", "0.5"],
+                    solve + ["--gamma", "0.5"],
+                    solve + ["--gamma", repr(5 / 6)],
+                    [*solve, "--gamma", "0.5", "--transitions", str(bad)],
+                    ["solve", "--help"],
+                    ["sweep", "--gammas", "0.9", "--n-max", "3", "--trials", "2",
+                     "--out-dir", str(out_dir)]]
+
+        reused = [self.run(argv, monkeypatch, capsys, fresh=False)
+                  for argv in sequence(tmp_path / "reused")]
+        fresh = [self.run(argv, monkeypatch, capsys, fresh=True)
+                 for argv in sequence(tmp_path / "fresh")]
+        assert [code for code, _, _ in reused] == [1, 0, 2, 1, ("exit", 0), 0]
+        assert reused == fresh
+        for name in ("trials.csv", "cells.csv"):
+            assert ((tmp_path / "reused" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
+
+    def test_wrapper_installed_after_first_call_runs(self, example1_files, monkeypatch,
+                                                     capsys):
+        assert run_solve(example1_files, 0.5) == 0
+        calls = []
+        original = cli.cmd_solve
+
+        def wrapper(args):
+            calls.append(args.method)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_solve", wrapper)
+        assert run_solve(example1_files, 0.5, method="br") == 0
+        assert calls == ["br"]
+        assert "w: 0" in capsys.readouterr().out
 
 
 class TestMatrixRoundTrip:
