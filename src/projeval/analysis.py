@@ -12,8 +12,9 @@ computed from three m x m matrices:
   A = Phi' Xi Phi,  B = (X' L Phi)^-1,  C = X' L Xi^-1 L' X,
   bound = sqrt(lambda_max(A^1/2 B C B' A^1/2)).
 
-Both the xi-projection of the report and the system X' L Phi of the bound
-go through the singularity gate of `projections`.
+`amplification_bound` forms B and C, for one system or a stack, for both
+`error_bound` and the sweep kernel. The xi-projection of the report and the
+system X' L Phi of the bound go through the singularity gate of `projections`.
 """
 
 from __future__ import annotations
@@ -67,24 +68,22 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     return (vec * np.sqrt(np.maximum(lam, 0.0))[..., None, :]) @ vec.swapaxes(-1, -2)
 
 
-def amplification_bound(a_half: np.ndarray, b: np.ndarray,
-                        c: np.ndarray) -> float | np.ndarray:
-    """sqrt(lambda_max(A^1/2 B C B' A^1/2)) from A^1/2 = psd_sqrt(A), B and C.
+def amplification_bound(a_half: np.ndarray, m: np.ndarray, L: np.ndarray, x: np.ndarray,
+                        xi: StateWeights) -> float | np.ndarray:
+    """sqrt(lambda_max(A^1/2 B C B' A^1/2)) from A^1/2 = psd_sqrt(A) and the system
+    m = X' L Phi, with B = m^-1 and C = X' L Xi^-1 L' X.
 
     One float for one system, one per matrix for stacks. The symmetric form
     avoids complex eigensolvers; the sweep's CSVs depend on this exact
     operation order.
     """
+    b = np.linalg.inv(m)
+    ltx = L.swapaxes(-1, -2) @ x
+    c = (ltx / weight_column(xi, ltx.shape[-2])).swapaxes(-1, -2) @ ltx
     sym = a_half @ (b @ c @ b.swapaxes(-1, -2)) @ a_half
     sym = sym + sym.swapaxes(-1, -2)
     sym *= 0.5
     return np.sqrt(np.maximum(np.max(np.linalg.eigvalsh(sym), axis=-1), 0.0))
-
-
-def c_matrix(L: np.ndarray, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """C = X' L Xi^-1 L' X per matrix, in the operation order the sweep's CSVs need."""
-    ltx = L.swapaxes(-1, -2) @ x
-    return (ltx / xi[..., None]).swapaxes(-1, -2) @ ltx
 
 
 def error_report(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
@@ -98,7 +97,7 @@ def error_report(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
     phi_mat = feature_matrix(phi, mdp.n_states)
     v_hat = phi_mat @ np.asarray(w, dtype=float)
     t_v_hat = bellman_apply(mdp, v_hat)
-    coords, cond, status = projected_solve(row_weighted(xi, phi_mat), phi_mat, t_v_hat)
+    coords, _, cond, status = projected_solve(row_weighted(xi, phi_mat), phi_mat, t_v_hat)
     td_error = adequacy = None
     if status == "ok":
         proj_t = phi_mat @ coords
@@ -128,8 +127,7 @@ def error_bound(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
     xlphi, cond, status = projected_system(x, L @ phi_mat)
     if status != "ok":
         return BoundReport(None, cond, status)
-    a = phi_mat.T @ xiphi
-    bound = amplification_bound(psd_sqrt(a), np.linalg.inv(xlphi), c_matrix(L, x, xi.weights))
+    bound = amplification_bound(psd_sqrt(phi_mat.T @ xiphi), xlphi, L, x, xi)
     return BoundReport(bound, cond, status)
 
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import kernels
 from .instances import SeedSpec, random_chain, random_features, random_weights
-from .mdp import exact_value, l_matrix
 
 # a record is degenerate (exactly-representable value, errors pure numerical
 # noise) below either cutoff; the relative one matters at discounts near 1,
@@ -96,7 +95,6 @@ def run_column(config: SweepConfig, gamma_index: int, n: int) -> np.recarray:
     gamma = config.gammas[gamma_index]
     chains = random_chain(n, gamma, root.derive(_ROLE_MDP, gamma_index, n),
                           count=config.mdp_trials)
-    L, r, v = l_matrix(chains), chains.rewards, exact_value(chains)
     cell_size = config.feature_trials * config.mdp_trials
     out = np.recarray(n * cell_size, dtype=TRIAL_DTYPE)
     out.gamma, out.n = gamma, n
@@ -105,7 +103,7 @@ def run_column(config: SweepConfig, gamma_index: int, n: int) -> np.recarray:
         labels, count = (gamma_index, n, k), config.feature_trials
         phi = random_features(n, k, root.derive(_ROLE_FEATURES, *labels), count=count)
         xi = random_weights(n, root.derive(_ROLE_WEIGHTS, *labels), count=count)
-        stats = kernels.cell_stats(L, r, v, phi.matrix, xi.weights)
+        stats = kernels.cell_stats(chains, phi, xi)
         rows = out[(k - 1) * cell_size:k * cell_size]
         rows.k = k
         for field, column in zip(TRIAL_DTYPE.names[5:], stats.T):

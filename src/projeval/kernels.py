@@ -1,31 +1,29 @@
 """Factored numeric kernel for the benchmark sweep.
 
 A sweep cell crosses F bases (Phi, xi) with M chains (P, r). Each term is
-computed once per the inputs it depends on: the chain terms L = I - gamma P
-and v = L^-1 r once per chain (`mdp.l_matrix` and `mdp.exact_value` of a
-(gamma, n) column's stack of chains), the basis terms Xi Phi, A = Phi' Xi
-Phi and A^1/2 once per basis, and only the pair terms (L Phi, the TD and
-BR systems, the errors, C and the bounds) once per trial. Chains enter `cell_stats` as (1, M, ...)
-stacks and bases as (F, 1, ...) stacks, so numpy's stacked calls broadcast
-them into the (F, M) trial grid; each trial's matrices are the ones a
-stack of one would see, so a row equals, bit for bit, the same instance
-run alone.
+computed once per the inputs it depends on: L = I - gamma P and v = L^-1 r
+once per chain (`l_matrix` and `exact_value` keep them on the column's
+stack of chains), Xi Phi, A = Phi' Xi Phi and A^1/2 once per basis, and
+only the pair terms (L Phi, the TD and BR systems, the errors and the
+bounds) once per trial. Bases and weights enter as (F, 1, ...) stacks against the
+(M, ...) chains, so the library's stacked calls broadcast them into the
+(F, M) trial grid, and a row equals, bit for bit, its trial run alone.
 
-TD and BR are the oblique solve (X' L Phi) w = X' r with X = Xi Phi and
-X = Xi L Phi, both through one direction helper. A TD system that fails
-the gate of `projections.projected_system` gets NaN errors and bounds; the
-BR system, a Gram matrix of the independent columns of L Phi, is not gated.
-The sweep's CSVs are compared byte for byte against earlier runs, so the
-operation order of every written column is fixed, including the operand
-order of the BR system.
+TD is `projected_solve`, which gates its system and gives a singular one
+NaN weights; every error is `weighted_norm` and every bound
+`amplification_bound`. Only the best and BR solves are the kernel's own,
+and neither is gated. The sweep's CSVs are compared byte for byte against
+earlier runs, so their operand orders, Phi'(Xi Phi) and (L Phi)'(Xi L Phi),
+are fixed like every other operation order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .analysis import amplification_bound, c_matrix, psd_sqrt
-from .projections import projected_system
+from .analysis import amplification_bound, psd_sqrt
+from .mdp import Mdp, exact_value, l_matrix
+from .projections import FeatureBasis, StateWeights, projected_solve, row_weighted, weighted_norm
 
 BACKEND = "numpy"
 
@@ -33,46 +31,39 @@ BACKEND = "numpy"
 E_BEST, E_TD, E_BR, B_TD, B_BR, TD_SINGULAR, V_NORM, COND_TD = range(8)
 
 
-def _xi_norm(xi, d):
-    return np.sqrt(np.sum(xi * d * d, axis=-1))
+def _solve(m, x, b):
+    """w with m w = X' b per member, ungated."""
+    return np.linalg.solve(m, x.swapaxes(-1, -2) @ b[..., None])[..., 0]
 
 
-def _direction(L, r, v, phi, xi, a_half, m, x):
-    """Errors and bounds of the oblique solves m w = X' r, with m = X' L Phi."""
-    w = np.linalg.solve(m, x.swapaxes(-1, -2) @ r[..., None])
-    return (_xi_norm(xi, v - (phi @ w)[..., 0]),
-            amplification_bound(a_half, np.linalg.inv(m), c_matrix(L, x, xi)))
-
-
-def cell_stats(L, r, v, phi, xi):
-    """Errors and bounds of every pair of F bases with M chains.
-
-    L is (M, n, n) and r and v are (M, n), a stack of chains' L, r and v;
-    phi is (F, n, k) and xi is (F, n). Returns an (F*M, 8) array in (basis, chain)
-    order whose rows are (e, e_td, e_br, b_td, b_br, singular flag, ||v||_xi,
-    cond_td); e_td and b_td are NaN where the TD system is singular.
+def cell_stats(chains: Mdp, bases: FeatureBasis, weights: StateWeights) -> np.ndarray:
+    """Errors and bounds of every pair of a stack of F bases and weights with a stack of
+    M chains: an (F*M, 8) array in (basis, chain) order whose rows are (e, e_td, e_br,
+    b_td, b_br, singular flag, ||v||_xi, cond_td); e_td and b_td are NaN where TD is singular.
     """
-    L, r, v = L[None], r[None], v[None]  # (1, M, n, n) and (1, M, n)
-    phi, xi = phi[:, None], xi[:, None]  # (F, 1, n, k) and (F, 1, n)
-    xi_col = xi[..., None]
-    xiphi = phi * xi_col                 # Xi Phi
-    a = phi.swapaxes(-1, -2) @ xiphi     # Phi' Xi Phi
+    L, r, v = l_matrix(chains), chains.rewards, exact_value(chains)  # (M, n, n) and (M, n)
+    phi = bases.matrix[:, None]                   # (F, 1, n, k)
+    xi = StateWeights(weights.weights[:, None])   # (F, 1, n)
+    xiphi = row_weighted(xi, phi)                 # Xi Phi
+    a = phi.swapaxes(-1, -2) @ xiphi              # Phi' Xi Phi
     a_half = psd_sqrt(a)
-    lphi = L @ phi                       # L Phi, one per pair from here on
+    lphi = L @ phi                                # L Phi, one per pair from here on
 
-    w_best = np.linalg.solve(a, xiphi.swapaxes(-1, -2) @ v[..., None])
-    out = np.full(lphi.shape[:2] + (8,), np.nan)
-    out[..., E_BEST] = _xi_norm(xi, v - (phi @ w_best)[..., 0])
-    out[..., V_NORM] = _xi_norm(xi, v)
+    def error(w):
+        return weighted_norm(v - (phi @ w[..., None])[..., 0], xi)
 
-    m_td, out[..., COND_TD], status = projected_system(xiphi, lphi)
-    singular = status != "ok"
-    out[..., TD_SINGULAR] = singular
-    m_td[singular] = np.eye(m_td.shape[-1])  # a stand-in, so the stacked solve cannot fail
-    out[..., E_TD], out[..., B_TD] = _direction(L, r, v, phi, xi, a_half, m_td, xiphi)
-    out[singular, E_TD] = out[singular, B_TD] = np.nan
+    out = np.empty(lphi.shape[:2] + (8,))
+    out[..., V_NORM] = weighted_norm(v, xi)
+    out[..., E_BEST] = error(_solve(a, xiphi, v))
 
-    xilphi = lphi * xi_col               # Xi L Phi
-    out[..., E_BR], out[..., B_BR] = _direction(L, r, v, phi, xi, a_half,
-                                                lphi.swapaxes(-1, -2) @ xilphi, xilphi)
+    w_td, m_td, out[..., COND_TD], status = projected_solve(xiphi, lphi, r)
+    out[..., TD_SINGULAR] = singular = status != "ok"
+    out[..., E_TD] = error(w_td)
+    out[..., B_TD] = amplification_bound(a_half, m_td, L, xiphi, xi)
+    out[singular, B_TD] = np.nan
+
+    xilphi = row_weighted(xi, lphi)               # Xi L Phi
+    m_br = lphi.swapaxes(-1, -2) @ xilphi
+    out[..., E_BR] = error(_solve(m_br, xilphi, r))
+    out[..., B_BR] = amplification_bound(a_half, m_br, L, xilphi, xi)
     return out.reshape(-1, 8)

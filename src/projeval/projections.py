@@ -7,7 +7,8 @@ right = L Phi, and the xi-orthogonal projection uses left = Xi Phi and
 right = Phi. `projected_system` forms M and decides, from its
 cancellation-aware condition estimate, whether M is numerically singular;
 that decision is returned as a status, never raised. Solvers, error
-reports, bounds and the sweep kernel all take it from there.
+reports, bounds and the sweep kernel all take it from there: every helper
+also takes stacks, and gives each member, bit for bit, its result alone.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def make_feature_basis(matrix, stack: bool = False) -> FeatureBasis:
 
 @dataclass(frozen=True)
 class StateWeights:
-    """Strictly positive distribution over states, inducing the weighted norm (or F x N stack)."""
+    """Strictly positive distribution over states, inducing the weighted norm: an N
+    vector, or a stack of them with any leading axes (F x N, or F x 1 x N to broadcast)."""
 
     weights: np.ndarray
 
@@ -109,15 +111,15 @@ def feature_matrix(phi: FeatureBasis, n_rows: int) -> np.ndarray:
 
 
 def weight_column(xi: StateWeights, n_rows: int) -> np.ndarray:
-    """xi as an n_rows x 1 column; a ValueError unless xi has n_rows entries."""
+    """xi as an n_rows x 1 column (a stack of them); a ValueError unless xi has n_rows entries."""
     if xi.n_states != n_rows:
         raise ValueError(f"weights have length {xi.n_states}, expected {n_rows}")
-    return xi.weights[:, None]
+    return xi.weights[..., None]
 
 
 def row_weighted(xi: StateWeights, M: np.ndarray) -> np.ndarray:
-    """Xi M, the rows of M scaled by the state weights."""
-    return M * weight_column(xi, M.shape[0])
+    """Xi M, the rows of M (of each matrix of a stack) scaled by the state weights."""
+    return M * weight_column(xi, M.shape[-2])
 
 
 def direction_matrix(x, phi: FeatureBasis) -> np.ndarray:
@@ -132,12 +134,13 @@ def direction_matrix(x, phi: FeatureBasis) -> np.ndarray:
     return x
 
 
-def weighted_norm(v: np.ndarray, xi: StateWeights) -> float:
-    """sqrt(sum_i xi_i v_i^2)."""
+def weighted_norm(v: np.ndarray, xi: StateWeights) -> float | np.ndarray:
+    """sqrt(sum_i xi_i v_i^2) over the last axis; a float, or one norm per vector of a stack."""
     v = np.asarray(v, dtype=float)
-    if v.shape != xi.weights.shape:
-        raise ValueError(f"vector has length {v.size}, expected {xi.n_states}")
-    return float(np.sqrt(np.dot(xi.weights, v * v)))
+    if v.shape[-1:] != (xi.n_states,):
+        raise ValueError(f"vector has shape {v.shape}, expected length {xi.n_states}")
+    norm = np.sqrt(np.sum(xi.weights * v * v, axis=-1))
+    return norm if norm.ndim else float(norm)
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -178,9 +181,14 @@ def projected_system(left: np.ndarray, right: np.ndarray
     return M, cond, status if status.ndim else status.item()
 
 
-def projected_solve(left: np.ndarray, right: np.ndarray,
-                    b: np.ndarray) -> tuple[np.ndarray | None, float, str]:
-    """Solve (left' right) w = left' b; w is None when the system is singular."""
+def projected_solve(left: np.ndarray, right: np.ndarray, b: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray, str | np.ndarray]:
+    """w with (left' right) w = left' b, and M, its estimate and status as `projected_system`
+    gives them. The identity stands in for a singular M, in the M returned too, so a
+    stacked solve cannot fail; that system's w is NaN."""
     M, cond, status = projected_system(left, right)
-    w = np.linalg.solve(M, left.T @ b) if status == "ok" else None
-    return w, cond, status
+    singular = np.asarray(status) != "ok"
+    M[singular] = np.eye(M.shape[-1])
+    w = np.linalg.solve(M, left.swapaxes(-1, -2) @ b[..., None])[..., 0]
+    w[singular] = np.nan
+    return w, M, cond, status

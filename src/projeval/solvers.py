@@ -42,8 +42,8 @@ class ProjectionSolution:
 
 def _solve(left: np.ndarray, right: np.ndarray, b: np.ndarray,
            phi: FeatureBasis, method: str) -> ProjectionSolution:
-    w, cond, status = projected_solve(left, right, b)
-    v_hat = None if w is None else phi.matrix @ w
+    w, _, cond, status = projected_solve(left, right, b)
+    w, v_hat = (w, phi.matrix @ w) if status == "ok" else (None, None)
     return ProjectionSolution(w, v_hat, method, cond, status)
 
 

@@ -4,14 +4,17 @@ Coefficient maps of (oblique) projections as explicit m x N matrices, the
 projector norm computed from them through small m x m products, the
 matrices A, B and C of the amplification bound, a full-size
 singular-value oracle for induced xi-operator norms, the matrix-free L
-and L' products, a record-by-record loop over a sweep's cells, a
+and L' products, a trial's three errors in exact rational arithmetic
+(stdlib `fractions`), a record-by-record loop over a sweep's cells, a
 token-by-token matrix file reader, a 17-digit matrix file writer and a
 `str.format` CSV writer. The package itself needs none of these; they
 exist to cross-check its solvers, bounds and statistics by an independent
 route.
 """
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -136,6 +139,57 @@ def apply_L_transpose(mdp, v: np.ndarray) -> np.ndarray:
     if v.shape != (mdp.n_states,):
         raise ValueError(f"value vector has length {v.size}, expected {mdp.n_states}")
     return v - mdp.discount * (mdp.transitions.T @ v)
+
+
+def _exact_solve(a: list, b: list) -> list:
+    """x with a x = b, by Gaussian elimination in exact rational arithmetic."""
+    rows = [[*row, bi] for row, bi in zip(a, b)]
+    n = len(rows)
+    for j in range(n):
+        p = next(i for i in range(j, n) if rows[i][j] != 0)  # StopIteration: singular
+        rows[j], rows[p] = rows[p], rows[j]
+        for i in range(j + 1, n):
+            f = rows[i][j] / rows[j][j]
+            if f:
+                rows[i][j:] = [x - f * y for x, y in zip(rows[i][j:], rows[j][j:])]
+    x = [Fraction(0)] * n
+    for j in reversed(range(n)):
+        x[j] = (rows[j][n] - _dot(rows[j][j + 1:n], x[j + 1:])) / rows[j][j]
+    return x
+
+
+def _dot(x, y) -> Fraction:
+    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+
+
+def exact_errors(mdp, phi: FeatureBasis, xi: StateWeights) -> tuple[float, float, float]:
+    """e, e_td and e_br of one instance in exact rational arithmetic.
+
+    The float P, r, gamma, Phi and xi are taken as the exact rationals they
+    are. Elimination solves L v = r, then the best, TD and BR systems
+    (Phi' Xi Phi) w = Phi' Xi v, (Phi' Xi L Phi) w = Phi' Xi r and
+    ((L Phi)' Xi L Phi) w = (L Phi)' Xi r; each error ||v - Phi w||_xi is
+    exact up to its square root, taken in float. Standard library only.
+    """
+    n = mdp.n_states
+    gamma = Fraction(mdp.discount)
+    P = [[Fraction(p) for p in row] for row in mdp.transitions.tolist()]
+    L = [[(i == j) - gamma * P[i][j] for j in range(n)] for i in range(n)]
+    r = [Fraction(x) for x in mdp.rewards.tolist()]
+    weights = [Fraction(x) for x in xi.weights.tolist()]
+    cols = [[Fraction(x) for x in col] for col in phi.matrix.T.tolist()]  # Phi's columns
+    lcols = [[_dot(row, col) for row in L] for col in cols]              # L Phi's columns
+    v = _exact_solve(L, r)
+
+    def error(left, right, b):
+        """||v - Phi w||_xi with (left' Xi right) w = left' Xi b, left and right as columns."""
+        xleft = [[x * y for x, y in zip(weights, col)] for col in left]
+        w = _exact_solve([[_dot(x, col) for col in right] for x in xleft],
+                         [_dot(x, b) for x in xleft])
+        d = [vi - _dot(w, row) for vi, row in zip(v, zip(*cols))]
+        return math.sqrt(float(sum(x * y * y for x, y in zip(weights, d))))
+
+    return error(cols, cols, v), error(cols, lcols, r), error(lcols, lcols, r)
 
 
 def aggregate_loop(records, singular_policy: str = "worst") -> np.recarray:

@@ -24,7 +24,7 @@ from projeval import (
 from projeval.mdp import exact_value
 from projeval.solvers import br_direction, td_direction
 
-from oracles import aggregate_loop
+from oracles import aggregate_loop, exact_errors
 
 SMALL = SweepConfig(gammas=(0.9, 0.99), n_min=2, n_max=5,
                     feature_trials=2, mdp_trials=2, master_seed=123)
@@ -119,6 +119,30 @@ class TestRunTrial:
         a = run_trial(SMALL, 1, 5, 3, 1, 0)
         b = run_trial(SMALL, 1, 5, 3, 1, 0)
         assert_records_equal(a, b)
+
+    def test_worst_td_over_br_trials_match_exact_arithmetic(self):
+        # the tail of e_td / e_br carries the sweep's mean, so its digits are checked
+        # against exact rational values of the same float instances
+        config = SweepConfig(gammas=(0.9, 0.99, 0.999), n_max=12,
+                             feature_trials=4, mdp_trials=4)
+        rec = sweep(config)
+        tail = rec[(rec.k < rec.n) & ~rec.td_singular]
+        assert len(tail) == 3 * 66 * 16
+        for t in tail[np.argsort(tail.e_td / tail.e_br)[-8:]]:
+            instance = trial_instance(config, config.gammas.index(t.gamma), t.n, t.k,
+                                      t.phi_trial, t.mdp_trial)
+            np.testing.assert_allclose([t.e, t.e_td, t.e_br], exact_errors(*instance),
+                                       rtol=1e-9, err_msg=str(t))
+
+    @pytest.mark.parametrize("x", ["td", pytest.param("br", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 11: BR bound formed from squared Gram factors"))])
+    def test_errors_within_their_bounds(self, x):
+        # e_x <= b_x e holds exactly for every direction (||I - Pi|| = ||Pi||); gamma 0.999,
+        # n = 10 holds the trial k = 9, phi_trial 18, mdp_trial 5, whose b_br is 4.1% low
+        rec = run_column(SweepConfig(), 3, 10)
+        rec = rec[rec.e > 1e-9]  # a singular TD trial's NaN e_td and b_td compare False
+        over = rec[rec[f"e_{x}"] > rec[f"b_{x}"] * rec.e * (1 + 1e-6)]
+        assert len(over) == 0, f"{len(over)} trials above their bound, k in {set(over.k.tolist())}"
 
 
 class TestSweep:

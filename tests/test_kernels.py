@@ -1,16 +1,15 @@
 import numpy as np
 
-from projeval import kernels, make_mdp
+from projeval import FeatureBasis, StateWeights, kernels, make_mdp
 from projeval.instances import example1
-from projeval.mdp import exact_value, l_matrix
 
 SINGULAR_GAMMA = 5.0 / 6.0
 
 
 def cell(P, r, gamma, phi, xi):
-    """cell_stats of F bases against M chains, the chain terms formed first."""
-    chains = make_mdp(P, r, gamma, stack=True)
-    return kernels.cell_stats(l_matrix(chains), chains.rewards, exact_value(chains), phi, xi)
+    """cell_stats of F bases against M chains, the bases and weights taken as given."""
+    return kernels.cell_stats(make_mdp(P, r, gamma, stack=True), FeatureBasis(phi),
+                              StateWeights(xi))
 
 
 def stack_of_one(inst, gamma):

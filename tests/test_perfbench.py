@@ -8,7 +8,9 @@ byte, a wrong answer or a removed name fails here before it fails the
 benchmark.
 """
 
+import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -22,7 +24,7 @@ dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 import layers  # noqa: E402
 import solve  # noqa: E402
 import sweeps  # noqa: E402
-from run import load_projeval  # noqa: E402
+from run import BLAS_THREAD_VARS, load_projeval  # noqa: E402
 
 sys.dont_write_bytecode = dont_write_bytecode
 
@@ -36,11 +38,26 @@ def pe():
     return load_projeval()
 
 
-def test_sweep_small_golden_digests(pe, tmp_path):
-    # sweep-large is left out: its trials.csv matches only with BLAS pinned to one thread
-    cfg = sweeps.config(pe, "sweep-small", sweeps.GOLDEN_SEED)
-    sweeps.pipeline(pe, cfg, str(tmp_path))
-    assert sweeps.digests(str(tmp_path)) == sweeps.golden("sweep-small")
+GOLDEN_RUN = """
+import json, sys
+sys.path.insert(0, {perfbench!r})
+import sweeps
+from run import load_projeval
+pe = load_projeval()
+sweeps.pipeline(pe, sweeps.config(pe, {workload!r}, sweeps.GOLDEN_SEED), {out!r})
+print(json.dumps(sweeps.digests({out!r})))
+"""
+
+
+@pytest.mark.parametrize("workload", ["sweep-small", "sweep-large"])
+def test_golden_digests(workload, tmp_path):
+    # in a fresh process with BLAS pinned to one thread before numpy loads, as the
+    # benchmark runs it: sweep-large's trials.csv matches only so
+    code = GOLDEN_RUN.format(perfbench=PERFBENCH, workload=workload, out=str(tmp_path))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == sweeps.golden(workload)
 
 
 def test_solve_requests_pass_their_checks(pe, tmp_path):

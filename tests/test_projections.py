@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from projeval import (
+    StateWeights,
     concentration_coefficient,
     make_feature_basis,
     make_state_weights,
@@ -9,7 +12,7 @@ from projeval import (
 )
 from projeval.instances import SeedSpec, ergodic_chain, example1
 from projeval.mdp import l_matrix, stationary_distribution
-from projeval.projections import MemberCheckError
+from projeval.projections import MemberCheckError, projected_solve, row_weighted
 
 from conftest import random_instance
 from oracles import (
@@ -106,8 +109,49 @@ class TestWeightedNorm:
         assert weighted_norm(np.array([3.0, 4.0]), xi) == pytest.approx(np.sqrt(12.5))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_norm(np.zeros(3), uniform_weights(2))
+        for v, n in ((np.zeros(3), 2), (np.zeros((3, 1)), 3)):
+            with pytest.raises(ValueError, match=re.escape(f"vector has shape {v.shape}")):
+                weighted_norm(v, uniform_weights(n))
+
+
+def members(F, M):
+    return [(f, m) for f in range(F) for m in range(M)]
+
+
+class TestStackedHelpers:
+    """On an (F, M) stack each helper gives, bit for bit, what it gives on each member alone."""
+
+    def test_weighted_norm(self, rng):
+        xi = make_state_weights(rng.uniform(0.1, 1.0, size=(3, 13)), stack=True)
+        v = rng.normal(size=(3, 4, 13))
+        norms = weighted_norm(v, StateWeights(xi.weights[:, None]))
+        assert norms.shape == (3, 4)
+        for f, m in members(3, 4):
+            alone = weighted_norm(v[f, m], StateWeights(xi.weights[f]))
+            assert type(alone) is float and norms[f, m] == alone
+
+    def test_row_weighted(self, rng):
+        xi = make_state_weights(rng.uniform(0.1, 1.0, size=(3, 7)), stack=True)
+        mats = rng.normal(size=(3, 4, 7, 2))
+        stacked = row_weighted(StateWeights(xi.weights[:, None]), mats)
+        for f, m in members(3, 4):
+            np.testing.assert_array_equal(
+                stacked[f, m], row_weighted(StateWeights(xi.weights[f]), mats[f, m]), strict=True)
+
+    def test_projected_solve(self, rng):
+        left = rng.normal(size=(3, 1, 9, 4))   # broadcast against 4 right factors each
+        right = rng.normal(size=(3, 4, 9, 4))
+        b = rng.normal(size=(4, 9))
+        right[1, 2, :, 3] = right[1, 2, :, 0]  # only member (1, 2) is singular
+        w, M, cond, status = projected_solve(left, right, b)
+        assert w.shape == (3, 4, 4) and M.shape == (3, 4, 4, 4)
+        assert [fm for fm in members(3, 4) if status[fm] != "ok"] == [(1, 2)]
+        assert np.isnan(w[1, 2]).all() and np.array_equal(M[1, 2], np.eye(4))
+        for f, m in members(3, 4):
+            alone = projected_solve(left[f, 0], right[f, m], b[m])
+            assert alone[2:] == (cond[f, m], status[f, m])
+            np.testing.assert_array_equal(w[f, m], alone[0], strict=True)
+            np.testing.assert_array_equal(M[f, m], alone[1], strict=True)
 
 
 class TestOrthogonalMap:
