@@ -115,6 +115,7 @@ def cmd_sweep(args) -> None:
 
     cell_blocks = []
     tails = dict.fromkeys(gammas, np.empty(0))  # e_td / e_br of k < n, regular-TD trials
+    breaks = dict.fromkeys(gammas, 0)  # _breaks of the same trials
 
     def columns():
         # each column's trial rows are written, and its cells and ratios kept, as it arrives
@@ -124,6 +125,7 @@ def cmd_sweep(args) -> None:
             kept = records[(records["k"] < records["n"]) & ~records["td_singular"]]
             gamma = float(records["gamma"][0])
             tails[gamma] = np.append(tails[gamma], kept["e_td"] / kept["e_br"])
+            breaks[gamma] = breaks[gamma] + _breaks(kept)
             yield records
 
     # both files are open before the first column runs
@@ -141,6 +143,20 @@ def cmd_sweep(args) -> None:
         print(f"gamma={gamma:g}: cells={len(sub)} td_win_ratio={wins:.4f} "
               f"mean_td_over_br={mean_ratio:.4f}")
         print(_tail_summary(tails[gamma]))
+        print("  k<n breaks: " + " ".join(map("{}={}".format, BREAKS, breaks[gamma])))
+
+
+# the paper's inequalities for a regular TD trial, as the checks its trials may break:
+# the best error is at most either error, each bound at least 1, each error within its bound
+BREAKS = ("e>e_td", "e>e_br", "b_td<1", "b_br<1", "e_td>b_td*e", "e_br>b_br*e")
+
+
+def _breaks(trials: np.ndarray) -> np.ndarray:
+    """How many trials break each check of `BREAKS`, with a relative slack."""
+    e, e_td, e_br, b_td, b_br = (trials[f] for f in ("e", "e_td", "e_br", "b_td", "b_br"))
+    return np.count_nonzero([e > e_td * (1 + 1e-9), e > e_br * (1 + 1e-9),
+                             b_td < 1 - 1e-9, b_br < 1 - 1e-9,
+                             e_td > b_td * e * (1 + 1e-6), e_br > b_br * e * (1 + 1e-6)], axis=1)
 
 
 def _tail_summary(ratios: np.ndarray) -> str:

@@ -6,8 +6,8 @@ trial's best / TD / BR errors and both spectral-radius bounds as a row of
 one record array (`TRIAL_DTYPE`), in (gamma, n, k, phi_trial, mdp_trial)
 order. A (gamma, n) column, the cells k = 1..n, is the unit of work:
 `run_column` draws the column's chains as one stack and forms their L and
-v once, then fills each cell's rows from one `kernels.cell_stats` call on
-the cell's stacks of bases and weights, each drawn by one call;
+v once, then one `kernels.cell_stats` call per cell fills, by field name,
+the cell's (F, M) block of the column's (n, F, M) record array;
 `sweep_columns` yields the columns in order, so each can be aggregated and
 written as it arrives. Seeds are derived from the master seed and the
 draw's labels (the chain's from gamma, n and mdp_trial, the features' and
@@ -38,8 +38,8 @@ _ROLE_MDP, _ROLE_FEATURES, _ROLE_WEIGHTS = 0, 1, 2
 
 SINGULAR_POLICIES = ("worst", "exclude")
 
-# one row per trial; the fields from e on are the kernel's row layout. e_td
-# and b_td are NaN when td_singular; v_norm, ||v||_xi, scales the degeneracy cutoff
+# one row per trial; `kernels.cell_stats` writes the fields from e on by name.
+# e_td and b_td are NaN when td_singular; v_norm, ||v||_xi, scales the degeneracy cutoff
 TRIAL_DTYPE = np.dtype(
     [("gamma", np.float64)] + [(f, np.int32) for f in ("n", "k", "phi_trial", "mdp_trial")]
     + [(f, np.float64) for f in ("e", "e_td", "e_br", "b_td", "b_br")]
@@ -84,31 +84,27 @@ class SweepConfig:
 
 
 def run_column(config: SweepConfig, gamma_index: int, n: int) -> np.recarray:
-    """Every trial of one (gamma, n) column, in (k, phi_trial, mdp_trial) order.
+    """Every trial of one (gamma, n) column, an (n, F, M) record array flattened.
 
     Chains are seeded without k, so the column draws its chains as one
     stack and forms their L and v once; each cell's (Phi, xi) pairs are
-    drawn as two stacks just before its kernel call, so only one cell's
-    bases are alive at a time.
+    drawn as two stacks just before its kernel call fills the cell's block,
+    so only one cell's bases are alive at a time.
     """
     root = SeedSpec(config.master_seed)
     gamma = config.gammas[gamma_index]
-    chains = random_chain(n, gamma, root.derive(_ROLE_MDP, gamma_index, n),
-                          count=config.mdp_trials)
-    cell_size = config.feature_trials * config.mdp_trials
-    out = np.recarray(n * cell_size, dtype=TRIAL_DTYPE)
+    F, M = config.feature_trials, config.mdp_trials
+    chains = random_chain(n, gamma, root.derive(_ROLE_MDP, gamma_index, n), count=M)
+    out = np.recarray((n, F, M), dtype=TRIAL_DTYPE)
     out.gamma, out.n = gamma, n
-    out.phi_trial, out.mdp_trial = np.divmod(np.arange(len(out)) % cell_size, config.mdp_trials)
-    for k in range(1, n + 1):
-        labels, count = (gamma_index, n, k), config.feature_trials
-        phi = random_features(n, k, root.derive(_ROLE_FEATURES, *labels), count=count)
-        xi = random_weights(n, root.derive(_ROLE_WEIGHTS, *labels), count=count)
-        stats = kernels.cell_stats(chains, phi, xi)
-        rows = out[(k - 1) * cell_size:k * cell_size]
-        rows.k = k
-        for field, column in zip(TRIAL_DTYPE.names[5:], stats.T):
-            rows[field] = column
-    return out
+    out.k, out.phi_trial = np.arange(1, n + 1)[:, None, None], np.arange(F)[:, None]
+    out.mdp_trial = np.arange(M)
+    for k, cell in enumerate(out, start=1):
+        labels = (gamma_index, n, k)
+        phi = random_features(n, k, root.derive(_ROLE_FEATURES, *labels), count=F)
+        xi = random_weights(n, root.derive(_ROLE_WEIGHTS, *labels), count=F)
+        kernels.cell_stats(chains, phi, xi, cell)
+    return out.reshape(-1)
 
 
 def sweep_columns(config: SweepConfig, workers: int = 1) -> Iterator[np.recarray]:

@@ -7,7 +7,8 @@ stack of chains), Xi Phi, A = Phi' Xi Phi and A^1/2 once per basis, and
 only the pair terms (L Phi, the TD and BR systems, the errors and the
 bounds) once per trial. Bases and weights enter as (F, 1, ...) stacks against the
 (M, ...) chains, so the library's stacked calls broadcast them into the
-(F, M) trial grid, and a row equals, bit for bit, its trial run alone.
+(F, M) trial grid, whose record block each result fills by field name, and
+a row equals, bit for bit, its trial run alone.
 
 TD is `projected_solve`, which gates its system and gives a singular one
 NaN weights; every error is `weighted_norm` and every bound
@@ -27,8 +28,7 @@ from .projections import FeatureBasis, StateWeights, projected_solve, row_weight
 
 BACKEND = "numpy"
 
-# result row layout: the fields e to v_norm of harness.TRIAL_DTYPE, then cond_td
-E_BEST, E_TD, E_BR, B_TD, B_BR, TD_SINGULAR, V_NORM, COND_TD = range(8)
+TD_SINGULAR = "td_singular"  # the field of the singular-TD flag
 
 
 def _solve(m, x, b):
@@ -36,11 +36,10 @@ def _solve(m, x, b):
     return np.linalg.solve(m, x.swapaxes(-1, -2) @ b[..., None])[..., 0]
 
 
-def cell_stats(chains: Mdp, bases: FeatureBasis, weights: StateWeights) -> np.ndarray:
+def cell_stats(chains: Mdp, bases: FeatureBasis, weights: StateWeights, out: np.ndarray) -> None:
     """Errors and bounds of every pair of a stack of F bases and weights with a stack of
-    M chains: an (F*M, 8) array in (basis, chain) order whose rows are (e, e_td, e_br,
-    b_td, b_br, singular flag, ||v||_xi, cond_td); e_td and b_td are NaN where TD is singular.
-    """
+    M chains, written into the fields e to v_norm of `out`, an (F, M) block of
+    `harness.TRIAL_DTYPE` records; e_td and b_td are NaN where TD is singular."""
     L, r, v = l_matrix(chains), chains.rewards, exact_value(chains)  # (M, n, n) and (M, n)
     phi = bases.matrix[:, None]                   # (F, 1, n, k)
     xi = StateWeights(weights.weights[:, None])   # (F, 1, n)
@@ -52,18 +51,15 @@ def cell_stats(chains: Mdp, bases: FeatureBasis, weights: StateWeights) -> np.nd
     def error(w):
         return weighted_norm(v - (phi @ w[..., None])[..., 0], xi)
 
-    out = np.empty(lphi.shape[:2] + (8,))
-    out[..., V_NORM] = weighted_norm(v, xi)
-    out[..., E_BEST] = error(_solve(a, xiphi, v))
+    out["v_norm"] = weighted_norm(v, xi)
+    out["e"] = error(_solve(a, xiphi, v))
 
-    w_td, m_td, out[..., COND_TD], status = projected_solve(xiphi, lphi, r)
-    out[..., TD_SINGULAR] = singular = status != "ok"
-    out[..., E_TD] = error(w_td)
-    out[..., B_TD] = amplification_bound(a_half, m_td, L, xiphi, xi)
-    out[singular, B_TD] = np.nan
+    w_td, m_td, _, status = projected_solve(xiphi, lphi, r)
+    out[TD_SINGULAR] = singular = status != "ok"
+    out["e_td"] = error(w_td)
+    out["b_td"] = np.where(singular, np.nan, amplification_bound(a_half, m_td, L, xiphi, xi))
 
     xilphi = row_weighted(xi, lphi)               # Xi L Phi
     m_br = lphi.swapaxes(-1, -2) @ xilphi
-    out[..., E_BR] = error(_solve(m_br, xilphi, r))
-    out[..., B_BR] = amplification_bound(a_half, m_br, L, xilphi, xi)
-    return out.reshape(-1, 8)
+    out["e_br"] = error(_solve(m_br, xilphi, r))
+    out["b_br"] = amplification_bound(a_half, m_br, L, xilphi, xi)

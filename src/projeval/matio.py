@@ -28,10 +28,11 @@ _CSV_CHUNK_ROWS = 4096
 
 
 class MatrixParseError(ValueError):
-    """A line of a matrix file or cells.csv failed to parse; carries the 1-based line number."""
+    """A line of a matrix file or cells.csv failed to parse; carries the 1-based line number,
+    or 0 for an error of the whole file, whose message then names no line."""
 
     def __init__(self, path: str, line_no: int, message: str):
-        super().__init__(f"{path}:{line_no}: {message}")
+        super().__init__(f"{path}:{line_no}: {message}" if line_no else f"{path}: {message}")
         self.path = path
         self.line_no = line_no
 

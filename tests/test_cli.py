@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from projeval import SweepConfig, aggregate, cli, harness, sweep
 from projeval.cli import build_parser, main
+from projeval.heatmap import render_heatmap
 from projeval.matio import parse_matrix, read_cell_csv, write_cell_csv
 
 from oracles import write_matrix
@@ -132,6 +133,9 @@ class TestSolve:
         # float() reads these two, the C reader does not
         ("xi", "0.5\n1_0\n", "bad.txt:2: bad number: only ASCII digits"),
         ("xi", "0.5\n٣\n", "bad.txt:2: bad number: only ASCII digits"),
+        # errors of the whole file name no line
+        ("xi", "0.5 1\n1 0\n", "bad.txt: expected a vector, got shape (2, 2)\n"),
+        ("P", "# no rows\n", "bad.txt: file contains no matrix rows\n"),
     ])
     def test_bad_input_exit_code(self, example1_files, tmp_path, capsys,
                                  name, content, expected):
@@ -140,6 +144,12 @@ class TestSolve:
         example1_files[name] = str(bad)
         assert run_solve(example1_files, 0.5) == 1
         assert expected in capsys.readouterr().err
+
+    def test_oblique_without_direction_rejected(self, example1_files, capsys):
+        assert run_solve(example1_files, 0.5, "oblique") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --direction is required for method oblique\n"
+        assert captured.out == ""
 
     def test_direction_shape_rejected(self, example1_files, tmp_path, capsys):
         d = tmp_path / "x.txt"
@@ -360,8 +370,8 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.splitlines()
         with open(out / "trials.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(lines) == 4
-        for gamma, head, line in zip(("0.9", "0.99"), lines[::2], lines[1::2]):
+        assert len(lines) == 6
+        for gamma, head, line in zip(("0.9", "0.99"), lines[::3], lines[1::3]):
             assert head.startswith(f"gamma={gamma}: cells=35 ")
             kept = [row for row in rows if row["gamma"] == gamma
                     and int(row["k"]) < int(row["n"]) and row["td_singular"] == "0"]
@@ -378,6 +388,27 @@ class TestSweepCommand:
             for key, value in expected.items():
                 # printed to 4 decimals; the CSV's 12 digits move a ratio by ~1e-11
                 assert abs(float(printed[key]) - value) <= 0.5e-4 + 1e-9 * abs(value), key
+
+    def test_breaks_recomputed_from_trials_csv(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        # 21,600 trials, 18,000 of them with k < n; 32 of those break the BR bound
+        assert main(["sweep", "--gammas", "0.999", "--n-max", "10", "--trials", "20",
+                     "--out-dir", str(out)]) == 0
+        head, tail, line = capsys.readouterr().out.splitlines()
+        assert head.startswith("gamma=0.999: ") and tail.startswith("  k<n: trials=18000 ")
+        with open(out / "trials.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 21600
+        kept = [row for row in rows if int(row["k"]) < int(row["n"]) and row["td_singular"] == "0"]
+        e, e_td, e_br, b_td, b_br = (np.array([float(row[f]) for row in kept])
+                                     for f in ("e", "e_td", "e_br", "b_td", "b_br"))
+        expected = {"e>e_td": e > e_td * (1 + 1e-9), "e>e_br": e > e_br * (1 + 1e-9),
+                    "b_td<1": b_td < 1 - 1e-9, "b_br<1": b_br < 1 - 1e-9,
+                    "e_td>b_td*e": e_td > b_td * e * (1 + 1e-6),
+                    "e_br>b_br*e": e_br > b_br * e * (1 + 1e-6)}
+        assert line == "  k<n breaks: " + " ".join(
+            f"{name}={np.count_nonzero(broken)}" for name, broken in expected.items())
+        assert np.count_nonzero(expected["e_br>b_br*e"]) > 0  # == 0 once ROADMAP item 14 is done
 
     def test_pool_capped_at_columns(self, monkeypatch, tmp_path):
         pools = []
@@ -519,6 +550,21 @@ class TestHeatmapCommand:
         assert err.startswith(f"error: {bad}:4: {message}") and err.count("\n") == 1
         assert not svg.exists()
 
+    def test_wrong_header_reports_line_1(self, cells_csv, tmp_path, capsys):
+        text = Path(cells_csv).read_text()
+        bad = tmp_path / "cells.csv"
+        bad.write_text(text.replace("td_win_ratio", "td_wins", 1))
+        svg = tmp_path / "x.svg"
+        assert main(["heatmap", "--cells", str(bad), "--stat", "td_win_ratio",
+                     "--gamma", "0.9", "--out", str(svg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:1: unexpected header ") and err.count("\n") == 1
+        assert not svg.exists()
+
+    def test_unknown_statistic_raises(self, cells_csv):
+        with pytest.raises(ValueError, match="^unknown statistic 'bogus'"):
+            render_heatmap(read_cell_csv(cells_csv), "bogus", 0.9)
+
     def test_read_back_equals_aggregate(self, tmp_path):
         records = sweep(SweepConfig(gammas=(0.9,), n_max=4, feature_trials=2, mdp_trials=2))
         cells = aggregate(records)
@@ -539,6 +585,8 @@ class TestUsage:
         (["sweep", "--workers", "two", "--out-dir", "out"],
          "projeval sweep: argument --workers: invalid int value: 'two'"),
         (["lstd"], "projeval: argument command: invalid choice: 'lstd'"),
+        (["example1", "--gamma-grid", ",", "--theta-grid", "0", "--out", "out"],
+         "grids must be nonempty"),
     ])
     def test_usage_error_exits_1(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -248,6 +248,11 @@ class TestAggregate:
         assert np.isnan(cell.mean_rel_td)
         assert np.isnan(cell.mean_rel_br)
 
+    def test_unknown_policy_raises(self):
+        recs = trials((0.9, 4, 2, 0, 0, 0.5, 1.0, 2.0, 1.5, 2.5, False))
+        with pytest.raises(ValueError, match="^singular_policy must be one of"):
+            aggregate(recs, singular_policy="bogus")
+
     def test_incomplete_cell_raises(self):
         recs = trials((0.9, 4, 2, 0, 0, 0.5, 1.0, 2.0, 1.5, 2.5, False))
         with pytest.raises(ValueError, match="gamma=0.9"):

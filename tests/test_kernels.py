@@ -1,15 +1,22 @@
 import numpy as np
 
-from projeval import FeatureBasis, StateWeights, kernels, make_mdp
+from projeval import FeatureBasis, StateWeights, harness, kernels, make_mdp
 from projeval.instances import example1
 
 SINGULAR_GAMMA = 5.0 / 6.0
 
+# the fields cell_stats writes: every trial field after the five keys
+KERNEL_FIELDS = harness.TRIAL_DTYPE.names[5:]
 
-def cell(P, r, gamma, phi, xi):
-    """cell_stats of F bases against M chains, the bases and weights taken as given."""
-    return kernels.cell_stats(make_mdp(P, r, gamma, stack=True), FeatureBasis(phi),
-                              StateWeights(xi))
+
+def cell(P, r, gamma, phi, xi, out=None):
+    """cell_stats of F bases against M chains, the bases and weights taken as given, on
+    a zeroed (F, M) block of trial records (or `out`); returns the block flattened."""
+    if out is None:
+        out = np.zeros((len(phi), len(P)), dtype=harness.TRIAL_DTYPE)
+    kernels.cell_stats(make_mdp(P, r, gamma, stack=True), FeatureBasis(phi),
+                       StateWeights(xi), out)
+    return out.reshape(-1)
 
 
 def stack_of_one(inst, gamma):
@@ -42,29 +49,31 @@ def assert_rows_match_stacks_of_one(P, r, gamma, phi, xi):
     out = cell(P, r, gamma, phi, xi)
     n_bases, n_chains = len(phi), len(P)
     assert n_bases >= 2 and n_chains >= 2
-    assert out.shape == (n_bases * n_chains, 8)
+    assert out.shape == (n_bases * n_chains,)
     for pt in range(n_bases):
         for mt in range(n_chains):
-            alone = cell(P[mt:mt + 1], r[mt:mt + 1], gamma, phi[pt:pt + 1], xi[pt:pt + 1])
-            np.testing.assert_array_equal(out[pt * n_chains + mt], alone[0])
+            (alone,) = cell(P[mt:mt + 1], r[mt:mt + 1], gamma, phi[pt:pt + 1], xi[pt:pt + 1])
+            for field in KERNEL_FIELDS:  # NaN equal to NaN
+                np.testing.assert_array_equal(out[pt * n_chains + mt][field], alone[field],
+                                              err_msg=field, strict=True)
     return out
 
 
 def test_singular_instance_flagged():
     inst = example1(5.0 / 6.0, 1.0)
     out = stack_of_one(inst, 5.0 / 6.0)
-    assert out[kernels.TD_SINGULAR] == 1.0
-    assert np.isnan(out[kernels.E_TD])
-    assert np.isnan(out[kernels.B_TD])
-    assert np.isfinite(out[kernels.E_BR])
+    assert out[kernels.TD_SINGULAR]
+    assert np.isnan(out["e_td"])
+    assert np.isnan(out["b_td"])
+    assert np.isfinite(out["e_br"])
 
 
 def test_example1_hand_values():
     inst = example1(0.5, 0.0)
     out = stack_of_one(inst, 0.5)
-    np.testing.assert_allclose(out[kernels.E_BEST], np.sqrt(0.4), rtol=1e-12)
-    np.testing.assert_allclose(out[kernels.B_TD], 1.25, rtol=1e-12)
-    np.testing.assert_allclose(out[kernels.B_BR], np.sqrt(1.25), rtol=1e-12)
+    np.testing.assert_allclose(out["e"], np.sqrt(0.4), rtol=1e-12)
+    np.testing.assert_allclose(out["b_td"], 1.25, rtol=1e-12)
+    np.testing.assert_allclose(out["b_br"], np.sqrt(1.25), rtol=1e-12)
 
 
 def test_mixed_singularity_stack_rows_equal_stacks_of_one():
@@ -72,18 +81,37 @@ def test_mixed_singularity_stack_rows_equal_stacks_of_one():
     phis = [[1, 2], [1, 1], [1, 2]]
     xis = [[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]]
     out = assert_rows_match_stacks_of_one(*example1_grid(chains, phis, xis))
-    np.testing.assert_array_equal(out[:, kernels.TD_SINGULAR],
-                                  [1, 0, 1, 1] + [0] * 4 + [0] * 4)
-    singular = out[:, kernels.TD_SINGULAR] == 1.0
-    assert np.all(np.isnan(out[singular][:, [kernels.E_TD, kernels.B_TD]]))
-    assert np.all(np.isfinite(out[~singular][:, [kernels.E_TD, kernels.B_TD]]))
-    assert np.all(np.isfinite(out[:, [kernels.E_BEST, kernels.E_BR, kernels.B_BR]]))
+    singular = out[kernels.TD_SINGULAR]
+    np.testing.assert_array_equal(singular, [1, 0, 1, 1] + [0] * 4 + [0] * 4)
+    for field in ("e_td", "b_td"):
+        assert np.all(np.isnan(out[field][singular]))
+        assert np.all(np.isfinite(out[field][~singular]))
+    for field in ("e", "e_br", "b_br"):
+        assert np.all(np.isfinite(out[field]))
 
 
 def test_all_singular_stack_rows_equal_stacks_of_one():
     chains = [(EXAMPLE1_P, 1.0), (EXAMPLE1_P, 0.3), (EXAMPLE1_P, 2.0)]
     out = assert_rows_match_stacks_of_one(
         *example1_grid(chains, [[1, 2], [2, 4]], [[0.5, 0.5]] * 2))
-    assert np.all(out[:, kernels.TD_SINGULAR] == 1.0)
-    assert np.all(np.isnan(out[:, [kernels.E_TD, kernels.B_TD]]))
-    assert np.all(np.isfinite(out[:, [kernels.E_BEST, kernels.E_BR, kernels.B_BR]]))
+    assert np.all(out[kernels.TD_SINGULAR])
+    for field in ("e_td", "b_td"):
+        assert np.all(np.isnan(out[field]))
+    for field in ("e", "e_br", "b_br"):
+        assert np.all(np.isfinite(out[field]))
+
+
+def test_every_kernel_field_overwritten():
+    # a block of sentinels, on a grid whose TD trials are all regular: every field from
+    # e to v_norm must be written, so a trial field the kernel misses fails here
+    chains = [(EXAMPLE1_P, 1.0), (IDENTITY_P, 0.3)]
+    P, r, gamma, phi, xi = example1_grid(chains, [[1, 1], [1, 3]], [[0.5, 0.5], [0.25, 0.75]])
+    out = np.zeros((len(phi), len(P)), dtype=harness.TRIAL_DTYPE)
+    sentinels = {field: True if out.dtype[field] == np.bool_ else -1.0
+                 for field in KERNEL_FIELDS}
+    for field, sentinel in sentinels.items():
+        out[field] = sentinel
+    out = cell(P, r, gamma, phi, xi, out)
+    assert not np.any(out[kernels.TD_SINGULAR])
+    for field, sentinel in sentinels.items():
+        assert np.all(out[field] != sentinel), field
