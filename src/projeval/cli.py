@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import analysis, heatmap, instances, matio, solvers
-from .harness import SweepConfig, aggregate, sweep_columns
+from .harness import SINGULAR_POLICIES, SweepConfig, aggregate, sweep_columns
 from .mdp import exact_value, make_mdp
 from .projections import make_feature_basis, make_state_weights, weight_column, weighted_norm
 
@@ -105,7 +105,7 @@ def cmd_example1(args) -> None:
 
 def cmd_sweep(args) -> None:
     gammas = tuple(_parse_grid(args.gammas))
-    config = SweepConfig(gammas=gammas, n_min=2, n_max=args.n_max,
+    config = SweepConfig(gammas=gammas, n_max=args.n_max,
                          feature_trials=args.trials, mdp_trials=args.trials,
                          master_seed=args.seed,
                          singular_policy=args.singular_policy)
@@ -207,11 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="random-chain benchmark sweep")
     p.add_argument("--seed", type=int, default=SweepConfig.master_seed)
-    p.add_argument("--gammas", default="0.9 0.95 0.99 0.999")
-    p.add_argument("--n-max", type=int, default=30)
-    p.add_argument("--trials", type=int, default=20,
+    p.add_argument("--gammas", default=" ".join(map(repr, SweepConfig.gammas)))
+    p.add_argument("--n-max", type=int, default=SweepConfig.n_max)
+    p.add_argument("--trials", type=int, default=SweepConfig.feature_trials,
                    help="feature trials and MDP trials per cell")
-    p.add_argument("--singular-policy", default="worst", choices=["worst", "exclude"])
+    p.add_argument("--singular-policy", default=SweepConfig.singular_policy,
+                   choices=SINGULAR_POLICIES)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-dir", required=True)
 

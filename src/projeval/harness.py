@@ -71,6 +71,10 @@ class SweepConfig:
             raise ValueError(f"gammas must be nonempty and distinct, got {self.gammas}")
         if any(not 0.0 < g < 1.0 for g in self.gammas):
             raise ValueError("every gamma must be in (0,1)")
+        for g in self.gammas:  # the CSVs write 12 digits, which must name the gamma
+            if float("%.12g" % g) != g:
+                raise ValueError(f"gamma {g} needs more than 12 significant digits; "
+                                 f"the CSVs would write it as {'%.12g' % g}")
         if not 2 <= self.n_min <= self.n_max:
             raise ValueError(f"need 2 <= n_min <= n_max, got {self.n_min} and {self.n_max}")
         if self.singular_policy not in SINGULAR_POLICIES:
@@ -122,15 +126,9 @@ def sweep_columns(config: SweepConfig, workers: int = 1) -> Iterator[np.recarray
 
 
 def sweep(config: SweepConfig, workers: int = 1) -> np.recarray:
-    """All trials of the grid, in canonical order regardless of worker count; each
-    column is copied into its place as it arrives, so the grid's records are held once."""
-    cells = len(config.gammas) * sum(range(config.n_min, config.n_max + 1))
-    out = np.recarray(cells * config.feature_trials * config.mdp_trials, dtype=TRIAL_DTYPE)
-    start = 0
-    for records in sweep_columns(config, workers):
-        out[start:start + len(records)] = records
-        start += len(records)
-    return out
+    """All trials of the grid, in canonical order regardless of worker count: the
+    `sweep_columns` columns gathered by one concatenate."""
+    return np.concatenate(list(sweep_columns(config, workers))).view(np.recarray)
 
 
 def _mean(values: np.ndarray) -> float:

@@ -30,12 +30,10 @@ _ANCHORS = [(0.0, (68, 1, 84)), (0.5, (33, 145, 140)), (1.0, (253, 231, 37))]
 
 def _color(t: float) -> str:
     t = min(1.0, max(0.0, t))
-    for (t0, c0), (t1, c1) in zip(_ANCHORS, _ANCHORS[1:]):
-        if t <= t1:
-            u = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            rgb = [round(a + u * (b - a)) for a, b in zip(c0, c1)]
-            return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
-    return "rgb(253,231,37)"
+    (t0, c0), (t1, c1) = next(pair for pair in zip(_ANCHORS, _ANCHORS[1:]) if t <= pair[1][0])
+    u = (t - t0) / (t1 - t0)
+    rgb = [round(a + u * (b - a)) for a, b in zip(c0, c1)]
+    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
 
 
 def _infer_cell_size(cells: np.ndarray) -> int | None:

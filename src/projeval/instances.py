@@ -108,15 +108,8 @@ def block_triangular(k: int, l: int, seed: SeedSpec, gamma: float = 0.9) -> Inst
     s2_dim = max(1, l - 1)
     phi_mat = np.zeros((n, k + s2_dim))
     phi_mat[:k, :k] = np.eye(k)
-    for _ in range(_RESAMPLE_LIMIT):
-        phi_mat[k:, k:] = rng.uniform(-1.0, 1.0, size=(l, s2_dim))
-        try:
-            phi = make_feature_basis(phi_mat)
-            break
-        except MemberCheckError:
-            continue
-    else:
-        raise RuntimeError("could not draw an independent second-block basis")
+    phi_mat[k:, k:] = rng.uniform(-1.0, 1.0, size=(l, s2_dim))
+    phi = make_feature_basis(phi_mat)
     xi = make_state_weights(rng.uniform(_WEIGHT_FLOOR, 1.0, size=n))
     return Instance(mdp, phi, xi)
 

@@ -52,12 +52,6 @@ def _lphi(mdp: Mdp, phi: FeatureBasis) -> np.ndarray:
     return l_matrix(mdp) @ feature_matrix(phi, mdp.n_states)
 
 
-def _oblique(mdp: Mdp, phi: FeatureBasis, x: np.ndarray, lphi: np.ndarray,
-             method: str) -> ProjectionSolution:
-    """The oblique solve (X' L Phi) w = X' r, given L Phi; X's shape is checked here."""
-    return _solve(direction_matrix(x, phi), lphi, mdp.rewards, phi, method)
-
-
 def solve_best(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
     """xi-orthogonal projection of the exact value onto span(Phi)."""
     phi_mat = feature_matrix(phi, mdp.n_states)
@@ -67,18 +61,19 @@ def solve_best(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolut
 def solve_td(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
     """TD(0) fixed point: the value in span(Phi) with zero projected TD error."""
     lphi = _lphi(mdp, phi)
-    return _oblique(mdp, phi, td_direction(mdp, phi, xi), lphi, "td")
+    return _solve(td_direction(mdp, phi, xi), lphi, mdp.rewards, phi, "td")
 
 
 def solve_br(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
     """Minimizer of the xi-weighted Bellman residual over span(Phi)."""
     lphi = _lphi(mdp, phi)
-    return _oblique(mdp, phi, row_weighted(xi, lphi), lphi, "br")
+    return _solve(row_weighted(xi, lphi), lphi, mdp.rewards, phi, "br")
 
 
 def solve_oblique(mdp: Mdp, phi: FeatureBasis, x: np.ndarray) -> ProjectionSolution:
     """Solution of the projected equation for an arbitrary direction matrix X."""
-    return _oblique(mdp, phi, x, _lphi(mdp, phi), "oblique")
+    lphi = _lphi(mdp, phi)
+    return _solve(direction_matrix(x, phi), lphi, mdp.rewards, phi, "oblique")
 
 
 def optimal_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:

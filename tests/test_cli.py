@@ -466,7 +466,8 @@ class TestSweepCommand:
         assert calls == []
 
     def test_discount_next_to_one_is_singular(self, tmp_path, capsys):
-        assert main(["sweep", "--gammas", repr(NEXT_TO_ONE), "--n-max", "3",
+        # the gamma closest to 1 whose 12-digit CSV text reads back as itself
+        assert main(["sweep", "--gammas", "0.999999999999", "--n-max", "3",
                      "--trials", "2", "--out-dir", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
         assert_one_line(captured.err, "singular: value solve residual too large: ")
@@ -480,6 +481,10 @@ class TestSweepCommand:
         ("--n-max", "1", "need 2 <= n_min <= n_max"),
         ("--n-max", "-4", "need 2 <= n_min <= n_max"),
         ("--seed", "-1", "master_seed must be an integer >= 0, got -1"),
+        ("--gammas", repr(NEXT_TO_ONE), f"gamma {NEXT_TO_ONE!r} needs more than 12 "
+         "significant digits; the CSVs would write it as 1"),
+        ("--gammas", "0.1 0.1000000000001", "gamma 0.1000000000001 needs more than 12 "
+         "significant digits; the CSVs would write it as 0.1"),
     ])
     def test_grid_that_runs_nothing_or_wrongly_rejected(self, flag, value, message,
                                                         tmp_path, capsys):
@@ -490,6 +495,18 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == "" and not out.exists()
+
+    def test_defaults_are_the_config_defaults(self, monkeypatch, tmp_path, capsys):
+        configs = []
+
+        def recorded(config, workers):
+            configs.append(config)
+            raise OSError("stop before the first column")
+
+        monkeypatch.setattr(cli, "sweep_columns", recorded)
+        assert main(["sweep", "--out-dir", str(tmp_path / "out")]) == 1
+        assert configs == [SweepConfig()]
+        assert capsys.readouterr().err == "error: stop before the first column\n"
 
 
 class TestHeatmapCommand:
@@ -564,6 +581,16 @@ class TestHeatmapCommand:
     def test_unknown_statistic_raises(self, cells_csv):
         with pytest.raises(ValueError, match="^unknown statistic 'bogus'"):
             render_heatmap(read_cell_csv(cells_csv), "bogus", 0.9)
+
+    def test_statistic_nan_in_every_cell_is_all_hatched(self, cells_csv):
+        cells = read_cell_csv(cells_csv)
+        cells.mean_td_over_br = np.nan
+        svg = render_heatmap(cells, "mean_td_over_br", 0.9)
+        assert "range [0, 1]" in svg
+        ns = "{http://www.w3.org/2000/svg}"
+        fills = [rect.get("fill") for rect in ET.fromstring(svg).iter(f"{ns}rect")
+                 if rect.find(f"{ns}title") is not None]
+        assert fills == ["url(#hatch)"] * 14
 
     def test_read_back_equals_aggregate(self, tmp_path):
         records = sweep(SweepConfig(gammas=(0.9,), n_max=4, feature_trials=2, mdp_trials=2))

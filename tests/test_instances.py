@@ -97,6 +97,11 @@ class TestBlockTriangular:
         sol = solve_br(inst.mdp, inst.phi, inst.xi)
         np.testing.assert_allclose(sol.value_estimate, exact_value(inst.mdp), atol=1e-8)
 
+    @pytest.mark.parametrize("k, l", [(0, 2), (2, 0)])
+    def test_empty_block_rejected(self, k, l):
+        with pytest.raises(ValueError, match="^block sizes must be >= 1$"):
+            block_triangular(k, l, SeedSpec(3))
+
     def test_deterministic(self):
         a = block_triangular(2, 3, SeedSpec(3))
         b = block_triangular(2, 3, SeedSpec(3))
@@ -182,6 +187,10 @@ class TestErgodicChain:
             xi = stationary_distribution(mdp)
             assert xi is not None
             assert np.min(xi) > 0.0
+
+    def test_single_state_rejected(self):
+        with pytest.raises(ValueError, match="^chain needs at least 2 states$"):
+            ergodic_chain(1, 0.9, SeedSpec(13))
 
     def test_deterministic(self):
         a = ergodic_chain(5, 0.9, SeedSpec(13))
