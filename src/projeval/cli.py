@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
@@ -35,6 +36,10 @@ def _fmt(x: float) -> str:
 
 
 def cmd_solve(args) -> None:
+    if args.method == "oblique" and args.direction is None:
+        raise ValueError("--direction is required for method oblique")
+    if args.method != "oblique" and args.direction is not None:
+        raise ValueError("--direction is only read by method oblique")
     P = matio.parse_matrix(args.transitions)
     r = matio.parse_vector(args.rewards)
     phi_mat = matio.parse_matrix(args.features)
@@ -43,14 +48,12 @@ def cmd_solve(args) -> None:
     phi = make_feature_basis(phi_mat)
     xi = make_state_weights(xi_vec)
     # the library checks the features', the weights' and the direction's sizes
-    if args.method != "oblique":
-        sol = getattr(solvers, f"solve_{args.method}")(mdp, phi, xi)
-    elif args.direction is None:
-        raise ValueError("--direction is required for method oblique")
-    else:
+    if args.method == "oblique":
         # only the report reads xi, and a singular solve skips the report
         weight_column(xi, mdp.n_states)
         sol = solvers.solve_oblique(mdp, phi, matio.parse_matrix(args.direction))
+    else:
+        sol = getattr(solvers, f"solve_{args.method}")(mdp, phi, xi)
     if not sol.ok:
         raise ArithmeticError(f"{sol.method} system has condition estimate "
                               f"{sol.condition_estimate:.6g}")
@@ -62,10 +65,8 @@ def cmd_solve(args) -> None:
     print(f"method: {sol.method}")
     print("w: " + " ".join(_fmt(x) for x in sol.weights))
     print("v_hat: " + " ".join(_fmt(x) for x in sol.value_estimate))
-    print(f"approx_error: {_fmt(report.approx_error)}")
-    print(f"td_error: {_fmt(report.td_error)}")
-    print(f"br_residual: {_fmt(report.br_residual)}")
-    print(f"adequacy: {_fmt(report.adequacy)}")
+    for field in ("approx_error", "td_error", "br_residual", "adequacy"):
+        print(f"{field}: {_fmt(getattr(report, field))}")
     print(f"condition_estimate: {_fmt(sol.condition_estimate)}")
 
 
@@ -82,21 +83,15 @@ def cmd_example1(args) -> None:
         raise ValueError("every theta must be finite")
 
     rows = []  # all of them before the file is created, so an error leaves none
-    for gamma in gammas:
-        for theta in thetas:
-            inst = instances.example1(gamma, theta)
-            ref = inst.reference
-            v = exact_value(inst.mdp)
-
-            def sq_err(w):
-                return weighted_norm(v - inst.phi.matrix @ [w], inst.xi) ** 2
-
-            def ratio(w):
-                e_best = sq_err(ref.w_best)
-                return _fmt(sq_err(w) / e_best if e_best > 0 else math.nan)
-
-            ratio_td = "singular" if ref.w_td is None else ratio(ref.w_td)
-            rows.append([_fmt(gamma), _fmt(theta), ratio_td, ratio(ref.w_br)])
+    for gamma, theta in itertools.product(gammas, thetas):
+        inst = instances.example1(gamma, theta)
+        v, ref = exact_value(inst.mdp), inst.reference
+        e_best, e_td, e_br = (None if w is None else
+                              weighted_norm(v - inst.phi.matrix @ [w], inst.xi) ** 2
+                              for w in (ref.w_best, ref.w_td, ref.w_br))
+        rows.append([_fmt(gamma), _fmt(theta)] + [
+            "singular" if e is None else _fmt(e / e_best if e_best > 0 else math.nan)
+            for e in (e_td, e_br)])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["gamma", "theta", "ratio_td", "ratio_br"])

@@ -62,26 +62,21 @@ def render_heatmap(cells: np.ndarray, stat: str, gamma: float,
                if math.isnan(values[key]) or (cell_size is not None and 2 * b > cell_size)}
 
     finite = [v for v in values.values() if not math.isnan(v)]
-    if stat in UNIT_SCALE_STATS and not log_scale:
-        lo, hi = 0.0, 1.0
-    elif finite:
-        lo, hi = min(finite), max(finite)
-    else:
-        lo, hi = 0.0, 1.0
+    unit = stat in UNIT_SCALE_STATS and not log_scale
+    lo, hi = (min(finite), max(finite)) if finite and not unit else (0.0, 1.0)
+    floor = min((v for v in finite if v > 0), default=1.0)
 
-    if log_scale:
-        floor = min((v for v in finite if v > 0), default=1.0)
-        def scale(v):
-            v = max(v, floor)
-            llo, lhi = math.log10(max(lo, floor)), math.log10(max(hi, floor))
-            return 0.5 if lhi == llo else (math.log10(v) - llo) / (lhi - llo)
-    else:
-        def scale(v):
-            return 0.5 if hi == lo else (v - lo) / (hi - lo)
+    def axis(v):
+        return math.log10(max(v, floor)) if log_scale else v
+    alo, ahi = axis(lo), axis(hi)
+
+    def scale(v):
+        return 0.5 if ahi == alo else (axis(v) - alo) / (ahi - alo)
 
     n_min, n_max, k_max = min(ns), max(ns), max(ks)
     width = _MARGIN_LEFT + (n_max - n_min + 1) * _CELL + _MARGIN_RIGHT
-    height = _MARGIN_TOP + k_max * _CELL + _MARGIN_BOTTOM
+    axis_y = _MARGIN_TOP + k_max * _CELL
+    height = axis_y + _MARGIN_BOTTOM
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -92,44 +87,33 @@ def render_heatmap(cells: np.ndarray, stat: str, gamma: float,
         '<line x1="0" y1="0" x2="0" y2="6" stroke="#666666" stroke-width="2"/>'
         "</pattern></defs>",
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">'
-        f"{stat} (gamma={gamma:g}{', log scale' if log_scale else ''})</text>",
+        _text(f"{width / 2:.1f}", 18, 12,
+              f"{stat} (gamma={gamma:g}{', log scale' if log_scale else ''})"),
     ]
     for (n, k), v in sorted(values.items()):
         x = _MARGIN_LEFT + (n - n_min) * _CELL
         y = _MARGIN_TOP + (k_max - k) * _CELL
-        if (n, k) in hatched:
-            fill = "url(#hatch)"
-        else:
-            fill = _color(scale(v))
+        fill = "url(#hatch)" if (n, k) in hatched else _color(scale(v))
         parts.append(
             f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
             f'fill="{fill}" stroke="white" stroke-width="0.5">'
             f"<title>n={n} k={k} {stat}={v:.6g}</title></rect>")
 
-    axis_y = _MARGIN_TOP + k_max * _CELL
     for n in range(n_min, n_max + 1, max(1, (n_max - n_min) // 10 or 1)):
         x = _MARGIN_LEFT + (n - n_min) * _CELL + _CELL / 2
-        parts.append(
-            f'<text x="{x:.1f}" y="{axis_y + 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="9">{n}</text>')
+        parts.append(_text(f"{x:.1f}", axis_y + 14, 9, n))
     for k in range(1, k_max + 1, max(1, k_max // 10 or 1)):
         y = _MARGIN_TOP + (k_max - k) * _CELL + _CELL / 2 + 3
-        parts.append(
-            f'<text x="{_MARGIN_LEFT - 6}" y="{y:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="9">{k}</text>')
-    parts.append(
-        f'<text x="{_MARGIN_LEFT + (n_max - n_min + 1) * _CELL / 2:.1f}" '
-        f'y="{axis_y + 30}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="11">n (state-space size)</text>')
-    parts.append(
-        f'<text x="12" y="{_MARGIN_TOP + k_max * _CELL / 2:.1f}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="11" '
-        f'transform="rotate(-90 12 {_MARGIN_TOP + k_max * _CELL / 2:.1f})">'
-        "k (feature dimension)</text>")
-    parts.append(
-        f'<text x="{width - _MARGIN_RIGHT}" y="18" text-anchor="end" '
-        f'font-family="sans-serif" font-size="9">range [{lo:.3g}, {hi:.3g}]</text>')
-    parts.append("</svg>")
+        parts.append(_text(_MARGIN_LEFT - 6, f"{y:.1f}", 9, k, anchor="end"))
+    mid = f"{_MARGIN_TOP + k_max * _CELL / 2:.1f}"
+    parts += [_text(f"{_MARGIN_LEFT + (n_max - n_min + 1) * _CELL / 2:.1f}", axis_y + 30, 11,
+                    "n (state-space size)"),
+              _text(12, mid, 11, "k (feature dimension)", extra=f' transform="rotate(-90 12 {mid})"'),
+              _text(width - _MARGIN_RIGHT, 18, 9, f"range [{lo:.3g}, {hi:.3g}]", anchor="end"),
+              "</svg>"]
     return "\n".join(parts)
+
+
+def _text(x, y, size, body, anchor="middle", extra="") -> str:
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>')

@@ -86,8 +86,8 @@ def example1(gamma: float, theta: float) -> Instance:
     return Instance(mdp, phi, xi, ReferenceWeights(w_best, w_td, w_br))
 
 
-def block_triangular(k: int, l: int, seed: SeedSpec, gamma: float = 0.9) -> Instance:
-    """(k+l)-state MDP whose first k states never reach the last l states.
+def block_triangular(k: int, l: int, seed: SeedSpec) -> Instance:
+    """(k+l)-state MDP, discount 0.9, whose first k states never reach the last l states.
 
     The feature space is all of R^k on the first block and a random proper
     subspace on the second, so the first-block value is exactly representable
@@ -103,7 +103,7 @@ def block_triangular(k: int, l: int, seed: SeedSpec, gamma: float = 0.9) -> Inst
     p2 = rng.uniform(size=(l, n))
     P[k:, :] = p2 / p2.sum(axis=1, keepdims=True)
     r = rng.uniform(-1.0, 1.0, size=n)
-    mdp = make_mdp(P, r, gamma)
+    mdp = make_mdp(P, r, 0.9)
 
     s2_dim = max(1, l - 1)
     phi_mat = np.zeros((n, k + s2_dim))

@@ -79,6 +79,11 @@ def assert_one_line(err, prefix):
     assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
 
 
+def direction(method, paths):
+    """The `--direction` option for `method`: only oblique reads one."""
+    return ("--direction", paths["x"]) if method == "oblique" else ()
+
+
 def run_solve(paths, gamma, method="td", extra=()):
     return main(["solve",
                  "--transitions", paths["P"], "--rewards", paths["r"],
@@ -167,7 +172,7 @@ class TestSolve:
     @pytest.mark.parametrize("method", ["td", "br", "best", "oblique"])
     def test_discount_next_to_one_is_singular(self, tmp_path, capsys, method):
         paths = random_files(tmp_path, 7)
-        assert run_solve(paths, NEXT_TO_ONE, method, ("--direction", paths["x"])) == 2
+        assert run_solve(paths, NEXT_TO_ONE, method, direction(method, paths)) == 2
         captured = capsys.readouterr()
         assert_one_line(captured.err, "singular: value solve residual too large: ")
         assert captured.out == ""
@@ -189,7 +194,7 @@ class TestSolve:
 
         monkeypatch.setattr(np, "eye", counting_eye)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        assert run_solve(paths, 0.9, method, ("--direction", paths["x"])) == 0
+        assert run_solve(paths, 0.9, method, direction(method, paths)) == 0
         # L = I - gamma P once; L v = r once, for best's solve and the report's error
         assert formed.count(n) == 1
         assert solved.count((n, n)) == 1
@@ -248,7 +253,7 @@ def test_solve_exit_code_property(inputs):
         for name, array in arrays.items():
             paths[name] = os.path.join(tmp, f"{name}.txt")
             np.savetxt(paths[name], array, fmt="%.17g")
-        code = run_solve(paths, gamma, method, ("--direction", paths["x"]))
+        code = run_solve(paths, gamma, method, direction(method, paths))
     read = {"P", "r", "phi", "xi", "x"} if method == "oblique" else {"P", "r", "phi", "xi"}
     assert code == 1 if bad & read else code in (0, 1, 2)
 
@@ -303,6 +308,15 @@ class TestExample1Command:
                      "--theta-grid", "0.3", "--out", str(out)]) == 2
         assert_one_line(capsys.readouterr().err, "singular: value solve residual too large: ")
         assert not out.exists()
+
+    def test_csv_bytes_pinned(self, tmp_path):
+        # 5/6 is singular for TD; at gamma 0.25 and theta = atan(3), v lies in span(Phi)
+        out = tmp_path / "ratios.csv"
+        assert main(["example1", "--gamma-grid", f"0.1 0.25 0.5 {5 / 6!r} 0.9",
+                     "--theta-grid", "0 0.3 1.2490457723982544 2 -1",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7c677c2936440625a4ea5541889ee9350f7cdbc287b272001b4359bdb7408454")
 
     @pytest.mark.parametrize("theta", ["nan", "inf", "0 -inf"])
     def test_non_finite_theta_rejected_before_writing(self, theta, tmp_path, capsys):
@@ -509,6 +523,44 @@ class TestSweepCommand:
         assert capsys.readouterr().err == "error: stop before the first column\n"
 
 
+# a hand-built cell table, so that no BLAS bit enters the SVGs: cells of 4
+# trials (the k = n cells exclude all 4); at gamma 0.9, NaN cells, n=3 k=2 with
+# 3 of its 4 trials singular or excluded, zeros below mean_rel_td's log floor
+# and two constant columns, bound_prediction_ratio (unit scale) and mean_rel_br
+PINNED_CELLS = np.array([
+    (0.9, 2, 1, 1.0, 0.75, 1.25, 0.0, 2.5, 0, 0),
+    (0.9, 2, 2, 0.0, 0.75, np.nan, 0.0, 2.5, 0, 4),
+    (0.9, 3, 1, 0.5, 0.75, 0.8, 3e-4, 2.5, 1, 0),
+    (0.9, 3, 2, 0.25, 0.75, 12.5, 0.02, 2.5, 2, 1),
+    (0.9, 3, 3, 0.0, 0.75, np.nan, 0.0, 2.5, 0, 4),
+    (0.9, 4, 1, 0.75, 0.75, 0.97, 1.5, 2.5, 0, 0),
+    (0.9, 4, 2, 0.5, 0.75, 1.1e3, 7.25, 2.5, 1, 1),
+    (0.9, 4, 3, 1.0, 0.75, 0.003, 0.0, 2.5, 0, 0),
+    (0.9, 4, 4, 0.0, 0.75, np.nan, 0.0, 2.5, 0, 4),
+    (0.5, 2, 1, 0.1, 0.2, 0.3, 0.4, 0.5, 0, 0),
+    (0.5, 2, 2, 0.0, 0.0, np.nan, 0.0, 0.0, 0, 4),
+], dtype=harness.CELL_DTYPE)
+
+# sha256 of render_heatmap(PINNED_CELLS, stat, 0.9, log_scale) per stat, linear then log
+SVG_DIGESTS = {
+    "td_win_ratio": (
+        "5f37a6e4eed45d57568af2ed07a4fe82c73c3ff5f5121025d6192048b4168be5",
+        "67f7c55ab963f88b9063d3dc7d6e9b514dff498e4098fadcd28d129920600871"),
+    "bound_prediction_ratio": (
+        "6093de23e020a81932939d1374b05263d1b4b97fc61288472552d279708930db",
+        "6bf1bad086201f2763b78493ccfdf38697a40b989287a8fbcca587a60609ba32"),
+    "mean_td_over_br": (
+        "29eb91927835a72430b885e974e96fe8a2c3ed79761af5c4ece9e48032ac75d0",
+        "603932c309f7ca45045442ae7417857c208140f71581a8b4fe96f62f45e9a8e8"),
+    "mean_rel_td": (
+        "45b4493da0fe57d41826288e160c898c124cd617d2c67d27266fe60d0ac0e623",
+        "58f7df20c0b648551a94aa30b139edab31f5d2591eec340f518359b2e9696e91"),
+    "mean_rel_br": (
+        "33866eba781ced4071614b72441a25f2df6c989fb6ce1e7398a393341d902981",
+        "7fce6a8a66d9fd6d313b0166368fcad50e5e2f534bc16174d3269b21f3af914e"),
+}
+
+
 class TestHeatmapCommand:
     @pytest.fixture
     def cells_csv(self, tmp_path):
@@ -592,6 +644,12 @@ class TestHeatmapCommand:
                  if rect.find(f"{ns}title") is not None]
         assert fills == ["url(#hatch)"] * 14
 
+    @pytest.mark.parametrize("log", [False, True])
+    @pytest.mark.parametrize("stat", harness.STAT_FIELDS)
+    def test_svg_bytes_pinned(self, stat, log):
+        svg = render_heatmap(PINNED_CELLS, stat, 0.9, log_scale=log)
+        assert hashlib.sha256(svg.encode()).hexdigest() == SVG_DIGESTS[stat][log]
+
     def test_read_back_equals_aggregate(self, tmp_path):
         records = sweep(SweepConfig(gammas=(0.9,), n_max=4, feature_trials=2, mdp_trials=2))
         cells = aggregate(records)
@@ -614,6 +672,13 @@ class TestUsage:
         (["lstd"], "projeval: argument command: invalid choice: 'lstd'"),
         (["example1", "--gamma-grid", ",", "--theta-grid", "0", "--out", "out"],
          "grids must be nonempty"),
+        # checked before any file is read, so files that do not exist go unnamed
+        (["solve", "--transitions", "P", "--rewards", "r", "--gamma", "0.5",
+          "--features", "phi", "--weights", "xi", "--method", "td", "--direction", "X"],
+         "--direction is only read by method oblique"),
+        (["solve", "--transitions", "P", "--rewards", "r", "--gamma", "0.5",
+          "--features", "phi", "--weights", "xi", "--method", "oblique"],
+         "--direction is required for method oblique"),
     ])
     def test_usage_error_exits_1(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

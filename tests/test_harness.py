@@ -319,11 +319,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             SweepConfig(**fields)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "7", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, np.float64(3), "7", None])
     def test_bad_master_seed(self, seed):
         with pytest.raises(ValueError, match=r"^master_seed must be an integer >= 0, got "):
             SweepConfig(master_seed=seed)
 
-    @pytest.mark.parametrize("seed", [0, np.int64(7), np.uint32(7)])
+    @pytest.mark.parametrize("seed", [0, np.int64(7), np.uint32(7), True, 2 ** 70])
     def test_integer_master_seeds_pass(self, seed):
         assert SweepConfig(master_seed=seed).master_seed == seed

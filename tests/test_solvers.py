@@ -96,6 +96,13 @@ class TestObliqueUnification:
             w = np.linalg.solve(x.T @ l_matrix(mdp) @ phi.matrix, x.T @ lv)
             np.testing.assert_allclose(sol.value_estimate, phi.matrix @ w, atol=1e-8)
 
+    def test_vector_direction_is_one_column(self, rng):
+        mdp, phi, xi = random_instance(rng, n_max=6, m_max=1)
+        x = rng.normal(size=mdp.n_states)
+        assert (solve_oblique(mdp, phi, x).weights.tolist()
+                == solve_oblique(mdp, phi, x[:, None]).weights.tolist())
+        assert error_bound(mdp, phi, xi, x).bound == error_bound(mdp, phi, xi, x[:, None]).bound
+
     def test_dimension_mismatch(self, rng):
         mdp, phi, xi = random_instance(rng, n_max=6, m_max=3)
         wide = np.ones((phi.n_states, phi.dim + 1))
