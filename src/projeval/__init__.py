@@ -2,7 +2,7 @@
 
 Implements the TD(0) fixed point, Bellman-residual minimization, and the
 general oblique-projection family with tight spectral-radius error bounds,
-plus analytic fixtures and a reproducible random-chain benchmark sweep.
+plus the paper's example 1 and a reproducible random-chain benchmark sweep.
 """
 
 from .mdp import (
@@ -10,7 +10,6 @@ from .mdp import (
     bellman_apply,
     exact_value,
     make_mdp,
-    stationary_distribution,
     validate,
 )
 from .projections import (
@@ -33,17 +32,12 @@ from .solvers import (
 from .analysis import (
     BoundReport,
     ErrorReport,
-    br_guarantee,
-    concentration_coefficient,
     error_bound,
     error_report,
-    stationary_td_bound_check,
 )
 from .instances import (
     Instance,
     SeedSpec,
-    block_triangular,
-    ergodic_chain,
     example1,
     random_chain,
     random_features,

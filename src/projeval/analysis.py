@@ -129,45 +129,3 @@ def error_bound(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
         return BoundReport(None, cond, status)
     bound = amplification_bound(psd_sqrt(phi_mat.T @ xiphi), xlphi, L, x, xi)
     return BoundReport(bound, cond, status)
-
-
-def concentration_coefficient(mdp: Mdp, xi: StateWeights) -> float:
-    """max over (i,j) of p_ij / xi_i, a stochasticity measure of the chain."""
-    return float(np.max(mdp.transitions / weight_column(xi, mdp.n_states)))
-
-
-def br_guarantee(mdp: Mdp, xi: StateWeights, v_hat: np.ndarray) -> tuple[float, float]:
-    """Both sides of the residual-based performance guarantee.
-
-    lhs = ||v - v_hat||_xi, rhs = sqrt(C(xi)) / (1 - gamma) * ||v_hat - T v_hat||_xi,
-    for any v_hat.
-    """
-    v_hat = np.asarray(v_hat, dtype=float)
-    v = exact_value(mdp)
-    lhs = weighted_norm(v - v_hat, xi)
-    residual = weighted_norm(v_hat - bellman_apply(mdp, v_hat), xi)
-    rhs = np.sqrt(concentration_coefficient(mdp, xi)) / (1.0 - mdp.discount) * residual
-    return lhs, rhs
-
-
-def stationary_td_bound_check(mdp: Mdp, phi: FeatureBasis,
-                              xi_stationary: StateWeights) -> tuple[float, float]:
-    """TD error bound under the stationary distribution.
-
-    lhs = ||v - v_td||_xi, rhs = ||v - v_best||_xi / sqrt(1 - gamma^2).
-    Requires xi' P = xi' within 1e-8.
-    """
-    from .solvers import solve_best, solve_td
-
-    xi = xi_stationary
-    resid = np.max(np.abs(xi.weights @ mdp.transitions - xi.weights))
-    if resid > 1e-8:
-        raise ValueError(f"weights are not stationary for P (residual {resid:.3e})")
-    v = exact_value(mdp)
-    td = solve_td(mdp, phi, xi)
-    if not td.ok:
-        raise ArithmeticError("TD solve is singular under a stationary distribution")
-    best = solve_best(mdp, phi, xi)
-    lhs = weighted_norm(v - td.value_estimate, xi)
-    rhs = weighted_norm(v - best.value_estimate, xi) / np.sqrt(1.0 - mdp.discount ** 2)
-    return lhs, rhs

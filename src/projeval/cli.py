@@ -24,7 +24,8 @@ import sys
 import numpy as np
 
 from . import analysis, heatmap, instances, matio, solvers
-from .harness import SINGULAR_POLICIES, SweepConfig, aggregate, sweep_columns
+from .harness import (DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR, SINGULAR_POLICIES,
+                      SweepConfig, aggregate, sweep_columns)
 from .mdp import exact_value, make_mdp
 from .projections import make_feature_basis, make_state_weights, weight_column, weighted_norm
 
@@ -35,6 +36,7 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+@np.errstate(over="raise", invalid="raise")  # an overflow is an ArithmeticError: exit 2
 def cmd_solve(args) -> None:
     if args.method == "oblique" and args.direction is None:
         raise ValueError("--direction is required for method oblique")
@@ -89,8 +91,10 @@ def cmd_example1(args) -> None:
         e_best, e_td, e_br = (None if w is None else
                               weighted_norm(v - inst.phi.matrix @ [w], inst.xi) ** 2
                               for w in (ref.w_best, ref.w_td, ref.w_br))
+        # the sweep's degeneracy cutoff: near v in span(Phi) every error is rounding noise
+        cutoff = max(DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR * weighted_norm(v, inst.xi))
         rows.append([_fmt(gamma), _fmt(theta)] + [
-            "singular" if e is None else _fmt(e / e_best if e_best > 0 else math.nan)
+            "singular" if e is None else _fmt(e / e_best if math.sqrt(e_best) > cutoff else math.nan)
             for e in (e_td, e_br)])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

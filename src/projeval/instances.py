@@ -1,9 +1,9 @@
-"""Analytic fixtures and seeded random generators for benchmark instances.
+"""The analytic fixture and the seeded random generators of the sweep.
 
-The two analytic fixtures carry closed-form reference weights; the random
-generators (chains, features, weights) are pure functions of a SeedSpec, so
-any trial of a sweep can be regenerated bit-identically in isolation: member
-p of a stack, checked at once, is the single draw from seed.derive(p).
+`example1` carries closed-form reference weights; the random generators
+(chains, features, weights) are pure functions of a SeedSpec, so any trial
+of a sweep can be regenerated bit-identically in isolation: member p of a
+stack, checked at once, is the single draw from seed.derive(p).
 """
 
 from __future__ import annotations
@@ -86,34 +86,6 @@ def example1(gamma: float, theta: float) -> Instance:
     return Instance(mdp, phi, xi, ReferenceWeights(w_best, w_td, w_br))
 
 
-def block_triangular(k: int, l: int, seed: SeedSpec) -> Instance:
-    """(k+l)-state MDP, discount 0.9, whose first k states never reach the last l states.
-
-    The feature space is all of R^k on the first block and a random proper
-    subspace on the second, so the first-block value is exactly representable
-    while the second generally is not.
-    """
-    if k < 1 or l < 1:
-        raise ValueError("block sizes must be >= 1")
-    rng = seed.rng()
-    n = k + l
-    P = np.zeros((n, n))
-    p11 = rng.uniform(size=(k, k))
-    P[:k, :k] = p11 / p11.sum(axis=1, keepdims=True)
-    p2 = rng.uniform(size=(l, n))
-    P[k:, :] = p2 / p2.sum(axis=1, keepdims=True)
-    r = rng.uniform(-1.0, 1.0, size=n)
-    mdp = make_mdp(P, r, 0.9)
-
-    s2_dim = max(1, l - 1)
-    phi_mat = np.zeros((n, k + s2_dim))
-    phi_mat[:k, :k] = np.eye(k)
-    phi_mat[k:, k:] = rng.uniform(-1.0, 1.0, size=(l, s2_dim))
-    phi = make_feature_basis(phi_mat)
-    xi = make_state_weights(rng.uniform(_WEIGHT_FLOOR, 1.0, size=n))
-    return Instance(mdp, phi, xi)
-
-
 def random_chain(n: int, gamma: float, seed: SeedSpec, count: int | None = None) -> Mdp:
     """Random forward chain: state i advances with probability p_i, else stays.
 
@@ -157,22 +129,3 @@ def random_weights(n: int, seed: SeedSpec, count: int | None = None) -> StateWei
     rngs, stack = seed.rngs(count), count is not None
     xi = np.array([rng.uniform(_WEIGHT_FLOOR, 1.0, size=n) for rng in rngs])
     return make_state_weights(xi if stack else xi[0], stack=stack)
-
-
-def ergodic_chain(n: int, gamma: float, seed: SeedSpec) -> Mdp:
-    """Cyclic chain: state i advances to (i+1) mod n with probability p_i.
-
-    Irreducible and aperiodic, so a strictly positive stationary distribution
-    exists; used as the fixture for stationary-distribution TD bounds.
-    """
-    if n < 2:
-        raise ValueError("chain needs at least 2 states")
-    rng = seed.rng()
-    # keep stay/advance probabilities away from 0 so mixing stays fast
-    p = rng.uniform(0.1, 0.9, size=n)
-    P = np.zeros((n, n))
-    idx = np.arange(n)
-    P[idx, (idx + 1) % n] = p
-    P[idx, idx] += 1.0 - p
-    r = rng.uniform(-1.0, 1.0, size=n)
-    return make_mdp(P, r, gamma)

@@ -121,19 +121,3 @@ def checked_solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
 def exact_value(mdp: Mdp) -> np.ndarray:
     """Unique solution of (I - gamma P) v = r, solved once per Mdp."""
     return mdp._v
-
-
-def stationary_distribution(mdp: Mdp) -> np.ndarray | None:
-    """Stationary xi with xi' P = xi', xi > 0, or None when no such xi exists.
-
-    One least-squares solve of xi'(I - P) = 0 with sum xi = 1. Its stacked
-    matrix has full column rank exactly when rank(I - P) = n - 1, so xi is
-    unique; otherwise, or when xi puts (numerically) zero mass on a state as
-    for chains with an absorbing class, None is returned.
-    """
-    n = mdp.n_states
-    a = np.vstack([np.eye(n) - mdp.transitions.T, np.ones((1, n))])
-    xi, _, rank, _ = np.linalg.lstsq(a, np.append(np.zeros(n), 1.0), rcond=None)
-    if rank < n or np.min(xi) <= 1e-12:
-        return None
-    return xi / xi.sum()

@@ -7,9 +7,12 @@ singular-value oracle for induced xi-operator norms, the matrix-free L
 and L' products, a trial's three errors in exact rational arithmetic
 (stdlib `fractions`), a record-by-record loop over a sweep's cells, a
 token-by-token matrix file reader, a 17-digit matrix file writer and a
-`str.format` CSV writer. The package itself needs none of these; they
-exist to cross-check its solvers, bounds and statistics by an independent
-route.
+`str.format` CSV writer; and the paper's two performance guarantees (BR's
+concentration bound and TD's bound under the stationary distribution),
+with the stationary distribution and the two fixtures they are checked on
+(a block-triangular instance and an ergodic cyclic chain). The package
+itself needs none of these; they exist to cross-check its solvers, bounds
+and statistics by an independent route.
 """
 
 import math
@@ -19,8 +22,13 @@ from fractions import Fraction
 import numpy as np
 
 from projeval.harness import CELL_DTYPE, DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR
+from projeval.instances import _WEIGHT_FLOOR, Instance, SeedSpec
 from projeval.matio import MatrixParseError
-from projeval.projections import FeatureBasis, StateWeights, projected_system
+from projeval.mdp import bellman_apply, exact_value, make_mdp
+from projeval.projections import (FeatureBasis, StateWeights, make_feature_basis,
+                                  make_state_weights, projected_system, weight_column,
+                                  weighted_norm)
+from projeval.solvers import solve_best, solve_td
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -273,3 +281,111 @@ def write_matrix(path: str, matrix: np.ndarray) -> None:
     with open(path, "w") as fh:
         for row in matrix:
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+
+
+# The paper's performance guarantees, checked by acceptance criteria 7 and 8,
+# and the two fixtures they are checked on. The package solves and bounds one
+# instance at a time; these state what its solutions must satisfy.
+
+
+def concentration_coefficient(mdp, xi: StateWeights) -> float:
+    """max over (i,j) of p_ij / xi_i, a stochasticity measure of the chain."""
+    return float(np.max(mdp.transitions / weight_column(xi, mdp.n_states)))
+
+
+def br_guarantee(mdp, xi: StateWeights, v_hat: np.ndarray) -> tuple[float, float]:
+    """Both sides of the residual-based performance guarantee.
+
+    lhs = ||v - v_hat||_xi, rhs = sqrt(C(xi)) / (1 - gamma) * ||v_hat - T v_hat||_xi,
+    for any v_hat.
+    """
+    v_hat = np.asarray(v_hat, dtype=float)
+    v = exact_value(mdp)
+    lhs = weighted_norm(v - v_hat, xi)
+    residual = weighted_norm(v_hat - bellman_apply(mdp, v_hat), xi)
+    rhs = np.sqrt(concentration_coefficient(mdp, xi)) / (1.0 - mdp.discount) * residual
+    return lhs, rhs
+
+
+def stationary_td_bound_check(mdp, phi: FeatureBasis,
+                              xi_stationary: StateWeights) -> tuple[float, float]:
+    """TD error bound under the stationary distribution.
+
+    lhs = ||v - v_td||_xi, rhs = ||v - v_best||_xi / sqrt(1 - gamma^2).
+    Requires xi' P = xi' within 1e-8.
+    """
+    xi = xi_stationary
+    resid = np.max(np.abs(xi.weights @ mdp.transitions - xi.weights))
+    if resid > 1e-8:
+        raise ValueError(f"weights are not stationary for P (residual {resid:.3e})")
+    v = exact_value(mdp)
+    td = solve_td(mdp, phi, xi)
+    if not td.ok:
+        raise ArithmeticError("TD solve is singular under a stationary distribution")
+    best = solve_best(mdp, phi, xi)
+    lhs = weighted_norm(v - td.value_estimate, xi)
+    rhs = weighted_norm(v - best.value_estimate, xi) / np.sqrt(1.0 - mdp.discount ** 2)
+    return lhs, rhs
+
+
+def stationary_distribution(mdp) -> np.ndarray | None:
+    """Stationary xi with xi' P = xi', xi > 0, or None when no such xi exists.
+
+    One least-squares solve of xi'(I - P) = 0 with sum xi = 1. Its stacked
+    matrix has full column rank exactly when rank(I - P) = n - 1, so xi is
+    unique; otherwise, or when xi puts (numerically) zero mass on a state as
+    for chains with an absorbing class, None is returned.
+    """
+    n = mdp.n_states
+    a = np.vstack([np.eye(n) - mdp.transitions.T, np.ones((1, n))])
+    xi, _, rank, _ = np.linalg.lstsq(a, np.append(np.zeros(n), 1.0), rcond=None)
+    if rank < n or np.min(xi) <= 1e-12:
+        return None
+    return xi / xi.sum()
+
+
+def block_triangular(k: int, l: int, seed: SeedSpec) -> Instance:
+    """(k+l)-state MDP, discount 0.9, whose first k states never reach the last l states.
+
+    The feature space is all of R^k on the first block and a random proper
+    subspace on the second, so the first-block value is exactly representable
+    while the second generally is not.
+    """
+    if k < 1 or l < 1:
+        raise ValueError("block sizes must be >= 1")
+    rng = seed.rng()
+    n = k + l
+    P = np.zeros((n, n))
+    p11 = rng.uniform(size=(k, k))
+    P[:k, :k] = p11 / p11.sum(axis=1, keepdims=True)
+    p2 = rng.uniform(size=(l, n))
+    P[k:, :] = p2 / p2.sum(axis=1, keepdims=True)
+    r = rng.uniform(-1.0, 1.0, size=n)
+    mdp = make_mdp(P, r, 0.9)
+
+    s2_dim = max(1, l - 1)
+    phi_mat = np.zeros((n, k + s2_dim))
+    phi_mat[:k, :k] = np.eye(k)
+    phi_mat[k:, k:] = rng.uniform(-1.0, 1.0, size=(l, s2_dim))
+    phi = make_feature_basis(phi_mat)
+    xi = make_state_weights(rng.uniform(_WEIGHT_FLOOR, 1.0, size=n))
+    return Instance(mdp, phi, xi)
+
+
+def ergodic_chain(n: int, gamma: float, seed: SeedSpec):
+    """Cyclic chain: state i advances to (i+1) mod n with probability p_i.
+
+    Irreducible and aperiodic, so a strictly positive stationary distribution
+    exists; used as the fixture for stationary-distribution TD bounds.
+    """
+    if n < 2:
+        raise ValueError("chain needs at least 2 states")
+    rng = seed.rng()
+    # keep stay/advance probabilities away from 0 so mixing stays fast
+    p = rng.uniform(0.1, 0.9, size=n)
+    P = np.zeros((n, n))
+    idx = np.arange(n)
+    P[idx, (idx + 1) % n] = p
+    P[idx, idx] += 1.0 - p
+    r = rng.uniform(-1.0, 1.0, size=n)
+    return make_mdp(P, r, gamma)

@@ -14,7 +14,6 @@ from projeval import (
     SweepConfig,
     aggregate,
     br_direction,
-    br_guarantee,
     error_bound,
     error_report,
     exact_value,
@@ -26,24 +25,30 @@ from projeval import (
     solve_br,
     solve_oblique,
     solve_td,
-    stationary_td_bound_check,
     sweep,
     td_direction,
     weighted_norm,
 )
 from projeval.instances import (
     SeedSpec,
-    block_triangular,
-    ergodic_chain,
     example1,
     random_chain,
     random_features,
     random_weights,
 )
 from projeval.matio import write_cell_csv, write_trial_csv
-from projeval.mdp import l_matrix, stationary_distribution
+from projeval.mdp import l_matrix
 
-from oracles import SingularMatrixError, oblique_coefficient_map, operator_norm_oracle
+from oracles import (
+    SingularMatrixError,
+    block_triangular,
+    br_guarantee,
+    ergodic_chain,
+    oblique_coefficient_map,
+    operator_norm_oracle,
+    stationary_distribution,
+    stationary_td_bound_check,
+)
 
 GAMMA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 THETA_GRID = (0.0, 1.0, 2.0, 4.0)

@@ -3,8 +3,6 @@ import pytest
 
 from projeval import (
     br_direction,
-    br_guarantee,
-    concentration_coefficient,
     error_bound,
     error_report,
     exact_value,
@@ -16,16 +14,24 @@ from projeval import (
     solve_br,
     solve_oblique,
     solve_td,
-    stationary_td_bound_check,
     td_direction,
     weighted_norm,
 )
-from projeval.instances import SeedSpec, ergodic_chain, example1
-from projeval.mdp import l_matrix, stationary_distribution
+from projeval.instances import SeedSpec, example1
+from projeval.mdp import l_matrix
 
 from conftest import random_instance
-from oracles import (SingularMatrixError, bound_matrices, oblique_coefficient_map,
-                     operator_norm_oracle)
+from oracles import (
+    SingularMatrixError,
+    bound_matrices,
+    br_guarantee,
+    concentration_coefficient,
+    ergodic_chain,
+    oblique_coefficient_map,
+    operator_norm_oracle,
+    stationary_distribution,
+    stationary_td_bound_check,
+)
 
 
 class TestErrorReport:

@@ -177,6 +177,23 @@ class TestSolve:
         assert_one_line(captured.err, "singular: value solve residual too large: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("name, content, method", [
+        ("phi", "1e200\n2e200\n", "td"),
+        ("phi", "1e200\n2e200\n", "best"),
+        ("r", "1e308\n1e308\n", "td"),
+        ("x", "1e300\n1e300\n", "oblique"),
+    ], ids=["features-td", "features-best", "rewards-td", "direction-oblique"])
+    def test_overflow_is_one_singular_line(self, example1_files, tmp_path, capsys,
+                                           name, content, method):
+        # finite files whose products overflow: one line, not numpy's warnings
+        big = tmp_path / "big.txt"
+        big.write_text(content)
+        example1_files[name] = str(big)
+        assert run_solve(example1_files, 0.5, method, direction(method, example1_files)) == 2
+        captured = capsys.readouterr()
+        assert_one_line(captured.err, "singular: ")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("method", ["td", "br", "best", "oblique"])
     def test_one_l_and_one_value_per_request(self, tmp_path, monkeypatch, capsys, method):
         n = 6
@@ -316,7 +333,12 @@ class TestExample1Command:
                      "--theta-grid", "0 0.3 1.2490457723982544 2 -1",
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "7c677c2936440625a4ea5541889ee9350f7cdbc287b272001b4359bdb7408454")
+            "ce0ecbe69cb11bb5abb2e236a06b5bcd9aa2ed004c8c5b793ae1e3278d54c18c")
+        with open(out) as fh:
+            (row,) = [row for row in csv.DictReader(fh)
+                      if row["gamma"] == "0.25" and row["theta"] == "1.2490457724"]
+        # its errors are rounding noise, so its ratios are not numbers
+        assert (row["ratio_td"], row["ratio_br"]) == ("nan", "nan")
 
     @pytest.mark.parametrize("theta", ["nan", "inf", "0 -inf"])
     def test_non_finite_theta_rejected_before_writing(self, theta, tmp_path, capsys):

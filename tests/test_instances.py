@@ -12,14 +12,12 @@ from projeval import (
 from projeval import instances, projections
 from projeval.instances import (
     SeedSpec,
-    block_triangular,
-    ergodic_chain,
     example1,
     random_chain,
     random_features,
     random_weights,
 )
-from projeval.mdp import stationary_distribution
+from oracles import block_triangular, ergodic_chain, stationary_distribution
 
 GAMMA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 THETA_GRID = (0.0, 1.0, 2.0, 4.0)

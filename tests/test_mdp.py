@@ -7,14 +7,13 @@ from projeval import (
     bellman_apply,
     exact_value,
     make_mdp,
-    stationary_distribution,
     validate,
 )
-from projeval.instances import SeedSpec, ergodic_chain
+from projeval.instances import SeedSpec
 from projeval.mdp import Mdp
 
 from conftest import random_dense_mdp
-from oracles import apply_L, apply_L_transpose
+from oracles import apply_L, apply_L_transpose, ergodic_chain, stationary_distribution
 
 
 def two_state(gamma=0.9, r=(1.0, 0.0)):

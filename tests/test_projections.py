@@ -5,23 +5,25 @@ import pytest
 
 from projeval import (
     StateWeights,
-    concentration_coefficient,
     make_feature_basis,
     make_state_weights,
     weighted_norm,
 )
-from projeval.instances import SeedSpec, ergodic_chain, example1
-from projeval.mdp import l_matrix, stationary_distribution
+from projeval.instances import SeedSpec, example1
+from projeval.mdp import l_matrix
 from projeval.projections import MemberCheckError, projected_solve, row_weighted
 
 from conftest import random_instance
 from oracles import (
     SingularMatrixError,
+    concentration_coefficient,
+    ergodic_chain,
     oblique_coefficient_map,
     operator_norm_oracle,
     orthogonal_coefficient_map,
     projector_weighted_norm,
     spectral_radius,
+    stationary_distribution,
 )
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from projeval import (
     br_direction,
-    concentration_coefficient,
     error_bound,
     error_report,
     exact_value,
@@ -22,7 +21,7 @@ from projeval.instances import example1
 from projeval.mdp import l_matrix
 
 from conftest import random_instance
-from oracles import orthogonal_coefficient_map
+from oracles import concentration_coefficient, orthogonal_coefficient_map
 
 
 class TestExample1ClosedForms:
