@@ -3,7 +3,8 @@
 `example1` carries closed-form reference weights; the random generators
 (chains, features, weights) are pure functions of a SeedSpec, so any trial
 of a sweep can be regenerated bit-identically in isolation: member p of a
-stack, checked at once, is the single draw from seed.derive(p).
+stack, checked at once, is the single draw from seed.derive(p). Each draw is
+made once: a basis that fails its independence check raises.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import Mdp, make_mdp
-from .projections import (FeatureBasis, MemberCheckError, StateWeights, make_feature_basis,
-                          make_state_weights)
+from .projections import FeatureBasis, StateWeights, make_feature_basis, make_state_weights
 
-_RESAMPLE_LIMIT = 100
 _WEIGHT_FLOOR = 1e-3
 
 
@@ -106,19 +105,13 @@ def random_chain(n: int, gamma: float, seed: SeedSpec, count: int | None = None)
 
 
 def random_features(n: int, k: int, seed: SeedSpec, count: int | None = None) -> FeatureBasis:
-    """Random basis with entries uniform on [-1,1], resampled until independent;
-    with a count, a stack of `count` bases in which only the failing ones are redrawn."""
+    """Random basis with entries uniform on [-1,1], drawn once; with a count, a stack of
+    `count` bases. A draw whose columns fail the independence check raises its ValueError."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     rngs, stack = seed.rngs(count), count is not None
     phi = np.array([rng.uniform(-1.0, 1.0, size=(n, k)) for rng in rngs])
-    for _ in range(_RESAMPLE_LIMIT):
-        try:
-            return make_feature_basis(phi if stack else phi[0], stack=stack)
-        except MemberCheckError as exc:
-            for p in exc.members:
-                phi[p] = rngs[p].uniform(-1.0, 1.0, size=(n, k))
-    raise RuntimeError(f"could not draw an independent {n}x{k} basis")
+    return make_feature_basis(phi if stack else phi[0], stack=stack)
 
 
 def random_weights(n: int, seed: SeedSpec, count: int | None = None) -> StateWeights:

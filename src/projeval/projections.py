@@ -24,21 +24,13 @@ SINGULAR_CONDITION_LIMIT = 1e12
 INDEPENDENCE_SV_RATIO = 1e-10
 
 
-class MemberCheckError(ValueError):
-    """A failed check of a constructor; `members` indexes each failing member of a stack."""
-
-    def __init__(self, message: str, members: np.ndarray):
-        super().__init__(message)
-        self.members = members
-
-
 def _require(ok: np.ndarray, message: str, *values: np.ndarray) -> None:
-    """A MemberCheckError unless all of `ok` holds; `message` is formatted with the first
+    """A ValueError unless all of `ok` holds; `message` is formatted with the first
     failing member's name (" i" in a stack, "" alone) and its entries of `values`."""
     if not np.all(ok):
-        bad = np.flatnonzero(~ok)
-        raise MemberCheckError(message.format(f" {bad[0]}" if ok.ndim else "",
-                                              *(v.reshape(-1)[bad[0]] for v in values)), bad)
+        bad = np.flatnonzero(~ok)[0]
+        raise ValueError(message.format(f" {bad}" if ok.ndim else "",
+                                        *(v.reshape(-1)[bad] for v in values)))
 
 
 @dataclass(frozen=True)

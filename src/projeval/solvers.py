@@ -11,7 +11,8 @@ solve applied to the exact value, (Phi' Xi Phi) w = Phi' Xi v; the
 direction X* solving L' X* = Xi Phi reproduces it as an oblique solve.
 Each solve goes through `projections.projected_solve`, so a numerically
 singular system (condition estimate above 1e12) is the status "singular"
-on the solution, never an exception or a silently garbage answer.
+on the solution, never an exception or a silently garbage answer; a solution
+that overflows to a non-finite value raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ def _solve(left: np.ndarray, right: np.ndarray, b: np.ndarray,
            phi: FeatureBasis, method: str) -> ProjectionSolution:
     w, _, cond, status = projected_solve(left, right, b)
     w, v_hat = (w, phi.matrix @ w) if status == "ok" else (None, None)
+    if w is not None and not (np.isfinite(w).all() and np.isfinite(v_hat).all()):
+        raise ArithmeticError(f"{method} solution overflows: it is not finite")
     return ProjectionSolution(w, v_hat, method, cond, status)
 
 

@@ -4,15 +4,15 @@ Coefficient maps of (oblique) projections as explicit m x N matrices, the
 projector norm computed from them through small m x m products, the
 matrices A, B and C of the amplification bound, a full-size
 singular-value oracle for induced xi-operator norms, the matrix-free L
-and L' products, a trial's three errors in exact rational arithmetic
-(stdlib `fractions`), a record-by-record loop over a sweep's cells, a
-token-by-token matrix file reader, a 17-digit matrix file writer and a
-`str.format` CSV writer; and the paper's two performance guarantees (BR's
-concentration bound and TD's bound under the stationary distribution),
-with the stationary distribution and the two fixtures they are checked on
-(a block-triangular instance and an ergodic cyclic chain). The package
-itself needs none of these; they exist to cross-check its solvers, bounds
-and statistics by an independent route.
+and L' products, a trial's three errors and an exact test of its TD and
+BR bounds in rational arithmetic (stdlib `fractions`), a record-by-record
+loop over a sweep's cells, a token-by-token matrix file reader, a 17-digit
+matrix file writer and a `str.format` CSV writer; and the paper's two
+performance guarantees (BR's concentration bound and TD's bound under the
+stationary distribution), with the stationary distribution and the two
+fixtures they are checked on (a block-triangular instance and an ergodic
+cyclic chain). The package itself needs none of these; they exist to
+cross-check its solvers, bounds and statistics by an independent route.
 """
 
 import math
@@ -170,6 +170,19 @@ def _dot(x, y) -> Fraction:
     return sum((a * b for a, b in zip(x, y)), Fraction(0))
 
 
+def _exact_terms(mdp, phi: FeatureBasis, xi: StateWeights) -> tuple[list, ...]:
+    """L, r, xi, Phi's columns and L Phi's columns, the float inputs taken as exact rationals."""
+    n = mdp.n_states
+    gamma = Fraction(mdp.discount)
+    P = [[Fraction(p) for p in row] for row in mdp.transitions.tolist()]
+    L = [[(i == j) - gamma * P[i][j] for j in range(n)] for i in range(n)]
+    r = [Fraction(x) for x in mdp.rewards.tolist()]
+    weights = [Fraction(x) for x in xi.weights.tolist()]
+    cols = [[Fraction(x) for x in col] for col in phi.matrix.T.tolist()]
+    lcols = [[_dot(row, col) for row in L] for col in cols]
+    return L, r, weights, cols, lcols
+
+
 def exact_errors(mdp, phi: FeatureBasis, xi: StateWeights) -> tuple[float, float, float]:
     """e, e_td and e_br of one instance in exact rational arithmetic.
 
@@ -179,14 +192,7 @@ def exact_errors(mdp, phi: FeatureBasis, xi: StateWeights) -> tuple[float, float
     ((L Phi)' Xi L Phi) w = (L Phi)' Xi r; each error ||v - Phi w||_xi is
     exact up to its square root, taken in float. Standard library only.
     """
-    n = mdp.n_states
-    gamma = Fraction(mdp.discount)
-    P = [[Fraction(p) for p in row] for row in mdp.transitions.tolist()]
-    L = [[(i == j) - gamma * P[i][j] for j in range(n)] for i in range(n)]
-    r = [Fraction(x) for x in mdp.rewards.tolist()]
-    weights = [Fraction(x) for x in xi.weights.tolist()]
-    cols = [[Fraction(x) for x in col] for col in phi.matrix.T.tolist()]  # Phi's columns
-    lcols = [[_dot(row, col) for row in L] for col in cols]              # L Phi's columns
+    L, r, weights, cols, lcols = _exact_terms(mdp, phi, xi)
     v = _exact_solve(L, r)
 
     def error(left, right, b):
@@ -198,6 +204,37 @@ def exact_errors(mdp, phi: FeatureBasis, xi: StateWeights) -> tuple[float, float
         return math.sqrt(float(sum(x * y * y for x, y in zip(weights, d))))
 
     return error(cols, cols, v), error(cols, lcols, r), error(lcols, lcols, r)
+
+
+def exact_bound_test(mdp, phi: FeatureBasis, xi: StateWeights, direction: str):
+    """A test of t >= b^2 for the TD ("td", X = Xi Phi) or BR ("br", X = Xi L Phi)
+    bound b in exact rational arithmetic; call it with a float t.
+
+    b^2 is the largest eigenvalue of C G^-1, with m = X' L Phi, A = Phi' Xi Phi,
+    G = m A^-1 m' and C = X' L Xi^-1 L' X, so the test is that t G - C is positive
+    definite: every pivot of its symmetric elimination is positive (Sylvester). The
+    float P, r, gamma, Phi and xi are taken as the exact rationals they are.
+    """
+    L, _, weights, cols, lcols = _exact_terms(mdp, phi, xi)
+    xcols = [[x * y for x, y in zip(weights, col)] for col in {"td": cols, "br": lcols}[direction]]
+    ltx = [[_dot(col, x) for col in zip(*L)] for x in xcols]             # L' X's columns
+    m = [[_dot(x, col) for col in lcols] for x in xcols]
+    a = [[_dot([x * y for x, y in zip(weights, c)], d) for d in cols] for c in cols]
+    a_inv_mt = [_exact_solve(a, row) for row in m]                       # A^-1 m', by columns
+    g = [[_dot(row, col) for col in a_inv_mt] for row in m]
+    c = [[_dot([x / w for x, w in zip(y, weights)], z) for z in ltx] for y in ltx]
+
+    def holds(t: float) -> bool:
+        rows = [[Fraction(t) * gij - cij for gij, cij in zip(gi, ci)] for gi, ci in zip(g, c)]
+        for j in range(len(rows)):
+            if rows[j][j] <= 0:
+                return False
+            for i in range(j + 1, len(rows)):
+                f = rows[i][j] / rows[j][j]
+                rows[i][j:] = [x - f * y for x, y in zip(rows[i][j:], rows[j][j:])]
+        return True
+
+    return holds
 
 
 def aggregate_loop(records, singular_policy: str = "worst") -> np.recarray:

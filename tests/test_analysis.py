@@ -27,6 +27,7 @@ from oracles import (
     br_guarantee,
     concentration_coefficient,
     ergodic_chain,
+    exact_bound_test,
     oblique_coefficient_map,
     operator_norm_oracle,
     stationary_distribution,
@@ -104,6 +105,13 @@ class TestErrorBound:
         assert c[0, 0] == pytest.approx(0.125)
         rep = error_bound(inst.mdp, inst.phi, inst.xi, x)
         assert rep.bound == pytest.approx(np.sqrt(1.25), abs=1e-12)
+
+    @pytest.mark.parametrize("x, b_squared", [("td", 1.5625), ("br", 1.25)])
+    def test_exact_referee_on_two_state_values(self, x, b_squared):
+        # t G - C is singular at t = b^2 exactly, so the strict test fails there
+        inst = example1(0.5, 0.0)
+        holds = exact_bound_test(inst.mdp, inst.phi, inst.xi, x)
+        assert holds(b_squared * (1 + 1e-12)) and not holds(b_squared)
 
     def test_optimal_direction_has_bound_one(self, rng):
         for _ in range(10):

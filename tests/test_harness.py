@@ -24,7 +24,7 @@ from projeval import (
 from projeval.mdp import exact_value
 from projeval.solvers import br_direction, td_direction
 
-from oracles import aggregate_loop, exact_errors
+from oracles import aggregate_loop, exact_bound_test, exact_errors
 
 SMALL = SweepConfig(gammas=(0.9, 0.99), n_min=2, n_max=5,
                     feature_trials=2, mdp_trials=2, master_seed=123)
@@ -143,6 +143,25 @@ class TestRunTrial:
         rec = rec[rec.e > 1e-9]  # a singular TD trial's NaN e_td and b_td compare False
         over = rec[rec[f"e_{x}"] > rec[f"b_{x}"] * rec.e * (1 + 1e-6)]
         assert len(over) == 0, f"{len(over)} trials above their bound, k in {set(over.k.tolist())}"
+
+    @pytest.mark.parametrize("x", ["td", pytest.param("br", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 11: BR bound formed from squared Gram factors"))])
+    @pytest.mark.parametrize("k, phi_trial, mdp_trial", [(9, 18, 5), (9, 12, 6), (9, 0, 5)])
+    def test_bounds_pass_exact_referee(self, x, k, phi_trial, mdp_trial):
+        # gamma 0.999, n = 10: today's b_br is low in the kernel and the library at
+        # (9, 18, 5), high in both at (9, 12, 6), and low in one, high in the other at
+        # (9, 0, 5); a bound b passes when b (1 - 1e-7) < exact < b (1 + 1e-7)
+        config = SweepConfig()
+        rec = run_trial(config, 3, 10, k, phi_trial, mdp_trial)
+        mdp, phi, xi = trial_instance(config, 3, 10, k, phi_trial, mdp_trial)
+        holds = exact_bound_test(mdp, phi, xi, x)
+        direction = {"td": td_direction, "br": br_direction}[x](mdp, phi, xi)
+        for source, b in (("kernel", rec[f"b_{x}"]),
+                          ("error_bound", error_bound(mdp, phi, xi, direction).bound)):
+            assert holds((b * (1 + 1e-7)) ** 2), \
+                f"{source}'s b_{x} {b:.10g} is below the exact bound"
+            assert not holds((b * (1 - 1e-7)) ** 2), \
+                f"{source}'s b_{x} {b:.10g} is above the exact bound"
 
 
 class TestSweep:

@@ -47,6 +47,14 @@ class TestExample1ClosedForms:
         assert sol.weights is None and sol.value_estimate is None
         assert sol.condition_estimate > 1e12
 
+    @pytest.mark.parametrize("solve", [solve_td, solve_br])
+    def test_overflowing_solution_raises(self, solve):
+        # X' r overflows: w (or Phi w) would be inf behind an "ok" status
+        inst = example1(0.5, 0.0)
+        mdp = make_mdp(inst.mdp.transitions, [1e308, 1e308], 0.5)
+        with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="not finite"):
+            solve(mdp, inst.phi, inst.xi)
+
 
 class TestExactnessCorollary:
     def test_value_in_span_recovered_by_all_methods(self, rng):
