@@ -108,8 +108,6 @@ def cmd_sweep(args) -> None:
                          feature_trials=args.trials, mdp_trials=args.trials,
                          master_seed=args.seed,
                          singular_policy=args.singular_policy)
-    if args.workers < 1:
-        raise ValueError(f"--workers is {args.workers}, expected at least 1")
     os.makedirs(args.out_dir, exist_ok=True)
 
     cell_blocks = []
@@ -118,7 +116,7 @@ def cmd_sweep(args) -> None:
 
     def columns():
         # each column's trial rows are written, and its cells and ratios kept, as it arrives
-        for records in sweep_columns(config, workers=args.workers):
+        for records in sweep_columns(config, workers=_usable_cpus()):
             cell_blocks.append(aggregate(records, config.singular_policy,
                                          config.feature_trials * config.mdp_trials))
             kept = records[(records["k"] < records["n"]) & ~records["td_singular"]]
@@ -143,6 +141,13 @@ def cmd_sweep(args) -> None:
               f"mean_td_over_br={mean_ratio:.4f}")
         print(_tail_summary(tails[gamma]))
         print("  k<n breaks: " + " ".join(map("{}={}".format, BREAKS, breaks[gamma])))
+
+
+def _usable_cpus() -> int:
+    """The CPUs `taskset` or a batch scheduler lets this process use (every CPU on macOS)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # the paper's inequalities for a regular TD trial, as the checks its trials may break:
@@ -212,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="feature trials and MDP trials per cell")
     p.add_argument("--singular-policy", default=SweepConfig.singular_policy,
                    choices=SINGULAR_POLICIES)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("heatmap", help="render one cell statistic as SVG")

@@ -34,6 +34,11 @@ def example1_files(tmp_path):
     return paths
 
 
+def usable_cpus(monkeypatch, count):
+    """Make the process's CPU affinity set hold `count` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def near_dependent_files(tmp_path, seed):
     """A 4-state instance whose two feature columns differ by about 1e-6.
 
@@ -369,19 +374,22 @@ class TestSweepCommand:
         with open(out / "cells.csv") as fh:
             assert {row["gamma"] for row in csv.DictReader(fh)} == {"0.9"}
 
-    def test_byte_identical_reruns(self, tmp_path):
+    def test_byte_identical_reruns(self, monkeypatch, tmp_path):
         args = ["sweep", "--gammas", "0.9", "--n-max", "4", "--trials", "2"]
         a, b = tmp_path / "a", tmp_path / "b"
+        usable_cpus(monkeypatch, 1)
         assert main(args + ["--out-dir", str(a)]) == 0
-        assert main(args + ["--out-dir", str(b), "--workers", "2"]) == 0
+        usable_cpus(monkeypatch, 2)
+        assert main(args + ["--out-dir", str(b)]) == 0
         for name in ("trials.csv", "cells.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_csv_bytes_pinned(self, workers, tmp_path):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_csv_bytes_pinned(self, cpus, monkeypatch, tmp_path):
         out = tmp_path / "out"
+        usable_cpus(monkeypatch, cpus)
         assert main(["sweep", "--gammas", "0.9 0.99", "--n-max", "5", "--trials", "2",
-                     "--seed", "123", "--workers", workers, "--out-dir", str(out)]) == 0
+                     "--seed", "123", "--out-dir", str(out)]) == 0
         got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
                     for f in ("trials.csv", "cells.csv"))
         assert got == CSV_DIGESTS["SMALL"]
@@ -463,9 +471,33 @@ class TestSweepCommand:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        usable_cpus(monkeypatch, 64)
         assert main(["sweep", "--gammas", "0.9", "--n-max", "3", "--trials", "2",
-                     "--workers", "64", "--out-dir", str(tmp_path / "out")]) == 0
+                     "--out-dir", str(tmp_path / "out")]) == 0
         assert pools == [2]
+
+    def test_one_cpu_starts_no_pool(self, monkeypatch, tmp_path):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        usable_cpus(monkeypatch, 1)
+        assert main(["sweep", "--gammas", "0.9", "--n-max", "3", "--trials", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("cpu_count, expected", [(3, 3), (None, 1)])
+    def test_cpu_count_without_affinity(self, cpu_count, expected, monkeypatch, tmp_path):
+        counts = []
+
+        def recorded(config, workers):
+            counts.append(workers)
+            raise OSError("stop before the first column")
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(cli, "sweep_columns", recorded)
+        assert main(["sweep", "--out-dir", str(tmp_path / "out")]) == 1
+        assert counts == [expected]
 
     def test_unwritable_trials_fails_before_computing(self, monkeypatch, tmp_path, capsys):
         calls = []
@@ -475,6 +507,8 @@ class TestSweepCommand:
             return _run(*args)
 
         monkeypatch.setattr(harness, "run_column", counted)
+        # a pool's children would call run_column where `calls` cannot see it
+        usable_cpus(monkeypatch, 1)
         out = tmp_path / "out"
         (out / "trials.csv").mkdir(parents=True)
         assert main(["sweep", "--gammas", "0.9", "--n-max", "3", "--trials", "2",
@@ -492,6 +526,8 @@ class TestSweepCommand:
             return _run(*args)
 
         monkeypatch.setattr(harness, "run_column", counted)
+        # a pool's children would call run_column where `calls` cannot see it
+        usable_cpus(monkeypatch, 1)
         out = tmp_path / "out"
         (out / "cells.csv").mkdir(parents=True)
         assert main(["sweep", "--gammas", "0.9", "--n-max", "3", "--trials", "2",
@@ -510,8 +546,6 @@ class TestSweepCommand:
         assert captured.out == ""
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--workers", "0", "--workers is 0, expected at least 1"),
-        ("--workers", "-4", "--workers is -4, expected at least 1"),
         ("--gammas", "", "gammas must be nonempty and distinct"),
         ("--gammas", "0.9 0.9", "gammas must be nonempty and distinct"),
         ("--n-max", "1", "need 2 <= n_min <= n_max"),
@@ -584,9 +618,10 @@ SVG_DIGESTS = {
 
 
 class TestHeatmapCommand:
-    @pytest.fixture
-    def cells_csv(self, tmp_path):
-        out = tmp_path / "out"
+    @pytest.fixture(scope="class")
+    def cells_csv(self, tmp_path_factory):
+        # one sweep for the class: the tests read the file and write elsewhere
+        out = tmp_path_factory.mktemp("sweep")
         main(["sweep", "--gammas", "0.9", "--n-max", "5", "--trials", "3",
               "--out-dir", str(out)])
         return str(out / "cells.csv")
@@ -689,8 +724,8 @@ class TestUsage:
         (["solve", "--transitions", "P", "--rewards", "r", "--gamma", "0.5",
           "--features", "phi", "--weights", "xi", "--method", "lstd"],
          "projeval solve: argument --method: invalid choice: 'lstd'"),
-        (["sweep", "--workers", "two", "--out-dir", "out"],
-         "projeval sweep: argument --workers: invalid int value: 'two'"),
+        (["sweep", "--trials", "two", "--out-dir", "out"],
+         "projeval sweep: argument --trials: invalid int value: 'two'"),
         (["lstd"], "projeval: argument command: invalid choice: 'lstd'"),
         (["example1", "--gamma-grid", ",", "--theta-grid", "0", "--out", "out"],
          "grids must be nonempty"),
@@ -701,6 +736,9 @@ class TestUsage:
         (["solve", "--transitions", "P", "--rewards", "r", "--gamma", "0.5",
           "--features", "phi", "--weights", "xi", "--method", "oblique"],
          "--direction is required for method oblique"),
+        # the pool's size is the usable CPU count, not an option
+        (["sweep", "--workers", "2", "--out-dir", "out"],
+         "projeval: unrecognized arguments: --workers 2"),
     ])
     def test_usage_error_exits_1(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
