@@ -3,7 +3,10 @@
 For a candidate v_hat in span(Phi) the report carries four xi-norms: the
 approximation error against the exact value, the TD error, the Bellman
 residual, and the adequacy gap between them; the residual squared always
-splits as TD error squared plus adequacy squared.
+splits as TD error squared plus adequacy squared. The TD error and the
+adequacy are distances to Proj T v_hat, the xi-orthogonal projection onto
+span(Phi). It exists for every basis, so the report forms it from one thin
+QR, solves no system and has no singular case.
 
 For an oblique direction X, the amplification of the best achievable error
 is exactly the xi-norm of the projector onto span(Phi) along span(L'X)^perp,
@@ -13,8 +16,8 @@ computed from three m x m matrices:
   bound = sqrt(lambda_max(A^1/2 B C B' A^1/2)).
 
 `amplification_bound` forms B and C, for one system or a stack, for both
-`error_bound` and the sweep kernel. The xi-projection of the report and the
-system X' L Phi of the bound go through the singularity gate of `projections`.
+`error_bound` and the sweep kernel. The system X' L Phi of the bound goes
+through the singularity gate of `projections`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .projections import (
     StateWeights,
     direction_matrix,
     feature_matrix,
-    projected_solve,
     projected_system,
     row_weighted,
     weight_column,
@@ -39,16 +41,10 @@ from .projections import (
 
 @dataclass(frozen=True)
 class ErrorReport:
-    approx_error: float         # ||v - v_hat||_xi
-    td_error: float | None      # ||v_hat - Proj T v_hat||_xi
-    br_residual: float          # ||v_hat - T v_hat||_xi
-    adequacy: float | None      # ||T v_hat - Proj T v_hat||_xi
-    condition_estimate: float   # of the Gram system behind Proj
-    status: str  # "ok" | "singular"; td_error and adequacy are None when singular
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
+    approx_error: float  # ||v - v_hat||_xi
+    td_error: float      # ||v_hat - Proj T v_hat||_xi
+    br_residual: float   # ||v_hat - T v_hat||_xi
+    adequacy: float      # ||T v_hat - Proj T v_hat||_xi
 
 
 @dataclass(frozen=True)
@@ -90,26 +86,26 @@ def error_report(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
                  w: np.ndarray) -> ErrorReport:
     """All four error functionals for the candidate v_hat = Phi w.
 
-    Proj is the xi-orthogonal projection, the projected solve with
-    left = Xi Phi and right = Phi; when that system is singular, td_error
-    and adequacy are None.
+    Proj y = Xi^-1/2 Q Q' Xi^1/2 y, with Q from the thin QR of Xi^1/2 Phi,
+    not from the Gram system Phi' Xi Phi, whose condition number is that
+    matrix's squared. A ValueError unless w is a finite vector of length m.
     """
+    w = np.asarray(w, dtype=float)
+    if w.shape != (phi.dim,):
+        raise ValueError(f"coordinates w have shape {w.shape}, expected ({phi.dim},)")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("coordinates w have non-finite entries")
     phi_mat = feature_matrix(phi, mdp.n_states)
-    v_hat = phi_mat @ np.asarray(w, dtype=float)
+    v_hat = phi_mat @ w
     t_v_hat = bellman_apply(mdp, v_hat)
-    coords, _, cond, status = projected_solve(row_weighted(xi, phi_mat), phi_mat, t_v_hat)
-    td_error = adequacy = None
-    if status == "ok":
-        proj_t = phi_mat @ coords
-        td_error = weighted_norm(v_hat - proj_t, xi)
-        adequacy = weighted_norm(t_v_hat - proj_t, xi)
+    s = np.sqrt(weight_column(xi, mdp.n_states))
+    q = np.linalg.qr(s * phi_mat)[0]  # [0], not .Q: numpy 1.24 returns a plain tuple
+    proj_t = (q @ (q.T @ (s * t_v_hat[:, None])) / s)[:, 0]
     return ErrorReport(
         approx_error=weighted_norm(exact_value(mdp) - v_hat, xi),
-        td_error=td_error,
+        td_error=weighted_norm(v_hat - proj_t, xi),
         br_residual=weighted_norm(v_hat - t_v_hat, xi),
-        adequacy=adequacy,
-        condition_estimate=cond,
-        status=status,
+        adequacy=weighted_norm(t_v_hat - proj_t, xi),
     )
 
 

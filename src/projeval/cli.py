@@ -60,9 +60,6 @@ def cmd_solve(args) -> None:
         raise ArithmeticError(f"{sol.method} system has condition estimate "
                               f"{sol.condition_estimate:.6g}")
     report = analysis.error_report(mdp, phi, xi, sol.weights)
-    if not report.ok:
-        raise ArithmeticError("Gram system of the error report's projection has "
-                              f"condition estimate {report.condition_estimate:.6g}")
 
     print(f"method: {sol.method}")
     print("w: " + " ".join(_fmt(x) for x in sol.weights))

@@ -65,6 +65,10 @@ class SweepConfig:
     singular_policy: str = "worst"
 
     def __post_init__(self):
+        for name in ("n_min", "n_max", "feature_trials", "mdp_trials"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.feature_trials < 1 or self.mdp_trials < 1:
             raise ValueError("trial counts must be >= 1")
         if not self.gammas or len(set(self.gammas)) != len(self.gammas):

@@ -53,7 +53,7 @@ def make_mdp(transitions, rewards, discount: float, stack: bool = False) -> Mdp:
     """
     P = np.array(transitions, dtype=float)
     r = np.array(rewards, dtype=float)
-    m = Mdp(P, r if stack else r.ravel(), float(discount))
+    m = Mdp(P, r, float(discount))
     problems = validate(m, stack)
     if problems:
         raise ValueError("invalid MDP: " + "; ".join(problems))
@@ -75,7 +75,7 @@ def validate(mdp: Mdp, stack: bool = False) -> list[str]:
         return ["transition matrix has no states"]
     problems = []
     if r.shape != P.shape[:-1]:
-        problems.append(f"rewards has length {r.size}, expected {P[..., 0].size}")
+        problems.append(f"rewards has shape {r.shape}, expected {P.shape[:-1]}")
     elif not np.all(np.isfinite(r)):
         *chain, i = np.argwhere(~np.isfinite(r))[0]
         problems.append(f"non-finite reward at {i}{of(chain)}")

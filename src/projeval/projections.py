@@ -3,12 +3,12 @@ Xi M and the one direction check, and the one projected solve.
 
 Every method of this package reduces to an m x m system M w = left' b with
 M = left' right: TD, BR and any oblique direction X use left = X and
-right = L Phi, and the xi-orthogonal projection uses left = Xi Phi and
-right = Phi. `projected_system` forms M and decides, from its
-cancellation-aware condition estimate, whether M is numerically singular;
-that decision is returned as a status, never raised. Solvers, error
-reports, bounds and the sweep kernel all take it from there: every helper
-also takes stacks, and gives each member, bit for bit, its result alone.
+right = L Phi, and the best projection uses left = Xi Phi and right = Phi.
+`projected_system` forms M and decides, from its cancellation-aware
+condition estimate, whether M is numerically singular; that decision is
+returned as a status, never raised. Solvers, bounds and the sweep kernel
+all take it from there: every helper also takes stacks, and gives each
+member, bit for bit, its result alone.
 """
 
 from __future__ import annotations

@@ -2,17 +2,18 @@
 
 Coefficient maps of (oblique) projections as explicit m x N matrices, the
 projector norm computed from them through small m x m products, the
-matrices A, B and C of the amplification bound, a full-size
-singular-value oracle for induced xi-operator norms, the matrix-free L
-and L' products, a trial's three errors and an exact test of its TD and
-BR bounds in rational arithmetic (stdlib `fractions`), a record-by-record
-loop over a sweep's cells, a token-by-token matrix file reader, a 17-digit
-matrix file writer and a `str.format` CSV writer; and the paper's two
-performance guarantees (BR's concentration bound and TD's bound under the
-stationary distribution), with the stationary distribution and the two
-fixtures they are checked on (a block-triangular instance and an ergodic
-cyclic chain). The package itself needs none of these; they exist to
-cross-check its solvers, bounds and statistics by an independent route.
+matrices A, B and C of the amplification bound, a full-size singular-value
+oracle for induced xi-operator norms, the matrix-free L and L' products, a
+trial's three errors, a candidate's error report and an exact test of a
+trial's TD and BR bounds in rational arithmetic (stdlib `fractions`), a
+record-by-record loop over a sweep's cells, a token-by-token matrix file
+reader, a 17-digit matrix file writer and a `str.format` CSV writer; and
+the paper's two performance guarantees (BR's concentration bound and TD's
+bound under the stationary distribution), with the stationary distribution
+and the two fixtures they are checked on (a block-triangular instance and
+an ergodic cyclic chain). The package itself needs none of these; they
+exist to cross-check its solvers, bounds and statistics by an independent
+route.
 """
 
 import math
@@ -200,10 +201,35 @@ def exact_errors(mdp, phi: FeatureBasis, xi: StateWeights) -> tuple[float, float
         xleft = [[x * y for x, y in zip(weights, col)] for col in left]
         w = _exact_solve([[_dot(x, col) for col in right] for x in xleft],
                          [_dot(x, b) for x in xleft])
-        d = [vi - _dot(w, row) for vi, row in zip(v, zip(*cols))]
-        return math.sqrt(float(sum(x * y * y for x, y in zip(weights, d))))
+        return _xi_norm(weights, [vi - _dot(w, row) for vi, row in zip(v, zip(*cols))])
 
     return error(cols, cols, v), error(cols, lcols, r), error(lcols, lcols, r)
+
+
+def exact_report(mdp, phi: FeatureBasis, xi: StateWeights,
+                 w) -> tuple[float, float, float, float]:
+    """approx_error, td_error, br_residual and adequacy of the candidate Phi w in exact
+    rational arithmetic, as `analysis.error_report` names them.
+
+    Proj T v_hat is Phi c with (Phi' Xi Phi) c = Phi' Xi T v_hat, solved by
+    elimination: the Gram system the package avoids is exact here.
+    """
+    L, r, weights, cols, _ = _exact_terms(mdp, phi, xi)
+    rows = list(zip(*cols))
+    v = _exact_solve(L, r)
+    v_hat = [_dot(map(Fraction, w), row) for row in rows]
+    t_v_hat = [vi - _dot(row, v_hat) + ri for vi, row, ri in zip(v_hat, L, r)]
+    xcols = [[x * y for x, y in zip(weights, col)] for col in cols]
+    c = _exact_solve([[_dot(x, col) for col in cols] for x in xcols],
+                     [_dot(x, t_v_hat) for x in xcols])
+    proj_t = [_dot(c, row) for row in rows]
+    return tuple(_xi_norm(weights, [a - b for a, b in zip(x, y)])
+                 for x, y in ((v, v_hat), (v_hat, proj_t), (v_hat, t_v_hat), (t_v_hat, proj_t)))
+
+
+def _xi_norm(weights: list, d: list) -> float:
+    """||d||_xi, exact up to its square root, taken in float."""
+    return math.sqrt(float(sum(x * y * y for x, y in zip(weights, d))))
 
 
 def exact_bound_test(mdp, phi: FeatureBasis, xi: StateWeights, direction: str):

@@ -28,6 +28,7 @@ from oracles import (
     concentration_coefficient,
     ergodic_chain,
     exact_bound_test,
+    exact_report,
     oblique_coefficient_map,
     operator_norm_oracle,
     stationary_distribution,
@@ -60,16 +61,29 @@ class TestErrorReport:
         rep = error_report(inst.mdp, inst.phi, inst.xi, [0.2])
         assert rep.approx_error == pytest.approx(np.sqrt(0.4), rel=1e-12)
 
-    def test_singular_projection_reported_as_status(self, rng):
+    def test_near_dependent_columns_match_exact_report(self, rng):
+        # columns 1e-8 apart: the Gram system Phi' Xi Phi is past the 1e12 limit,
+        # the projection onto span(Phi) is not
         mdp, _, xi = random_instance(rng, n_max=6, m_max=1)
         a = rng.uniform(-1.0, 1.0, size=mdp.n_states)
         b = a + 1e-8 * rng.uniform(-1.0, 1.0, size=mdp.n_states)
         phi = make_feature_basis(np.column_stack([a, b]))
         rep = error_report(mdp, phi, xi, [1.0, -1.0])
-        assert rep.status == "singular"
-        assert rep.td_error is None and rep.adequacy is None
-        assert rep.condition_estimate > 1e12
-        assert np.isfinite(rep.approx_error) and np.isfinite(rep.br_residual)
+        values = (rep.approx_error, rep.td_error, rep.br_residual, rep.adequacy)
+        assert np.all(np.isfinite(values))
+        assert abs(rep.br_residual ** 2 - rep.td_error ** 2 - rep.adequacy ** 2) <= 1e-12
+        assert values == pytest.approx(exact_report(mdp, phi, xi, [1.0, -1.0]), rel=1e-6)
+
+    @pytest.mark.parametrize("w, message", [
+        ([np.nan], "non-finite"),
+        ([np.inf], "non-finite"),
+        ([0.2, 0.2], r"shape \(2,\), expected \(1,\)"),
+        ([[1.0]], r"shape \(1, 1\), expected \(1,\)"),
+    ])
+    def test_bad_coordinates_rejected(self, w, message):
+        inst = example1(0.5, 0.0)
+        with pytest.raises(ValueError, match=message):
+            error_report(inst.mdp, inst.phi, inst.xi, w)
 
     def test_pythagorean_identity(self, rng):
         for _ in range(200):

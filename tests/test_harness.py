@@ -338,6 +338,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             SweepConfig(**fields)
 
+    @pytest.mark.parametrize("fields", [dict(n_max=3.5), dict(n_min=2.0), dict(feature_trials=2.5),
+                                        dict(mdp_trials=True), dict(n_max="5")])
+    def test_sizes_must_be_integers(self, fields):
+        [(name, value)] = fields.items()
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            SweepConfig(**fields)
+
+    def test_numpy_integer_sizes_pass(self):
+        config = SweepConfig(n_max=np.int64(3), feature_trials=np.int32(2), mdp_trials=np.uint8(1))
+        assert (config.n_max, config.feature_trials, config.mdp_trials) == (3, 2, 1)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, np.float64(3), "7", None])
     def test_bad_master_seed(self, seed):
         with pytest.raises(ValueError, match=r"^master_seed must be an integer >= 0, got "):

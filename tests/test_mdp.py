@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -39,7 +40,14 @@ class TestValidate:
 
     def test_dimension_mismatch(self):
         m = Mdp(np.eye(3), np.zeros(2), 0.9)
-        assert any("rewards has length 2" in p for p in validate(m))
+        assert "rewards has shape (2,), expected (3,)" in validate(m)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 1), ()])
+    def test_rewards_are_not_flattened(self, shape):
+        # a 2 x 2 r is not the 4 rewards of a 4-state chain
+        message = re.escape(f"rewards has shape {shape}, expected (4,)")
+        with pytest.raises(ValueError, match=message):
+            make_mdp(np.full((4, 4), 0.25), np.zeros(shape), 0.9)
 
     @pytest.mark.parametrize("P, r, expected", [
         ([[np.nan, 1.0], [0.0, 1.0]], [0.0, 0.0], "non-finite probability at (0,0)"),
