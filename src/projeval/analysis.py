@@ -4,9 +4,8 @@ For a candidate v_hat in span(Phi) the report carries four xi-norms: the
 approximation error against the exact value, the TD error, the Bellman
 residual, and the adequacy gap between them; the residual squared always
 splits as TD error squared plus adequacy squared. The TD error and the
-adequacy are distances to Proj T v_hat, the xi-orthogonal projection onto
-span(Phi). It exists for every basis, so the report forms it from one thin
-QR, solves no system and has no singular case.
+adequacy are distances to Proj T v_hat, the xi-orthogonal projection of
+`projections.weighted_qr`, which solves no system and has no singular case.
 
 For an oblique direction X, the amplification of the best achievable error
 is exactly the xi-norm of the projector onto span(Phi) along span(L'X)^perp,
@@ -36,6 +35,7 @@ from .projections import (
     row_weighted,
     weight_column,
     weighted_norm,
+    weighted_qr,
 )
 
 
@@ -86,9 +86,8 @@ def error_report(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
                  w: np.ndarray) -> ErrorReport:
     """All four error functionals for the candidate v_hat = Phi w.
 
-    Proj y = Xi^-1/2 Q Q' Xi^1/2 y, with Q from the thin QR of Xi^1/2 Phi,
-    not from the Gram system Phi' Xi Phi, whose condition number is that
-    matrix's squared. A ValueError unless w is a finite vector of length m.
+    Proj T v_hat comes from `weighted_qr`. A ValueError unless w is a finite vector
+    of length m; an ArithmeticError when Phi w or T Phi w is not finite.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (phi.dim,):
@@ -96,10 +95,12 @@ def error_report(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
     if not np.all(np.isfinite(w)):
         raise ValueError("coordinates w have non-finite entries")
     phi_mat = feature_matrix(phi, mdp.n_states)
-    v_hat = phi_mat @ w
-    t_v_hat = bellman_apply(mdp, v_hat)
-    s = np.sqrt(weight_column(xi, mdp.n_states))
-    q = np.linalg.qr(s * phi_mat)[0]  # [0], not .Q: numpy 1.24 returns a plain tuple
+    s, q, _ = weighted_qr(phi_mat, xi)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite candidate raises below
+        v_hat = phi_mat @ w
+        t_v_hat = bellman_apply(mdp, v_hat)
+    if not (np.isfinite(v_hat).all() and np.isfinite(t_v_hat).all()):
+        raise ArithmeticError("the candidate Phi w or T Phi w overflows: it is not finite")
     proj_t = (q @ (q.T @ (s * t_v_hat[:, None])) / s)[:, 0]
     return ErrorReport(
         approx_error=weighted_norm(exact_value(mdp) - v_hat, xi),

@@ -65,7 +65,7 @@ def parse_matrix(path: str) -> np.ndarray:
 
 def _first_bad_line(path: str, line_nos: list[int], lines: list[str]) -> MatrixParseError:
     """The error of the first line that is not a matrix row: its numbers are
-    checked first, then its width against the first row's."""
+    checked first, then that it has any, then its width against the first row's."""
     width = None
     for line_no, line in zip(line_nos, lines):
         fields = line.split()
@@ -76,12 +76,14 @@ def _first_bad_line(path: str, line_nos: list[int], lines: list[str]) -> MatrixP
                     raise ValueError(f"only ASCII digits without underscores are read: {tok!r}")
         except ValueError as exc:
             return MatrixParseError(path, line_no, f"bad number: {exc}")
+        if not fields:
+            return MatrixParseError(path, line_no, "row has no entries")
         if width is None:
             width = len(fields)
         elif len(fields) != width:
             return MatrixParseError(
                 path, line_no, f"row has {len(fields)} entries, expected {width}")
-    return MatrixParseError(path, line_nos[0], "row has no entries")
+    return MatrixParseError(path, 0, "rows do not form a matrix")
 
 
 def parse_vector(path: str) -> np.ndarray:

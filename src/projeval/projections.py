@@ -1,14 +1,13 @@
 """Weighted norms, the feature and weight objects with the one row weighting
-Xi M and the one direction check, and the one projected solve.
+Xi M and the one direction check, the one projected solve and the one
+xi-orthogonal projection.
 
-Every method of this package reduces to an m x m system M w = left' b with
-M = left' right: TD, BR and any oblique direction X use left = X and
-right = L Phi, and the best projection uses left = Xi Phi and right = Phi.
-`projected_system` forms M and decides, from its cancellation-aware
-condition estimate, whether M is numerically singular; that decision is
-returned as a status, never raised. Solvers, bounds and the sweep kernel
-all take it from there: every helper also takes stacks, and gives each
-member, bit for bit, its result alone.
+TD, BR and any oblique direction X solve (X' L Phi) w = X' r; `projected_system`
+forms such a system and returns, never raises, whether its cancellation-aware
+condition estimate declares it singular. The xi-orthogonal projection onto
+span(Phi), the best approximation, exists for every basis: `weighted_qr` forms
+it with no system. The other helpers take stacks too, and give each member,
+bit for bit, its result alone.
 """
 
 from __future__ import annotations
@@ -124,6 +123,13 @@ def direction_matrix(x, phi: FeatureBasis) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("direction matrix has non-finite entries")
     return x
+
+
+def weighted_qr(phi_mat: np.ndarray, xi: StateWeights) -> tuple[np.ndarray, ...]:
+    """s = Xi^1/2 as a column and the thin QR (q, r) of s Phi: Proj y = q q' (s y) / s,
+    with coordinates c solving r c = q' (s y), conditioned as cond(r), not its square."""
+    s = np.sqrt(weight_column(xi, phi_mat.shape[0]))
+    return (s, *np.linalg.qr(s * phi_mat))
 
 
 def weighted_norm(v: np.ndarray, xi: StateWeights) -> float | np.ndarray:

@@ -6,13 +6,13 @@ is the one oblique solve
   (X' L Phi) w = X' r
 
 for a direction matrix X: TD(0) is X = Xi Phi, BR is X = Xi L Phi, and
-`solve_oblique` takes any X. The best projection is the same projected
-solve applied to the exact value, (Phi' Xi Phi) w = Phi' Xi v; the
-direction X* solving L' X* = Xi Phi reproduces it as an oblique solve.
-Each solve goes through `projections.projected_solve`, so a numerically
-singular system (condition estimate above 1e12) is the status "singular"
-on the solution, never an exception or a silently garbage answer; a solution
-that overflows to a non-finite value raises ArithmeticError.
+`solve_oblique` takes any X. Each goes through `projections.projected_solve`,
+so a numerically singular system (condition estimate above 1e12) is the
+status "singular" on the solution, never an exception or a silently garbage
+answer. The best projection solves no system: it is the xi-orthogonal
+projection of `projections.weighted_qr`, never singular, and the direction X*
+solving L' X* = Xi Phi reproduces it as an oblique solve. A solution that
+overflows to a non-finite value raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .mdp import Mdp, checked_solve, exact_value, l_matrix
 from .projections import (FeatureBasis, StateWeights, direction_matrix, feature_matrix,
-                          projected_solve, row_weighted)
+                          projected_solve, row_weighted, weighted_qr)
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,10 @@ class ProjectionSolution:
     condition_estimate: float
     status: str  # "ok" | "singular"
 
+    def __post_init__(self):  # every solver's one check that "ok" means finite
+        if self.ok and not np.isfinite(np.r_[self.weights, self.value_estimate]).all():
+            raise ArithmeticError(f"{self.method} solution overflows: it is not finite")
+
     @property
     def ok(self) -> bool:
         return self.status == "ok"
@@ -45,8 +49,6 @@ def _solve(left: np.ndarray, right: np.ndarray, b: np.ndarray,
            phi: FeatureBasis, method: str) -> ProjectionSolution:
     w, _, cond, status = projected_solve(left, right, b)
     w, v_hat = (w, phi.matrix @ w) if status == "ok" else (None, None)
-    if w is not None and not (np.isfinite(w).all() and np.isfinite(v_hat).all()):
-        raise ArithmeticError(f"{method} solution overflows: it is not finite")
     return ProjectionSolution(w, v_hat, method, cond, status)
 
 
@@ -56,9 +58,10 @@ def _lphi(mdp: Mdp, phi: FeatureBasis) -> np.ndarray:
 
 
 def solve_best(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
-    """xi-orthogonal projection of the exact value onto span(Phi)."""
-    phi_mat = feature_matrix(phi, mdp.n_states)
-    return _solve(row_weighted(xi, phi_mat), phi_mat, exact_value(mdp), phi, "best")
+    """The exact value's xi-orthogonal projection onto span(Phi); estimate cond(Xi^1/2 Phi)."""
+    s, q, r = weighted_qr(feature_matrix(phi, mdp.n_states), xi)
+    w = np.linalg.solve(r, q.T @ (s[:, 0] * exact_value(mdp)))
+    return ProjectionSolution(w, phi.matrix @ w, "best", float(np.linalg.cond(r)), "ok")
 
 
 def solve_td(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:

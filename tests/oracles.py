@@ -206,6 +206,16 @@ def exact_errors(mdp, phi: FeatureBasis, xi: StateWeights) -> tuple[float, float
     return error(cols, cols, v), error(cols, lcols, r), error(lcols, lcols, r)
 
 
+def exact_best_weights(mdp, phi: FeatureBasis, xi: StateWeights) -> list[float]:
+    """w of the best projection, (Phi' Xi Phi) w = Phi' Xi v, in exact rational
+    arithmetic: the Gram system the package avoids is exact here."""
+    L, r, weights, cols, _ = _exact_terms(mdp, phi, xi)
+    v = _exact_solve(L, r)
+    xcols = [[x * y for x, y in zip(weights, col)] for col in cols]
+    return [float(c) for c in _exact_solve([[_dot(x, col) for col in cols] for x in xcols],
+                                           [_dot(x, v) for x in xcols])]
+
+
 def exact_report(mdp, phi: FeatureBasis, xi: StateWeights,
                  w) -> tuple[float, float, float, float]:
     """approx_error, td_error, br_residual and adequacy of the candidate Phi w in exact

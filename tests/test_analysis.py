@@ -85,6 +85,16 @@ class TestErrorReport:
         with pytest.raises(ValueError, match=message):
             error_report(inst.mdp, inst.phi, inst.xi, w)
 
+    @pytest.mark.parametrize("rewards, w", [([1.0, 0.0], 1e308), ([1e308, 0.0], 5e307)],
+                             ids=["phi-w", "t-phi-w"])
+    def test_overflowing_candidate_raises(self, rewards, w):
+        # Phi w, or only T Phi w, is not finite: the solvers' ArithmeticError, with no
+        # RuntimeWarning (an error under the test settings) and no NaN report
+        inst = example1(0.5, 0.0)
+        mdp = make_mdp(inst.mdp.transitions, rewards, 0.9)
+        with pytest.raises(ArithmeticError, match="not finite"):
+            error_report(mdp, inst.phi, inst.xi, [w])
+
     def test_pythagorean_identity(self, rng):
         for _ in range(200):
             mdp, phi, xi = random_instance(rng, n_max=20, m_max=10)

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from projeval import SweepConfig, aggregate, cli, harness, sweep
+from projeval import (SweepConfig, aggregate, cli, harness, make_feature_basis, make_mdp,
+                      make_state_weights, sweep)
 from projeval.cli import build_parser, main
 from projeval.heatmap import render_heatmap
-from projeval.matio import parse_matrix, read_cell_csv, write_cell_csv
+from projeval.matio import parse_matrix, parse_vector, read_cell_csv, write_cell_csv
 
-from oracles import write_matrix
+from oracles import exact_best_weights, write_matrix
 from test_harness import CSV_DIGESTS
 
 
@@ -42,9 +43,9 @@ def usable_cpus(monkeypatch, count):
 def near_dependent_files(tmp_path, seed):
     """A 4-state instance whose two feature columns differ by about 1e-6.
 
-    Its Gram system Phi' Xi Phi, the best solve's, has a condition estimate
-    near the 1e12 singularity limit, on one side or the other depending on
-    the seed.
+    Its TD system, and the Gram system Phi' Xi Phi that no solve forms, have
+    condition estimates near the 1e12 singularity limit, on one side or the
+    other depending on the seed.
     """
     rng = np.random.default_rng(seed)
     P = rng.uniform(size=(4, 4))
@@ -131,10 +132,32 @@ class TestSolve:
         assert br ** 2 == pytest.approx(td ** 2 + ad ** 2, rel=1e-9)
 
     def test_ill_conditioned_solution_is_reported(self, tmp_path, capsys):
-        # estimate 7.5e11: the best solve passes the gate, and the report
-        # does not re-check that Phi w lies in span(Phi)
+        # the report does not re-check that Phi w lies in span(Phi)
         assert run_solve(near_dependent_files(tmp_path, 24), 0.9, "best") == 0
         assert "adequacy:" in capsys.readouterr().out
+
+    def test_best_of_near_dependent_features_is_exact(self, tmp_path, capsys):
+        # its Gram system is past the 1e12 limit (2.0e12), but best solves none
+        paths = near_dependent_files(tmp_path, 74)
+        assert run_solve(paths, 0.9, "best") == 0
+        fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        w = [float(x) for x in fields["w"].split()]
+        mdp = make_mdp(parse_matrix(paths["P"]), parse_vector(paths["r"]), 0.9)
+        exact = exact_best_weights(mdp, make_feature_basis(parse_matrix(paths["phi"])),
+                                   make_state_weights(parse_vector(paths["xi"])))
+        np.testing.assert_allclose(w, exact, rtol=1e-8)
+
+    def test_best_does_not_depend_on_feature_scale(self, example1_files, tmp_path, capsys):
+        # scaling a feature column leaves its span, and so the projection, unchanged
+        assert run_solve(example1_files, 0.5, "best") == 0
+        small = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        big = tmp_path / "big.txt"
+        big.write_text("1e200\n2e200\n")
+        assert run_solve(dict(example1_files, phi=str(big)), 0.5, "best") == 0
+        large = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        for field in ("v_hat", "approx_error", "td_error", "br_residual", "adequacy"):
+            np.testing.assert_allclose([float(x) for x in large[field].split()],
+                                       [float(x) for x in small[field].split()], rtol=1e-12)
 
     @pytest.mark.parametrize("name, content, expected", [
         ("P", "0 1\nnan 1\n", "non-finite probability"),
@@ -186,10 +209,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("name, content, method", [
         ("phi", "1e200\n2e200\n", "td"),
-        ("phi", "1e200\n2e200\n", "best"),
         ("r", "1e308\n1e308\n", "td"),
+        ("r", "1e308\n1e308\n", "best"),
         ("x", "1e300\n1e300\n", "oblique"),
-    ], ids=["features-td", "features-best", "rewards-td", "direction-oblique"])
+    ], ids=["features-td", "rewards-td", "rewards-best", "direction-oblique"])
     def test_overflow_is_one_singular_line(self, example1_files, tmp_path, capsys,
                                            name, content, method):
         # finite files whose products overflow: one line, not numpy's warnings

@@ -6,8 +6,10 @@ reads line by line to name the first bad line. Every generated file must
 give a bit-equal array, or the same message at the same line, as
 `oracles.parse_matrix_loop`. Two declared differences: tokens that
 `float()` reads but the C reader does not (digit-group underscores and
-non-ASCII digits) are errors at their line, and a file whose every row is
-empty (lines of commas only) is an error instead of an N x 0 array.
+non-ASCII digits) are errors at their line, and a row with no entries (a
+line of commas only) is an error at its own line, where the loop compared
+its width with the first row's or, with every row empty, returned an
+N x 0 array.
 """
 
 import numpy as np
@@ -77,6 +79,28 @@ def outcome(read, path):
         return exc
 
 
+def first_empty_row(path):
+    """The line number of the first row with no entries, read as the reader reads lines, or 0."""
+    with open(path) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and line[0] != "#" and not line.replace(",", " ").split():
+                return line_no
+    return 0
+
+
+@pytest.mark.parametrize("text, message", [
+    (",,\n1 2\n3 4\n", ":1: row has no entries"),
+    ("1 2\n3 4\n,\n", ":3: row has no entries"),
+])
+def test_row_without_entries_reported_at_its_line(text, message, tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(MatrixParseError) as info:
+        parse_matrix(str(path))
+    assert str(info.value) == f"{path}{message}"
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrix_files())
 @example(("1 2\n٣ x\n", f"1 2\n{SENTINEL} x\n"))
@@ -92,9 +116,11 @@ def test_reader_matches_token_loop(tmp_path_factory, files):
     sentinel_path.write_bytes(sentinel_text.encode())
     got = outcome(parse_matrix, str(path))
     expected = outcome(parse_matrix_loop, str(sentinel_path))
-    if isinstance(expected, np.ndarray) and expected.shape[1] == 0:
-        # every row empty: an N x 0 array before, now an error at the first row
-        assert isinstance(got, MatrixParseError) and str(got).endswith("row has no entries")
+    empty = first_empty_row(str(path))
+    if empty and (isinstance(expected, np.ndarray) or expected.line_no >= empty):
+        # the loop had not failed before this row: now an error at the row
+        assert isinstance(got, MatrixParseError), got
+        assert got.line_no == empty and str(got).endswith("row has no entries")
     elif isinstance(expected, np.ndarray):
         assert isinstance(got, np.ndarray), got
         assert got.dtype == np.float64 and got.shape == expected.shape

@@ -47,13 +47,25 @@ class TestExample1ClosedForms:
         assert sol.weights is None and sol.value_estimate is None
         assert sol.condition_estimate > 1e12
 
-    @pytest.mark.parametrize("solve", [solve_td, solve_br])
-    def test_overflowing_solution_raises(self, solve):
-        # X' r overflows: w (or Phi w) would be inf behind an "ok" status
+    @pytest.mark.parametrize("solve, rewards, features", [
+        (solve_td, 1e308, 1.0),
+        (solve_br, 1e308, 1.0),
+        (solve_best, 1e300, 1e-10),  # v is finite
+    ], ids=["solve_td", "solve_br", "solve_best"])
+    def test_overflowing_solution_raises(self, solve, rewards, features):
+        # X' r overflows, or tiny features scale w up: w (or Phi w) would be inf
+        # behind an "ok" status
         inst = example1(0.5, 0.0)
-        mdp = make_mdp(inst.mdp.transitions, [1e308, 1e308], 0.5)
+        mdp = make_mdp(inst.mdp.transitions, [rewards, rewards], 0.5)
+        phi = make_feature_basis([features, 2.0 * features])
         with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="not finite"):
-            solve(mdp, inst.phi, inst.xi)
+            solve(mdp, phi, inst.xi)
+
+    def test_best_is_never_singular(self):
+        # at 5/6 TD's system is singular; best solves none, so it is "ok"
+        inst = example1(5.0 / 6.0, 1.0)
+        sol = solve_best(inst.mdp, inst.phi, inst.xi)
+        assert sol.ok and sol.condition_estimate == 1.0
 
 
 class TestExactnessCorollary:
