@@ -1,4 +1,4 @@
-"""Error functionals and tight spectral-radius error bounds.
+"""Error functionals and tight error bounds.
 
 For a candidate v_hat in span(Phi) the report carries four xi-norms: the
 approximation error against the exact value, the TD error, the Bellman
@@ -9,14 +9,12 @@ adequacy are distances to Proj T v_hat, the xi-orthogonal projection of
 
 For an oblique direction X, the amplification of the best achievable error
 is exactly the xi-norm of the projector onto span(Phi) along span(L'X)^perp,
-computed from three m x m matrices:
+1 / sigma_min(Q_W' Q_U) for orthonormal bases Q_U of Xi^1/2 Phi and Q_W of
+Xi^-1/2 L' X (Szyld 2006). `error_bound` reads it, and its singularity
+gate, from `projections.oblique_solve`, the call every solver makes.
 
-  A = Phi' Xi Phi,  B = (X' L Phi)^-1,  C = X' L Xi^-1 L' X,
-  bound = sqrt(lambda_max(A^1/2 B C B' A^1/2)).
-
-`amplification_bound` forms B and C, for one system or a stack, for both
-`error_bound` and the sweep kernel. The system X' L Phi of the bound goes
-through the singularity gate of `projections`.
+The sweep kernel still forms it from m x m normal equations, with `psd_sqrt`
+and `amplification_bound`, which no library function calls.
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ from .projections import (
     StateWeights,
     direction_matrix,
     feature_matrix,
-    projected_system,
-    row_weighted,
+    oblique_solve,
     weight_column,
     weighted_norm,
     weighted_qr,
@@ -50,7 +47,7 @@ class ErrorReport:
 @dataclass(frozen=True)
 class BoundReport:
     bound: float | None         # None when singular
-    condition_estimate: float   # of X' L Phi
+    condition_estimate: float   # the bound, singular or not
     status: str  # "ok" | "singular"
 
     @property
@@ -59,7 +56,7 @@ class BoundReport:
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a PSD matrix or stack, negative eigenvalues clipped."""
+    """Symmetric square root of a PSD matrix or stack, negative eigenvalues clipped; kernel only."""
     lam, vec = np.linalg.eigh(a)
     return (vec * np.sqrt(np.maximum(lam, 0.0))[..., None, :]) @ vec.swapaxes(-1, -2)
 
@@ -71,7 +68,7 @@ def amplification_bound(a_half: np.ndarray, m: np.ndarray, L: np.ndarray, x: np.
 
     One float for one system, one per matrix for stacks. The symmetric form
     avoids complex eigensolvers; the sweep's CSVs depend on this exact
-    operation order.
+    operation order. Only the kernel calls it; its BR bound is off (ROADMAP item 11).
     """
     b = np.linalg.inv(m)
     ltx = L.swapaxes(-1, -2) @ x
@@ -112,17 +109,13 @@ def error_report(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
 
 def error_bound(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
                 x: np.ndarray) -> BoundReport:
-    """Tight amplification factor sqrt(lambda_max(A B C B')) for direction X.
+    """Tight amplification factor 1 / sigma_min(Q_W' Q_U) for a direction X of
+    independent columns, from `oblique_solve`.
 
-    Singular X' L Phi means the oblique solution does not exist; the bound is
+    Past the singularity limit the oblique solution does not exist; the bound is
     reported as a status, never as a sentinel number.
     """
-    phi_mat = feature_matrix(phi, mdp.n_states)
-    xiphi = row_weighted(xi, phi_mat)  # checks xi's length, singular or not
-    x = direction_matrix(x, phi)
-    L = l_matrix(mdp)
-    xlphi, cond, status = projected_system(x, L @ phi_mat)
-    if status != "ok":
-        return BoundReport(None, cond, status)
-    bound = amplification_bound(psd_sqrt(phi_mat.T @ xiphi), xlphi, L, x, xi)
-    return BoundReport(bound, cond, status)
+    weight_column(xi, len(feature_matrix(phi, mdp.n_states)))  # as `solve_oblique` checks
+    ltx = l_matrix(mdp).T @ direction_matrix(x, phi)
+    w, bound = oblique_solve(phi.matrix, xi, ltx, np.zeros(mdp.n_states))  # w: the gate only
+    return BoundReport(None, bound, "singular") if w is None else BoundReport(bound, bound, "ok")

@@ -27,7 +27,7 @@ from . import analysis, heatmap, instances, matio, solvers
 from .harness import (DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR, SINGULAR_POLICIES,
                       SweepConfig, aggregate, sweep_columns)
 from .mdp import exact_value, make_mdp
-from .projections import make_feature_basis, make_state_weights, weight_column, weighted_norm
+from .projections import make_feature_basis, make_state_weights, weighted_norm
 
 EXIT_OK, EXIT_INPUT, EXIT_SINGULAR = 0, 1, 2
 
@@ -50,14 +50,10 @@ def cmd_solve(args) -> None:
     phi = make_feature_basis(phi_mat)
     xi = make_state_weights(xi_vec)
     # the library checks the features', the weights' and the direction's sizes
-    if args.method == "oblique":
-        # only the report reads xi, and a singular solve skips the report
-        weight_column(xi, mdp.n_states)
-        sol = solvers.solve_oblique(mdp, phi, matio.parse_matrix(args.direction))
-    else:
-        sol = getattr(solvers, f"solve_{args.method}")(mdp, phi, xi)
+    x = [matio.parse_matrix(args.direction)] if args.method == "oblique" else []
+    sol = getattr(solvers, f"solve_{args.method}")(mdp, phi, xi, *x)
     if not sol.ok:
-        raise ArithmeticError(f"{sol.method} system has condition estimate "
+        raise ArithmeticError(f"{sol.method} system has error bound "
                               f"{sol.condition_estimate:.6g}")
     report = analysis.error_report(mdp, phi, xi, sol.weights)
 

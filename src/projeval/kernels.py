@@ -12,10 +12,11 @@ a row equals, bit for bit, its trial run alone.
 
 TD is `projected_solve`, which gates its system and gives a singular one
 NaN weights; every error is `weighted_norm` and every bound
-`amplification_bound`. Only the best and BR solves are the kernel's own,
-and neither is gated. The sweep's CSVs are compared byte for byte against
-earlier runs, so their operand orders, Phi'(Xi Phi) and (L Phi)'(Xi L Phi),
-are fixed like every other operation order.
+`amplification_bound`. These normal-equation helpers, and the best and BR
+solves, are the kernel's alone: the library's solvers and `error_bound` go
+through `projections.oblique_solve`, and the BR solve is not gated. The sweep's
+CSVs are compared byte for byte against earlier runs, so their operand orders,
+Phi'(Xi Phi) and (L Phi)'(Xi L Phi), are fixed like every other operation order.
 """
 
 from __future__ import annotations

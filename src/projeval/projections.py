@@ -1,13 +1,12 @@
 """Weighted norms, the feature and weight objects with the one row weighting
-Xi M and the one direction check, the one projected solve and the one
-xi-orthogonal projection.
+Xi M and the one direction check, and the one oblique solve.
 
-TD, BR and any oblique direction X solve (X' L Phi) w = X' r; `projected_system`
-forms such a system and returns, never raises, whether its cancellation-aware
-condition estimate declares it singular. The xi-orthogonal projection onto
-span(Phi), the best approximation, exists for every basis: `weighted_qr` forms
-it with no system. The other helpers take stacks too, and give each member,
-bit for bit, its result alone.
+Best, TD, BR and any oblique direction X solve (X' L Phi) w = X' r:
+`oblique_solve` does so from orthonormal bases of Xi^1/2 Phi (`weighted_qr`,
+also the xi-orthogonal projection) and of Xi^-1/2 L' X, gated on the
+projector's norm. `projected_system` and `projected_solve` are the sweep
+kernel's normal equations, which no library function calls. The other
+helpers take stacks too, and give each member, bit for bit, its result alone.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# any m x m system above this condition estimate is declared singular;
-# TD genuinely diverges on such instances and must be reported, not masked
+# any solve whose bound (the kernel's TD: condition estimate) is above this is declared
+# singular; TD genuinely diverges on such instances and must be reported, not masked
 SINGULAR_CONDITION_LIMIT = 1e12
 
 INDEPENDENCE_SV_RATIO = 1e-10
@@ -30,6 +29,13 @@ def _require(ok: np.ndarray, message: str, *values: np.ndarray) -> None:
         bad = np.flatnonzero(~ok)[0]
         raise ValueError(message.format(f" {bad}" if ok.ndim else "",
                                         *(v.reshape(-1)[bad] for v in values)))
+
+
+def _require_independent(a: np.ndarray, what: str) -> None:
+    """A ValueError unless the columns of `a` (of each matrix of a stack) are independent."""
+    s = np.linalg.svd(a, compute_uv=False)
+    _require(s[..., -1] > INDEPENDENCE_SV_RATIO * s[..., 0], what + "{0} are not linearly "
+             "independent (singular values {1:.3e} and {2:.3e})", s[..., -1], s[..., 0])
 
 
 @dataclass(frozen=True)
@@ -58,10 +64,7 @@ def make_feature_basis(matrix, stack: bool = False) -> FeatureBasis:
     if not 1 <= m <= n:
         raise ValueError(f"feature matrix is {n}x{m}, need 1 <= m <= N")
     _require(np.isfinite(phi).all(axis=(-2, -1)), "feature matrix{0} has non-finite entries")
-    s = np.linalg.svd(phi, compute_uv=False)
-    _require(s[..., -1] > INDEPENDENCE_SV_RATIO * s[..., 0],
-             "feature columns{0} are not linearly independent "
-             "(singular values {1:.3e} and {2:.3e})", s[..., -1], s[..., 0])
+    _require_independent(phi, "feature columns")
     phi.flags.writeable = False
     return FeatureBasis(phi)
 
@@ -114,7 +117,8 @@ def row_weighted(xi: StateWeights, M: np.ndarray) -> np.ndarray:
 
 
 def direction_matrix(x, phi: FeatureBasis) -> np.ndarray:
-    """A direction X as a finite matrix of Phi's shape; a vector is one column."""
+    """A direction X as a finite matrix of Phi's shape with independent columns, as Phi's
+    are; a vector is one column. A dependent X's Q_W would still be orthonormal."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -122,6 +126,7 @@ def direction_matrix(x, phi: FeatureBasis) -> np.ndarray:
         raise ValueError(f"direction matrix is {x.shape}, expected {phi.matrix.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("direction matrix has non-finite entries")
+    _require_independent(x, "direction columns")
     return x
 
 
@@ -132,12 +137,31 @@ def weighted_qr(phi_mat: np.ndarray, xi: StateWeights) -> tuple[np.ndarray, ...]
     return (s, *np.linalg.qr(s * phi_mat))
 
 
+def oblique_solve(phi_mat: np.ndarray, xi: StateWeights, ltx: np.ndarray,
+                  v: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """(w, b) of the direction X with ltx = L' X: w solves (X' L Phi) w = X' L v, and the
+    xi-norm of its projector is b = 1 / sigma_min(K), K = Q_W' Q_U for orthonormal bases of
+    Xi^-1/2 L' X and Xi^1/2 Phi (Szyld 2006). w is None when b > SINGULAR_CONDITION_LIMIT,
+    the library's one singularity test."""
+    s, q_u, r_u = weighted_qr(phi_mat, xi)
+    q_w = np.linalg.qr(ltx / s)[0]
+    k = q_w.T @ q_u
+    sigma_min = float(np.linalg.svd(k, compute_uv=False)[-1])
+    bound = 1.0 / sigma_min if sigma_min else np.inf
+    if bound > SINGULAR_CONDITION_LIMIT:
+        return None, bound
+    return np.linalg.solve(r_u, np.linalg.solve(k, q_w.T @ (s[:, 0] * v))), bound
+
+
 def weighted_norm(v: np.ndarray, xi: StateWeights) -> float | np.ndarray:
     """sqrt(sum_i xi_i v_i^2) over the last axis; a float, or one norm per vector of a stack."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (xi.n_states,):
         raise ValueError(f"vector has shape {v.shape}, expected length {xi.n_states}")
-    norm = np.sqrt(np.sum(xi.weights * v * v, axis=-1))
+    with np.errstate(over="ignore"):  # a finite v's squares may overflow; hypot's do not
+        norm = np.sqrt(np.sum(xi.weights * v * v, axis=-1))
+    if np.isinf(norm).any():
+        norm = np.where(np.isinf(norm), np.hypot.reduce(np.sqrt(xi.weights) * v, axis=-1), norm)
     return norm if norm.ndim else float(norm)
 
 
@@ -156,7 +180,7 @@ def condition_estimate(M: np.ndarray, left: np.ndarray,
     while the underlying projected system is effectively singular. Scaling
     by the Frobenius norms of the factors catches this; the estimate always
     dominates the classical condition number. Stacked factors give one
-    estimate per product.
+    estimate per product. Only the sweep kernel's TD gate calls it.
     """
     s_min = np.linalg.svd(M, compute_uv=False)[..., -1]
     scale = _frobenius(left) * _frobenius(right)
@@ -170,8 +194,8 @@ def projected_system(left: np.ndarray, right: np.ndarray
 
     The status is "singular" when the estimate is infinite or above
     SINGULAR_CONDITION_LIMIT and "ok" otherwise; stacked factors give a
-    stack of M and an array of estimates and statuses. This is the
-    package's only singularity test.
+    stack of M and an array of estimates and statuses. This is the sweep
+    kernel's TD gate; no library function calls it (see `oblique_solve`).
     """
     M = left.swapaxes(-1, -2) @ right
     cond = condition_estimate(M, left, right)
@@ -183,7 +207,7 @@ def projected_solve(left: np.ndarray, right: np.ndarray, b: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray, str | np.ndarray]:
     """w with (left' right) w = left' b, and M, its estimate and status as `projected_system`
     gives them. The identity stands in for a singular M, in the M returned too, so a
-    stacked solve cannot fail; that system's w is NaN."""
+    stacked solve cannot fail; that system's w is NaN. Only the sweep kernel's TD calls it."""
     M, cond, status = projected_system(left, right)
     singular = np.asarray(status) != "ok"
     M[singular] = np.eye(M.shape[-1])

@@ -3,15 +3,13 @@
 Writing L = I - gamma P and Xi for the diagonal weight matrix, every method
 is the one oblique solve
 
-  (X' L Phi) w = X' r
+  (X' L Phi) w = X' r = (L' X)' v
 
-for a direction matrix X: TD(0) is X = Xi Phi, BR is X = Xi L Phi, and
-`solve_oblique` takes any X. Each goes through `projections.projected_solve`,
-so a numerically singular system (condition estimate above 1e12) is the
-status "singular" on the solution, never an exception or a silently garbage
-answer. The best projection solves no system: it is the xi-orthogonal
-projection of `projections.weighted_qr`, never singular, and the direction X*
-solving L' X* = Xi Phi reproduces it as an oblique solve. A solution that
+for a direction matrix X: TD(0) is X = Xi Phi, BR is X = Xi L Phi, best is
+the X* with L' X* = Xi Phi, and `solve_oblique` takes any X of independent
+columns. Each goes through `projections.oblique_solve`: its
+`condition_estimate` is X's error bound (1 for best), and a bound above 1e12
+is the status "singular", never an exception or garbage. A solution that
 overflows to a non-finite value raises ArithmeticError.
 """
 
@@ -23,7 +21,7 @@ import numpy as np
 
 from .mdp import Mdp, checked_solve, exact_value, l_matrix
 from .projections import (FeatureBasis, StateWeights, direction_matrix, feature_matrix,
-                          projected_solve, row_weighted, weighted_qr)
+                          oblique_solve, row_weighted, weight_column)
 
 
 @dataclass(frozen=True)
@@ -45,41 +43,33 @@ class ProjectionSolution:
         return self.status == "ok"
 
 
-def _solve(left: np.ndarray, right: np.ndarray, b: np.ndarray,
-           phi: FeatureBasis, method: str) -> ProjectionSolution:
-    w, _, cond, status = projected_solve(left, right, b)
-    w, v_hat = (w, phi.matrix @ w) if status == "ok" else (None, None)
-    return ProjectionSolution(w, v_hat, method, cond, status)
-
-
-def _lphi(mdp: Mdp, phi: FeatureBasis) -> np.ndarray:
-    """L Phi, with Phi's rows checked against the chain."""
-    return l_matrix(mdp) @ feature_matrix(phi, mdp.n_states)
+def _solve(mdp: Mdp, phi: FeatureBasis, xi: StateWeights, ltx: np.ndarray,
+           method: str) -> ProjectionSolution:
+    w, bound = oblique_solve(phi.matrix, xi, ltx, exact_value(mdp))
+    v_hat, status = (None, "singular") if w is None else (phi.matrix @ w, "ok")
+    return ProjectionSolution(w, v_hat, method, bound, status)
 
 
 def solve_best(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
-    """The exact value's xi-orthogonal projection onto span(Phi); estimate cond(Xi^1/2 Phi)."""
-    s, q, r = weighted_qr(feature_matrix(phi, mdp.n_states), xi)
-    w = np.linalg.solve(r, q.T @ (s[:, 0] * exact_value(mdp)))
-    return ProjectionSolution(w, phi.matrix @ w, "best", float(np.linalg.cond(r)), "ok")
+    """The exact value's xi-orthogonal projection onto span(Phi): the direction X*."""
+    return _solve(mdp, phi, xi, td_direction(mdp, phi, xi), "best")
 
 
 def solve_td(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
     """TD(0) fixed point: the value in span(Phi) with zero projected TD error."""
-    lphi = _lphi(mdp, phi)
-    return _solve(td_direction(mdp, phi, xi), lphi, mdp.rewards, phi, "td")
+    return _solve(mdp, phi, xi, l_matrix(mdp).T @ td_direction(mdp, phi, xi), "td")
 
 
 def solve_br(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:
     """Minimizer of the xi-weighted Bellman residual over span(Phi)."""
-    lphi = _lphi(mdp, phi)
-    return _solve(row_weighted(xi, lphi), lphi, mdp.rewards, phi, "br")
+    return _solve(mdp, phi, xi, l_matrix(mdp).T @ br_direction(mdp, phi, xi), "br")
 
 
-def solve_oblique(mdp: Mdp, phi: FeatureBasis, x: np.ndarray) -> ProjectionSolution:
-    """Solution of the projected equation for an arbitrary direction matrix X."""
-    lphi = _lphi(mdp, phi)
-    return _solve(direction_matrix(x, phi), lphi, mdp.rewards, phi, "oblique")
+def solve_oblique(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
+                  x: np.ndarray) -> ProjectionSolution:
+    """Solution of the projected equation for a direction matrix X of independent columns."""
+    weight_column(xi, len(feature_matrix(phi, mdp.n_states)))  # before X and the value solve
+    return _solve(mdp, phi, xi, l_matrix(mdp).T @ direction_matrix(x, phi), "oblique")
 
 
 def optimal_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:
@@ -94,4 +84,4 @@ def td_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:
 
 def br_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:
     """X = Xi L Phi, the direction whose oblique solve is the BR minimizer."""
-    return row_weighted(xi, _lphi(mdp, phi))
+    return row_weighted(xi, l_matrix(mdp) @ feature_matrix(phi, mdp.n_states))

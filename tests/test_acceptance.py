@@ -122,16 +122,16 @@ def test_criterion_03_oblique_unification(instances_200):
     start = time.monotonic()
     for mdp, phi, xi, rng in instances_200:
         td = solve_td(mdp, phi, xi)
-        obl_td = solve_oblique(mdp, phi, td_direction(mdp, phi, xi))
+        obl_td = solve_oblique(mdp, phi, xi, td_direction(mdp, phi, xi))
         assert td.status == obl_td.status
         if td.ok:
             np.testing.assert_allclose(obl_td.weights, td.weights, atol=1e-8)
         br = solve_br(mdp, phi, xi)
-        obl_br = solve_oblique(mdp, phi, br_direction(mdp, phi, xi))
+        obl_br = solve_oblique(mdp, phi, xi, br_direction(mdp, phi, xi))
         np.testing.assert_allclose(obl_br.weights, br.weights, atol=1e-8)
         # general direction: the solution is the oblique projection of v
         x = rng.normal(size=phi.matrix.shape)
-        sol = solve_oblique(mdp, phi, x)
+        sol = solve_oblique(mdp, phi, xi, x)
         if not sol.ok:
             continue
         try:
@@ -148,7 +148,7 @@ def test_criterion_04_bound_correctness(instances_200):
     for mdp, phi, xi, rng in instances_200[:100]:
         x = rng.normal(size=phi.matrix.shape)
         rep = error_bound(mdp, phi, xi, x)
-        sol = solve_oblique(mdp, phi, x)
+        sol = solve_oblique(mdp, phi, xi, x)
         if not (rep.ok and sol.ok):
             continue
         try:
@@ -182,7 +182,7 @@ def test_criterion_04_bound_correctness(instances_200):
 
 def test_criterion_05_optimal_direction():
     for mdp, phi, xi, _ in sample_instances(100, seed=5):
-        obl = solve_oblique(mdp, phi, optimal_direction(mdp, phi, xi))
+        obl = solve_oblique(mdp, phi, xi, optimal_direction(mdp, phi, xi))
         best = solve_best(mdp, phi, xi)
         np.testing.assert_allclose(obl.weights, best.weights, atol=1e-8)
     report(5, "optimal direction reproduces the best projection (100 instances)")
@@ -197,7 +197,7 @@ def test_criterion_06_exactness_corollary():
             sol = solver(m, phi, xi)
             if sol.ok:
                 np.testing.assert_allclose(sol.weights, w0, atol=1e-8)
-        sol = solve_oblique(m, phi, optimal_direction(m, phi, xi))
+        sol = solve_oblique(m, phi, xi, optimal_direction(m, phi, xi))
         np.testing.assert_allclose(sol.weights, w0, atol=1e-8)
     report(6, "representable values recovered by every method (50 instances)")
 

@@ -158,7 +158,7 @@ class TestErrorBound:
             assert rep.status == "singular"
             assert rep.bound is None
             assert rep.condition_estimate > 1e12  # inf passes, NaN does not
-            sol = solve_oblique(mdp, phi, x)
+            sol = solve_oblique(mdp, phi, xi, x)
             assert sol.status == "singular" and sol.weights is None
             assert sol.condition_estimate > 1e12
 
@@ -189,7 +189,7 @@ class TestErrorBound:
             mdp, phi, xi = random_instance(rng, n_max=15, m_max=8)
             x = rng.normal(size=phi.matrix.shape)
             rep = error_bound(mdp, phi, xi, x)
-            sol = solve_oblique(mdp, phi, x)
+            sol = solve_oblique(mdp, phi, xi, x)
             if not (rep.ok and sol.ok):
                 continue
             v = exact_value(mdp)

@@ -43,9 +43,10 @@ def usable_cpus(monkeypatch, count):
 def near_dependent_files(tmp_path, seed):
     """A 4-state instance whose two feature columns differ by about 1e-6.
 
-    Its TD system, and the Gram system Phi' Xi Phi that no solve forms, have
-    condition estimates near the 1e12 singularity limit, on one side or the
-    other depending on the seed.
+    The normal equations of its TD, BR and Gram systems, which no solve forms,
+    have cancellation-aware condition estimates near the 1e12 singularity
+    limit, on one side or the other depending on the seed; the TD and BR
+    bounds 1 / sigma_min(K) the solves gate on are all below 3.
     """
     rng = np.random.default_rng(seed)
     P = rng.uniform(size=(4, 4))
@@ -124,8 +125,8 @@ class TestSolve:
         assert ":2:" in capsys.readouterr().err
 
     def test_report_of_near_dependent_features(self, tmp_path, capsys):
-        # the TD system passes the gate (estimate 8.9e11); the Gram system
-        # Phi' Xi Phi would not (2.0e12), but the report's projection needs none
+        # the Gram system Phi' Xi Phi would be past the 1e12 limit (2.0e12),
+        # but the report's projection forms none
         assert run_solve(near_dependent_files(tmp_path, 74), 0.9, "td") == 0
         fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
         td, br, ad = (float(fields[f]) for f in ("td_error", "br_residual", "adequacy"))
@@ -137,7 +138,7 @@ class TestSolve:
         assert "adequacy:" in capsys.readouterr().out
 
     def test_best_of_near_dependent_features_is_exact(self, tmp_path, capsys):
-        # its Gram system is past the 1e12 limit (2.0e12), but best solves none
+        # its Gram system is past the 1e12 limit (2.0e12), but best forms none
         paths = near_dependent_files(tmp_path, 74)
         assert run_solve(paths, 0.9, "best") == 0
         fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
@@ -158,6 +159,69 @@ class TestSolve:
         for field in ("v_hat", "approx_error", "td_error", "br_residual", "adequacy"):
             np.testing.assert_allclose([float(x) for x in large[field].split()],
                                        [float(x) for x in small[field].split()], rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [74, 1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("method", ["td", "br"])
+    def test_near_dependent_features_are_not_singular(self, tmp_path, capsys, seed, method):
+        # TD and BR depend on span(Phi) only: their normal equations' estimates (4.9e12
+        # to 7.2e13 on seeds 1-8) were past the limit, their bounds are below 3
+        assert run_solve(near_dependent_files(tmp_path, seed), 0.9, method) == 0
+        fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert 1.0 <= float(fields["condition_estimate"]) < 3.0
+        if (method, seed) == ("td", 74):  # a TD fixed point has no TD error; 3.5e-6 on
+            # the normal equations, whose estimate (8.9e11) passed the limit
+            assert float(fields["td_error"]) <= 1e-9 * float(fields["br_residual"])
+
+    @pytest.mark.parametrize("name, content, method", [
+        ("phi", "1e200\n2e200\n", "td"),
+        ("phi", "1e200\n2e200\n", "br"),
+        ("x", "0.5e300\n1e300\n", "oblique"),
+    ], ids=["features-td", "features-br", "direction-oblique"])
+    def test_scaled_input_gives_the_same_v_hat(self, example1_files, tmp_path, capsys,
+                                              name, content, method):
+        # every method depends on span(Phi) and span(X) only, so a scaled feature or
+        # direction matrix changes no value; features 1 2 and direction Xi Phi (TD)
+        d = tmp_path / "x.txt"
+        d.write_text("0.5\n1\n")
+        paths = dict(example1_files, x=str(d))
+        assert run_solve(paths, 0.5, method, direction(method, paths)) == 0
+        small = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        big = tmp_path / "big.txt"
+        big.write_text(content)
+        paths[name] = str(big)
+        assert run_solve(paths, 0.5, method, direction(method, paths)) == 0
+        large = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        for field in ("v_hat", "approx_error", "td_error", "br_residual", "adequacy"):
+            np.testing.assert_allclose([float(x) for x in large[field].split()],
+                                       [float(x) for x in small[field].split()],
+                                       rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("method", ["td", "br", "best"])
+    def test_norms_of_large_rewards_do_not_overflow(self, example1_files, tmp_path, capsys,
+                                                    method):
+        # w is about 5e155, finite, but the squares of the norms' terms are not
+        assert run_solve(example1_files, 0.5, method) == 0
+        unit = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        big = tmp_path / "big.txt"
+        big.write_text("1e156\n0\n")
+        assert run_solve(dict(example1_files, r=str(big)), 0.5, method) == 0
+        captured = capsys.readouterr()
+        large = dict(line.split(": ", 1) for line in captured.out.splitlines())
+        assert captured.err == ""
+        for field in ("w", "approx_error", "td_error", "br_residual", "adequacy"):
+            np.testing.assert_allclose([float(x) for x in large[field].split()],
+                                       [1e156 * float(x) for x in unit[field].split()],
+                                       rtol=1e-12, atol=1e141)
+
+    def test_dependent_direction_rejected(self, tmp_path, capsys):
+        # X' L Phi is singular, yet an orthonormal basis of L' X exists: X's columns
+        # are checked as Phi's are
+        paths = random_files(tmp_path, 7)
+        x = parse_matrix(paths["x"])
+        np.savetxt(paths["x"], np.column_stack([x[:, 0], x[:, 0]]), fmt="%.17g")
+        assert run_solve(paths, 0.9, "oblique", direction("oblique", paths)) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: direction columns are not linearly independent")
 
     @pytest.mark.parametrize("name, content, expected", [
         ("P", "0 1\nnan 1\n", "non-finite probability"),
@@ -208,11 +272,9 @@ class TestSolve:
         assert captured.out == ""
 
     @pytest.mark.parametrize("name, content, method", [
-        ("phi", "1e200\n2e200\n", "td"),
         ("r", "1e308\n1e308\n", "td"),
         ("r", "1e308\n1e308\n", "best"),
-        ("x", "1e300\n1e300\n", "oblique"),
-    ], ids=["features-td", "rewards-td", "rewards-best", "direction-oblique"])
+    ], ids=["rewards-td", "rewards-best"])
     def test_overflow_is_one_singular_line(self, example1_files, tmp_path, capsys,
                                            name, content, method):
         # finite files whose products overflow: one line, not numpy's warnings
@@ -242,7 +304,7 @@ class TestSolve:
         monkeypatch.setattr(np, "eye", counting_eye)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         assert run_solve(paths, 0.9, method, direction(method, paths)) == 0
-        # L = I - gamma P once; L v = r once, for best's solve and the report's error
+        # L = I - gamma P once; L v = r once, for the oblique solve and the report's error
         assert formed.count(n) == 1
         assert solved.count((n, n)) == 1
         assert "approx_error" in capsys.readouterr().out

@@ -72,6 +72,18 @@ def trial_instance(config, gamma_index, n, k, phi_trial, mdp_trial):
             random_weights(n, root.derive(2, gamma_index, n, k, phi_trial)))
 
 
+# gamma 0.999, n = 10 trials (k, phi_trial, mdp_trial) of the default grid
+REFEREE_TRIALS = [(9, 18, 5), (9, 12, 6), (9, 0, 5)]
+
+
+def assert_passes_referee(x, trial, b, source):
+    """A bound b of direction x on a REFEREE_TRIALS trial passes the exact referee when
+    b (1 - 1e-7) < exact < b (1 + 1e-7)."""
+    holds = exact_bound_test(*trial_instance(SweepConfig(), 3, 10, *trial), x)
+    assert holds((b * (1 + 1e-7)) ** 2), f"{source}'s b_{x} {b:.10g} is below the exact bound"
+    assert not holds((b * (1 - 1e-7)) ** 2), f"{source}'s b_{x} {b:.10g} is above the exact bound"
+
+
 class TestRunTrial:
     def test_matches_reference_solvers(self):
         config = SweepConfig(gammas=(0.95,), n_min=2, n_max=8,
@@ -146,22 +158,35 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("x", ["td", pytest.param("br", marks=pytest.mark.xfail(
         strict=True, reason="ROADMAP item 11: BR bound formed from squared Gram factors"))])
-    @pytest.mark.parametrize("k, phi_trial, mdp_trial", [(9, 18, 5), (9, 12, 6), (9, 0, 5)])
+    @pytest.mark.parametrize("k, phi_trial, mdp_trial", REFEREE_TRIALS)
     def test_bounds_pass_exact_referee(self, x, k, phi_trial, mdp_trial):
-        # gamma 0.999, n = 10: today's b_br is low in the kernel and the library at
-        # (9, 18, 5), high in both at (9, 12, 6), and low in one, high in the other at
-        # (9, 0, 5); a bound b passes when b (1 - 1e-7) < exact < b (1 + 1e-7)
-        config = SweepConfig()
-        rec = run_trial(config, 3, 10, k, phi_trial, mdp_trial)
-        mdp, phi, xi = trial_instance(config, 3, 10, k, phi_trial, mdp_trial)
-        holds = exact_bound_test(mdp, phi, xi, x)
+        # gamma 0.999, n = 10: the kernel's b_br is low at (9, 18, 5) and (9, 0, 5) and
+        # high at (9, 12, 6)
+        rec = run_trial(SweepConfig(), 3, 10, k, phi_trial, mdp_trial)
+        assert_passes_referee(x, (k, phi_trial, mdp_trial), rec[f"b_{x}"], "kernel")
+
+    @pytest.mark.parametrize("x", ["td", "br"])
+    @pytest.mark.parametrize("k, phi_trial, mdp_trial", REFEREE_TRIALS)
+    def test_error_bound_passes_exact_referee(self, x, k, phi_trial, mdp_trial):
+        mdp, phi, xi = trial_instance(SweepConfig(), 3, 10, k, phi_trial, mdp_trial)
         direction = {"td": td_direction, "br": br_direction}[x](mdp, phi, xi)
-        for source, b in (("kernel", rec[f"b_{x}"]),
-                          ("error_bound", error_bound(mdp, phi, xi, direction).bound)):
-            assert holds((b * (1 + 1e-7)) ** 2), \
-                f"{source}'s b_{x} {b:.10g} is below the exact bound"
-            assert not holds((b * (1 - 1e-7)) ** 2), \
-                f"{source}'s b_{x} {b:.10g} is above the exact bound"
+        b = error_bound(mdp, phi, xi, direction).bound
+        assert_passes_referee(x, (k, phi_trial, mdp_trial), b, "error_bound")
+
+    @pytest.mark.parametrize("gamma, n, k, phi_trial, mdp_trial, exact", [
+        (0.99, 30, 29, 14, 5, 2.7042),
+        (0.999, 22, 21, 15, 19, 4.9245),
+        (0.999, 28, 27, 2, 2, 8.7948),
+        (0.999, 27, 26, 14, 7, 2.3168),
+    ])
+    def test_error_bound_br_matches_exact_table(self, gamma, n, k, phi_trial, mdp_trial, exact):
+        # ROADMAP item 11's trials, whose 60-digit exact BR bounds the Gram-factor
+        # bound overstated by up to +559%
+        config = SweepConfig()
+        mdp, phi, xi = trial_instance(config, config.gammas.index(gamma), n, k,
+                                      phi_trial, mdp_trial)
+        rep = error_bound(mdp, phi, xi, br_direction(mdp, phi, xi))
+        assert rep.bound == pytest.approx(exact, rel=1e-4)
 
 
 class TestSweep:

@@ -60,8 +60,9 @@ def test_golden_digests(workload, tmp_path):
     assert json.loads(run.stdout) == sweeps.golden(workload)
 
 
-def test_solve_requests_pass_their_checks(pe, tmp_path):
-    cycle, probes = solve.make_requests(1, str(tmp_path))
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_solve_requests_pass_their_checks(pe, tmp_path, seed):
+    cycle, probes = solve.make_requests(seed, str(tmp_path))
     for request in cycle:
         code, stdout, _ = solve.call(pe.cli, request.argv)
         assert solve.problem(request, code, stdout) is None

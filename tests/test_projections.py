@@ -114,6 +114,15 @@ class TestWeightedNorm:
             with pytest.raises(ValueError, match=re.escape(f"vector has shape {v.shape}")):
                 weighted_norm(v, uniform_weights(n))
 
+    def test_finite_vector_whose_squares_overflow(self):
+        # only the overflowing member is rescaled; an infinite vector keeps an infinite norm
+        xi = uniform_weights(2)
+        v = np.array([[3e200, 4e200], [3.0, 4.0], [np.inf, 1.0]])
+        norms = weighted_norm(v, xi)
+        assert norms[0] == pytest.approx(np.sqrt(12.5) * 1e200, rel=1e-15)
+        assert norms[1] == weighted_norm(v[1], xi) and norms[2] == np.inf
+        assert weighted_norm(v[0], xi) == norms[0]
+
 
 def members(F, M):
     return [(f, m) for f in range(F) for m in range(M)]

@@ -47,25 +47,26 @@ class TestExample1ClosedForms:
         assert sol.weights is None and sol.value_estimate is None
         assert sol.condition_estimate > 1e12
 
-    @pytest.mark.parametrize("solve, rewards, features", [
-        (solve_td, 1e308, 1.0),
-        (solve_br, 1e308, 1.0),
-        (solve_best, 1e300, 1e-10),  # v is finite
+    @pytest.mark.parametrize("solve, rewards, features, message", [
+        (solve_td, 1e308, 1.0, "value solve residual too large"),
+        (solve_br, 1e308, 1.0, "value solve residual too large"),
+        (solve_best, 1e300, 1e-10, "best solution overflows: it is not finite"),  # v is finite
     ], ids=["solve_td", "solve_br", "solve_best"])
-    def test_overflowing_solution_raises(self, solve, rewards, features):
-        # X' r overflows, or tiny features scale w up: w (or Phi w) would be inf
+    def test_overflowing_solution_raises(self, solve, rewards, features, message):
+        # v = L^-1 r overflows, or tiny features scale w up: w (or Phi w) would be inf
         # behind an "ok" status
         inst = example1(0.5, 0.0)
         mdp = make_mdp(inst.mdp.transitions, [rewards, rewards], 0.5)
         phi = make_feature_basis([features, 2.0 * features])
-        with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="not finite"):
+        with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match=message):
             solve(mdp, phi, inst.xi)
 
     def test_best_is_never_singular(self):
-        # at 5/6 TD's system is singular; best solves none, so it is "ok"
+        # at 5/6 TD's system is singular; best's direction spans span(Phi) itself,
+        # so its bound is 1 up to rounding
         inst = example1(5.0 / 6.0, 1.0)
         sol = solve_best(inst.mdp, inst.phi, inst.xi)
-        assert sol.ok and sol.condition_estimate == 1.0
+        assert sol.ok and sol.condition_estimate == pytest.approx(1.0, abs=4 * 2.0 ** -52)
 
 
 class TestExactnessCorollary:
@@ -95,12 +96,12 @@ class TestObliqueUnification:
         for _ in range(100):
             mdp, phi, xi = random_instance(rng, n_max=20, m_max=10)
             td = solve_td(mdp, phi, xi)
-            obl_td = solve_oblique(mdp, phi, td_direction(mdp, phi, xi))
+            obl_td = solve_oblique(mdp, phi, xi, td_direction(mdp, phi, xi))
             assert td.status == obl_td.status
             if td.ok:
                 np.testing.assert_allclose(obl_td.weights, td.weights, atol=1e-8)
             br = solve_br(mdp, phi, xi)
-            obl_br = solve_oblique(mdp, phi, br_direction(mdp, phi, xi))
+            obl_br = solve_oblique(mdp, phi, xi, br_direction(mdp, phi, xi))
             np.testing.assert_allclose(obl_br.weights, br.weights, atol=1e-8)
 
     def test_solution_is_oblique_projection_of_value(self, rng):
@@ -108,7 +109,7 @@ class TestObliqueUnification:
         for _ in range(50):
             mdp, phi, xi = random_instance(rng, n_max=15, m_max=8)
             x = rng.normal(size=phi.matrix.shape)
-            sol = solve_oblique(mdp, phi, x)
+            sol = solve_oblique(mdp, phi, xi, x)
             if not sol.ok:
                 continue
             lv = l_matrix(mdp) @ exact_value(mdp)
@@ -118,15 +119,15 @@ class TestObliqueUnification:
     def test_vector_direction_is_one_column(self, rng):
         mdp, phi, xi = random_instance(rng, n_max=6, m_max=1)
         x = rng.normal(size=mdp.n_states)
-        assert (solve_oblique(mdp, phi, x).weights.tolist()
-                == solve_oblique(mdp, phi, x[:, None]).weights.tolist())
+        assert (solve_oblique(mdp, phi, xi, x).weights.tolist()
+                == solve_oblique(mdp, phi, xi, x[:, None]).weights.tolist())
         assert error_bound(mdp, phi, xi, x).bound == error_bound(mdp, phi, xi, x[:, None]).bound
 
     def test_dimension_mismatch(self, rng):
         mdp, phi, xi = random_instance(rng, n_max=6, m_max=3)
         wide = np.ones((phi.n_states, phi.dim + 1))
         with pytest.raises(ValueError):
-            solve_oblique(mdp, phi, wide)
+            solve_oblique(mdp, phi, xi, wide)
         with pytest.raises(ValueError, match="direction matrix is"):
             error_bound(mdp, phi, xi, wide)
         short = make_state_weights([1.0])
@@ -144,11 +145,20 @@ class TestObliqueUnification:
             concentration_coefficient(mdp, short)
 
 
+    def test_dependent_direction_rejected(self, rng):
+        # a rank-1 L' X still has an orthonormal basis, and its K looked regular
+        mdp, phi, xi = random_instance(rng, n_max=6, m_max=1)
+        phi = make_feature_basis(rng.normal(size=(mdp.n_states, 2)))
+        x = np.repeat(rng.normal(size=(mdp.n_states, 1)), 2, axis=1)
+        for call in (solve_oblique, error_bound):
+            with pytest.raises(ValueError, match="direction columns are not linearly indep"):
+                call(mdp, phi, xi, x)
+
     @pytest.mark.parametrize("name, call", [
         ("solve_best", lambda mdp, phi, xi: solve_best(mdp, phi, xi)),
         ("solve_td", lambda mdp, phi, xi: solve_td(mdp, phi, xi)),
         ("solve_br", lambda mdp, phi, xi: solve_br(mdp, phi, xi)),
-        ("solve_oblique", lambda mdp, phi, xi: solve_oblique(mdp, phi, np.ones((3, 1)))),
+        ("solve_oblique", lambda mdp, phi, xi: solve_oblique(mdp, phi, xi, np.ones((3, 1)))),
         ("error_bound", lambda mdp, phi, xi: error_bound(mdp, phi, xi, np.ones((3, 1)))),
         ("error_report", lambda mdp, phi, xi: error_report(mdp, phi, xi, np.zeros(1))),
         ("td_direction", lambda mdp, phi, xi: td_direction(mdp, phi, xi)),
@@ -162,6 +172,33 @@ class TestObliqueUnification:
         xi = make_state_weights([1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match=r"^features have 2 rows, expected 3$"):
             call(mdp, phi, xi)
+
+
+def test_library_never_reaches_the_normal_equations(monkeypatch, rng):
+    # the kernel's normal-equation path is not the library's: every solver, bound and
+    # report goes through the one oblique solve
+    from projeval import analysis, projections, solvers
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the library reached a normal-equation helper")
+
+    for module in (projections, solvers, analysis):
+        for name in ("projected_solve", "projected_system", "condition_estimate",
+                     "amplification_bound", "psd_sqrt"):
+            monkeypatch.setattr(module, name, unreachable, raising=False)
+    for inst in (example1(0.5, 0.0), example1(5.0 / 6.0, 1.0)):
+        mdp, phi, xi = inst.mdp, inst.phi, inst.xi
+        x = td_direction(mdp, phi, xi)
+        sols = [solve(mdp, phi, xi) for solve in (solve_best, solve_td, solve_br)]
+        sols.append(solve_oblique(mdp, phi, xi, x))
+        assert error_bound(mdp, phi, xi, x).ok == sols[1].ok == sols[3].ok
+        error_report(mdp, phi, xi, sols[0].weights)
+    mdp, phi, xi = random_instance(rng, n_max=12, m_max=5)
+    for sol in (solve_best(mdp, phi, xi), solve_td(mdp, phi, xi), solve_br(mdp, phi, xi),
+                solve_oblique(mdp, phi, xi, rng.normal(size=phi.matrix.shape))):
+        if sol.ok:
+            error_report(mdp, phi, xi, sol.weights)
+    error_bound(mdp, phi, xi, br_direction(mdp, phi, xi))
 
 
 class TestTdFixedPoint:
@@ -215,7 +252,7 @@ class TestOptimalDirection:
         for _ in range(100):
             mdp, phi, xi = random_instance(rng, n_max=20, m_max=10)
             x_star = optimal_direction(mdp, phi, xi)
-            obl = solve_oblique(mdp, phi, x_star)
+            obl = solve_oblique(mdp, phi, xi, x_star)
             best = solve_best(mdp, phi, xi)
             np.testing.assert_allclose(obl.weights, best.weights, atol=1e-8)
 
