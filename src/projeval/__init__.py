@@ -1,7 +1,7 @@
 """Linear policy evaluation for finite MDPs via projection methods.
 
 Implements the TD(0) fixed point, Bellman-residual minimization, and the
-general oblique-projection family with tight spectral-radius error bounds,
+general oblique-projection family bounded by the norm of the oblique projector,
 plus the paper's example 1 and a reproducible random-chain benchmark sweep.
 """
 

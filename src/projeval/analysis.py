@@ -12,9 +12,6 @@ is exactly the xi-norm of the projector onto span(Phi) along span(L'X)^perp,
 1 / sigma_min(Q_W' Q_U) for orthonormal bases Q_U of Xi^1/2 Phi and Q_W of
 Xi^-1/2 L' X (Szyld 2006). `error_bound` reads it, and its singularity
 gate, from `projections.oblique_solve`, the call every solver makes.
-
-The sweep kernel still forms it from m x m normal equations, with `psd_sqrt`
-and `amplification_bound`, which no library function calls.
 """
 
 from __future__ import annotations
@@ -53,30 +50,6 @@ class BoundReport:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a PSD matrix or stack, negative eigenvalues clipped; kernel only."""
-    lam, vec = np.linalg.eigh(a)
-    return (vec * np.sqrt(np.maximum(lam, 0.0))[..., None, :]) @ vec.swapaxes(-1, -2)
-
-
-def amplification_bound(a_half: np.ndarray, m: np.ndarray, L: np.ndarray, x: np.ndarray,
-                        xi: StateWeights) -> float | np.ndarray:
-    """sqrt(lambda_max(A^1/2 B C B' A^1/2)) from A^1/2 = psd_sqrt(A) and the system
-    m = X' L Phi, with B = m^-1 and C = X' L Xi^-1 L' X.
-
-    One float for one system, one per matrix for stacks. The symmetric form
-    avoids complex eigensolvers; the sweep's CSVs depend on this exact
-    operation order. Only the kernel calls it; its BR bound is off (ROADMAP item 11).
-    """
-    b = np.linalg.inv(m)
-    ltx = L.swapaxes(-1, -2) @ x
-    c = (ltx / weight_column(xi, ltx.shape[-2])).swapaxes(-1, -2) @ ltx
-    sym = a_half @ (b @ c @ b.swapaxes(-1, -2)) @ a_half
-    sym = sym + sym.swapaxes(-1, -2)
-    sym *= 0.5
-    return np.sqrt(np.maximum(np.max(np.linalg.eigvalsh(sym), axis=-1), 0.0))
 
 
 def error_report(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,

@@ -10,31 +10,54 @@ bounds) once per trial. Bases and weights enter as (F, 1, ...) stacks against th
 (F, M) trial grid, whose record block each result fills by field name, and
 a row equals, bit for bit, its trial run alone.
 
-TD is `projected_solve`, which gates its system and gives a singular one
-NaN weights; every error is `weighted_norm` and every bound
-`amplification_bound`. These normal-equation helpers, and the best and BR
-solves, are the kernel's alone: the library's solvers and `error_bound` go
-through `projections.oblique_solve`, and the BR solve is not gated. The sweep's
-CSVs are compared byte for byte against earlier runs, so their operand orders,
-Phi'(Xi Phi) and (L Phi)'(Xi L Phi), are fixed like every other operation order.
+Best solves the Gram system A; TD solves (Xi Phi)'(L Phi), singular past
+SINGULAR_CONDITION_LIMIT on a cancellation-aware condition estimate; BR solves
+(L Phi)'(Xi L Phi), ungated; each bound is `_bound`, inexact for BR (ROADMAP item
+11). The sweep's CSVs are compared byte for byte against earlier runs, so every
+operand and operation order here is fixed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .analysis import amplification_bound, psd_sqrt
 from .mdp import Mdp, exact_value, l_matrix
-from .projections import FeatureBasis, StateWeights, projected_solve, row_weighted, weighted_norm
+from .projections import (SINGULAR_CONDITION_LIMIT, FeatureBasis, StateWeights, row_weighted,
+                          weighted_norm)
 
 BACKEND = "numpy"
 
 TD_SINGULAR = "td_singular"  # the field of the singular-TD flag
 
 
+def _frobenius(x):
+    """Frobenius norm per matrix, rounded as `np.linalg.norm(x)` (a BLAS dot)."""
+    flat = x.reshape(*x.shape[:-2], 1, -1)
+    return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+
+
+def _psd_sqrt(a):
+    """Symmetric square root per PSD matrix, negative eigenvalues clipped."""
+    lam, vec = np.linalg.eigh(a)
+    return (vec * np.sqrt(np.maximum(lam, 0.0))[..., None, :]) @ vec.swapaxes(-1, -2)
+
+
 def _solve(m, x, b):
     """w with m w = X' b per member, ungated."""
     return np.linalg.solve(m, x.swapaxes(-1, -2) @ b[..., None])[..., 0]
+
+
+def _bound(a_half, m, L, x, xi):
+    """sqrt(lambda_max(A^1/2 B C B' A^1/2)) per member, from A^1/2 and the system
+    m = X' L Phi, with B = m^-1 and C = X' L Xi^-1 L' X; the symmetric form
+    avoids complex eigensolvers."""
+    b = np.linalg.inv(m)
+    ltx = L.swapaxes(-1, -2) @ x
+    c = (ltx / xi.weights[..., None]).swapaxes(-1, -2) @ ltx
+    sym = a_half @ (b @ c @ b.swapaxes(-1, -2)) @ a_half
+    sym = sym + sym.swapaxes(-1, -2)
+    sym *= 0.5
+    return np.sqrt(np.maximum(np.max(np.linalg.eigvalsh(sym), axis=-1), 0.0))
 
 
 def cell_stats(chains: Mdp, bases: FeatureBasis, weights: StateWeights, out: np.ndarray) -> None:
@@ -46,7 +69,7 @@ def cell_stats(chains: Mdp, bases: FeatureBasis, weights: StateWeights, out: np.
     xi = StateWeights(weights.weights[:, None])   # (F, 1, n)
     xiphi = row_weighted(xi, phi)                 # Xi Phi
     a = phi.swapaxes(-1, -2) @ xiphi              # Phi' Xi Phi
-    a_half = psd_sqrt(a)
+    a_half = _psd_sqrt(a)
     lphi = L @ phi                                # L Phi, one per pair from here on
 
     def error(w):
@@ -55,12 +78,20 @@ def cell_stats(chains: Mdp, bases: FeatureBasis, weights: StateWeights, out: np.
     out["v_norm"] = weighted_norm(v, xi)
     out["e"] = error(_solve(a, xiphi, v))
 
-    w_td, m_td, _, status = projected_solve(xiphi, lphi, r)
-    out[TD_SINGULAR] = singular = status != "ok"
+    # TD is singular past the limit on ||Xi Phi||_F ||L Phi||_F / sigma_min(m), which
+    # catches a tiny m from cancellation; the identity stands in for its m, w is NaN
+    m_td = xiphi.swapaxes(-1, -2) @ lphi
+    s_min = np.linalg.svd(m_td, compute_uv=False)[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = _frobenius(xiphi) * _frobenius(lphi) / s_min
+    out[TD_SINGULAR] = singular = ~(cond <= SINGULAR_CONDITION_LIMIT)
+    m_td[singular] = np.eye(m_td.shape[-1])
+    w_td = _solve(m_td, xiphi, r)
+    w_td[singular] = np.nan
     out["e_td"] = error(w_td)
-    out["b_td"] = np.where(singular, np.nan, amplification_bound(a_half, m_td, L, xiphi, xi))
+    out["b_td"] = np.where(singular, np.nan, _bound(a_half, m_td, L, xiphi, xi))
 
     xilphi = row_weighted(xi, lphi)               # Xi L Phi
     m_br = lphi.swapaxes(-1, -2) @ xilphi
     out["e_br"] = error(_solve(m_br, xilphi, r))
-    out["b_br"] = amplification_bound(a_half, m_br, L, xilphi, xi)
+    out["b_br"] = _bound(a_half, m_br, L, xilphi, xi)

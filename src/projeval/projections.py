@@ -4,9 +4,8 @@ Xi M and the one direction check, and the one oblique solve.
 Best, TD, BR and any oblique direction X solve (X' L Phi) w = X' r:
 `oblique_solve` does so from orthonormal bases of Xi^1/2 Phi (`weighted_qr`,
 also the xi-orthogonal projection) and of Xi^-1/2 L' X, gated on the
-projector's norm. `projected_system` and `projected_solve` are the sweep
-kernel's normal equations, which no library function calls. The other
-helpers take stacks too, and give each member, bit for bit, its result alone.
+projector's norm. The other helpers take stacks too, and give each member,
+bit for bit, its result alone.
 """
 
 from __future__ import annotations
@@ -163,54 +162,3 @@ def weighted_norm(v: np.ndarray, xi: StateWeights) -> float | np.ndarray:
     if np.isinf(norm).any():
         norm = np.where(np.isinf(norm), np.hypot.reduce(np.sqrt(xi.weights) * v, axis=-1), norm)
     return norm if norm.ndim else float(norm)
-
-
-def _frobenius(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm per matrix, rounded as `np.linalg.norm(x)` (a BLAS dot)."""
-    flat = x.reshape(*x.shape[:-2], 1, -1)
-    return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
-
-
-def condition_estimate(M: np.ndarray, left: np.ndarray,
-                       right: np.ndarray) -> float | np.ndarray:
-    """Cancellation-aware condition estimate of the product M = left' right.
-
-    The classical condition number of M misses catastrophic cancellation:
-    a 1x1 product can collapse to a tiny but nonzero scalar (condition 1)
-    while the underlying projected system is effectively singular. Scaling
-    by the Frobenius norms of the factors catches this; the estimate always
-    dominates the classical condition number. Stacked factors give one
-    estimate per product. Only the sweep kernel's TD gate calls it.
-    """
-    s_min = np.linalg.svd(M, compute_uv=False)[..., -1]
-    scale = _frobenius(left) * _frobenius(right)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(s_min == 0.0, np.inf, scale / s_min)[()]
-
-
-def projected_system(left: np.ndarray, right: np.ndarray
-                     ) -> tuple[np.ndarray, float | np.ndarray, str | np.ndarray]:
-    """M = left' right, its condition estimate, and its status.
-
-    The status is "singular" when the estimate is infinite or above
-    SINGULAR_CONDITION_LIMIT and "ok" otherwise; stacked factors give a
-    stack of M and an array of estimates and statuses. This is the sweep
-    kernel's TD gate; no library function calls it (see `oblique_solve`).
-    """
-    M = left.swapaxes(-1, -2) @ right
-    cond = condition_estimate(M, left, right)
-    status = np.where(cond <= SINGULAR_CONDITION_LIMIT, "ok", "singular")
-    return M, cond, status if status.ndim else status.item()
-
-
-def projected_solve(left: np.ndarray, right: np.ndarray, b: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray, str | np.ndarray]:
-    """w with (left' right) w = left' b, and M, its estimate and status as `projected_system`
-    gives them. The identity stands in for a singular M, in the M returned too, so a
-    stacked solve cannot fail; that system's w is NaN. Only the sweep kernel's TD calls it."""
-    M, cond, status = projected_system(left, right)
-    singular = np.asarray(status) != "ok"
-    M[singular] = np.eye(M.shape[-1])
-    w = np.linalg.solve(M, left.swapaxes(-1, -2) @ b[..., None])[..., 0]
-    w[singular] = np.nan
-    return w, M, cond, status

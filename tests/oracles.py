@@ -27,8 +27,7 @@ from projeval.instances import _WEIGHT_FLOOR, Instance, SeedSpec
 from projeval.matio import MatrixParseError
 from projeval.mdp import bellman_apply, exact_value, make_mdp
 from projeval.projections import (FeatureBasis, StateWeights, make_feature_basis,
-                                  make_state_weights, projected_system, weight_column,
-                                  weighted_norm)
+                                  make_state_weights, weight_column, weighted_norm)
 from projeval.solvers import solve_best, solve_td
 
 
@@ -50,9 +49,13 @@ class CoefficientMap:
 
 
 def _coefficient_matrix(left: np.ndarray, right: np.ndarray, what: str) -> np.ndarray:
-    """(left' right)^-1 left', raising when the package's gate calls it singular."""
-    M, cond, status = projected_system(left, right)
-    if status != "ok":
+    """(left' right)^-1 left', raising when M = left' right is singular: sigma_min(M) is 0,
+    or ||left||_F ||right||_F / sigma_min(M), which a tiny M from cancellation cannot
+    hide, is above 1e12."""
+    M = left.T @ right
+    sigma_min = np.linalg.svd(M, compute_uv=False)[-1]
+    cond = np.linalg.norm(left) * np.linalg.norm(right) / sigma_min if sigma_min else np.inf
+    if cond > 1e12:
         raise SingularMatrixError(what, cond)
     return np.linalg.solve(M, left.T)
 

@@ -30,7 +30,8 @@ sys.dont_write_bytecode = dont_write_bytecode
 
 # names the traced run wraps that no longer exist (ROADMAP item 6)
 STALE_TRACE_NAMES = {"projeval.kernels.trial_stats", "projeval.solvers.condition_estimate",
-                     "projeval.analysis.condition_estimate"}
+                     "projeval.analysis.condition_estimate",
+                     "projeval.projections.condition_estimate"}
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ from projeval import (
 )
 from projeval.instances import SeedSpec, example1
 from projeval.mdp import l_matrix
-from projeval.projections import projected_solve, row_weighted
+from projeval.projections import row_weighted
 
 from conftest import random_instance
 from oracles import (
@@ -147,21 +147,6 @@ class TestStackedHelpers:
         for f, m in members(3, 4):
             np.testing.assert_array_equal(
                 stacked[f, m], row_weighted(StateWeights(xi.weights[f]), mats[f, m]), strict=True)
-
-    def test_projected_solve(self, rng):
-        left = rng.normal(size=(3, 1, 9, 4))   # broadcast against 4 right factors each
-        right = rng.normal(size=(3, 4, 9, 4))
-        b = rng.normal(size=(4, 9))
-        right[1, 2, :, 3] = right[1, 2, :, 0]  # only member (1, 2) is singular
-        w, M, cond, status = projected_solve(left, right, b)
-        assert w.shape == (3, 4, 4) and M.shape == (3, 4, 4, 4)
-        assert [fm for fm in members(3, 4) if status[fm] != "ok"] == [(1, 2)]
-        assert np.isnan(w[1, 2]).all() and np.array_equal(M[1, 2], np.eye(4))
-        for f, m in members(3, 4):
-            alone = projected_solve(left[f, 0], right[f, m], b[m])
-            assert alone[2:] == (cond[f, m], status[f, m])
-            np.testing.assert_array_equal(w[f, m], alone[0], strict=True)
-            np.testing.assert_array_equal(M[f, m], alone[1], strict=True)
 
 
 class TestOrthogonalMap:
