@@ -22,7 +22,6 @@ from .projections import (
 from .solvers import (
     ProjectionSolution,
     br_direction,
-    optimal_direction,
     solve_best,
     solve_br,
     solve_oblique,
@@ -30,9 +29,7 @@ from .solvers import (
     td_direction,
 )
 from .analysis import (
-    BoundReport,
     ErrorReport,
-    error_bound,
     error_report,
 )
 from .instances import (

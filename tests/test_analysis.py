@@ -3,13 +3,11 @@ import pytest
 
 from projeval import (
     br_direction,
-    error_bound,
     error_report,
     exact_value,
     make_feature_basis,
     make_mdp,
     make_state_weights,
-    optimal_direction,
     solve_best,
     solve_br,
     solve_oblique,
@@ -31,6 +29,7 @@ from oracles import (
     exact_report,
     oblique_coefficient_map,
     operator_norm_oracle,
+    optimal_direction,
     stationary_distribution,
     stationary_td_bound_check,
 )
@@ -117,8 +116,8 @@ class TestErrorBound:
         assert a[0, 0] == pytest.approx(2.5)
         assert b[0, 0] == pytest.approx(1.0)
         assert c[0, 0] == pytest.approx(0.625)
-        rep = error_bound(inst.mdp, inst.phi, inst.xi, x)
-        assert rep.bound == pytest.approx(1.25, abs=1e-12)
+        td = solve_td(inst.mdp, inst.phi, inst.xi)
+        assert td.condition_estimate == pytest.approx(1.25, abs=1e-12)
 
     def test_two_state_br_direction(self):
         inst = example1(0.5, 0.0)
@@ -127,8 +126,8 @@ class TestErrorBound:
         assert a[0, 0] == pytest.approx(2.5)
         assert b[0, 0] == pytest.approx(2.0)
         assert c[0, 0] == pytest.approx(0.125)
-        rep = error_bound(inst.mdp, inst.phi, inst.xi, x)
-        assert rep.bound == pytest.approx(np.sqrt(1.25), abs=1e-12)
+        br = solve_br(inst.mdp, inst.phi, inst.xi)
+        assert br.condition_estimate == pytest.approx(np.sqrt(1.25), abs=1e-12)
 
     @pytest.mark.parametrize("x, b_squared", [("td", 1.5625), ("br", 1.25)])
     def test_exact_referee_on_two_state_values(self, x, b_squared):
@@ -140,8 +139,8 @@ class TestErrorBound:
     def test_optimal_direction_has_bound_one(self, rng):
         for _ in range(10):
             mdp, phi, xi = random_instance(rng, n_max=12, m_max=6)
-            rep = error_bound(mdp, phi, xi, optimal_direction(mdp, phi, xi))
-            assert rep.bound == pytest.approx(1.0, abs=1e-8)
+            sol = solve_oblique(mdp, phi, xi, optimal_direction(mdp, phi, xi))
+            assert sol.condition_estimate == pytest.approx(1.0, abs=1e-8)
 
     def test_singular_direction_reported_as_status(self, rng):
         # X = Xi Phi at the analytic example's singular discount, and a
@@ -154,48 +153,43 @@ class TestErrorBound:
         for mdp, phi, xi, x in ((inst.mdp, inst.phi, inst.xi,
                                  td_direction(inst.mdp, inst.phi, inst.xi)),
                                 (mdp, phi, xi, x[:, None])):
-            rep = error_bound(mdp, phi, xi, x)
-            assert rep.status == "singular"
-            assert rep.bound is None
-            assert rep.condition_estimate > 1e12  # inf passes, NaN does not
             sol = solve_oblique(mdp, phi, xi, x)
             assert sol.status == "singular" and sol.weights is None
-            assert sol.condition_estimate > 1e12
+            assert sol.condition_estimate > 1e12  # inf passes, NaN does not
 
     def test_bound_is_at_least_one(self, rng):
         for _ in range(30):
             mdp, phi, xi = random_instance(rng, n_max=12, m_max=6)
             x = rng.normal(size=phi.matrix.shape)
-            rep = error_bound(mdp, phi, xi, x)
-            if rep.ok:
-                assert rep.bound >= 1.0 - 1e-8
+            sol = solve_oblique(mdp, phi, xi, x)
+            if sol.ok:
+                assert sol.condition_estimate >= 1.0 - 1e-8
 
     def test_bound_equals_operator_norm_oracle(self, rng):
         for _ in range(60):
             mdp, phi, xi = random_instance(rng, n_max=15, m_max=8)
             x = rng.normal(size=phi.matrix.shape)
-            rep = error_bound(mdp, phi, xi, x)
-            if not rep.ok:
+            sol = solve_oblique(mdp, phi, xi, x)
+            if not sol.ok:
                 continue
             try:
                 pi = oblique_coefficient_map(phi, l_matrix(mdp).T @ x)
             except SingularMatrixError:
                 continue
             oracle = operator_norm_oracle(phi.matrix @ pi.matrix, xi)
-            assert rep.bound == pytest.approx(oracle, rel=1e-8)
+            assert sol.condition_estimate == pytest.approx(oracle, rel=1e-8)
 
     def test_bound_dominates_actual_error(self, rng):
         for _ in range(50):
             mdp, phi, xi = random_instance(rng, n_max=15, m_max=8)
             x = rng.normal(size=phi.matrix.shape)
-            rep = error_bound(mdp, phi, xi, x)
             sol = solve_oblique(mdp, phi, xi, x)
-            if not (rep.ok and sol.ok):
+            if not sol.ok:
                 continue
             v = exact_value(mdp)
             best = solve_best(mdp, phi, xi)
             lhs = weighted_norm(v - sol.value_estimate, xi)
-            rhs = rep.bound * weighted_norm(v - best.value_estimate, xi)
+            rhs = sol.condition_estimate * weighted_norm(v - best.value_estimate, xi)
             assert lhs <= rhs + 1e-8
 
 
@@ -284,9 +278,9 @@ class TestStationaryTdBound:
             mdp = ergodic_chain(n, 0.9, SeedSpec(2000 + i))
             xi = make_state_weights(stationary_distribution(mdp))
             phi = make_feature_basis(rng.uniform(-1, 1, size=(n, int(rng.integers(1, n + 1)))))
-            rep = error_bound(mdp, phi, xi, td_direction(mdp, phi, xi))
-            assert rep.ok
-            assert rep.bound <= 1.0 / np.sqrt(1.0 - 0.9 ** 2) + 1e-8
+            td = solve_td(mdp, phi, xi)
+            assert td.ok
+            assert td.condition_estimate <= 1.0 / np.sqrt(1.0 - 0.9 ** 2) + 1e-8
 
 
 class TestThetaInvariance:

@@ -8,7 +8,6 @@ from projeval import (
     SeedSpec,
     SweepConfig,
     aggregate,
-    error_bound,
     harness,
     matio,
     random_chain,
@@ -22,7 +21,6 @@ from projeval import (
     weighted_norm,
 )
 from projeval.mdp import exact_value
-from projeval.solvers import br_direction, td_direction
 
 from oracles import aggregate_loop, exact_bound_test, exact_errors
 
@@ -104,12 +102,8 @@ class TestRunTrial:
                 if td.ok:
                     assert rec.e_td == pytest.approx(
                         weighted_norm(v - td.value_estimate, xi), rel=1e-6, abs=1e-9)
-                    assert rec.b_td == pytest.approx(
-                        error_bound(mdp, phi, xi, td_direction(mdp, phi, xi)).bound,
-                        rel=1e-6)
-                assert rec.b_br == pytest.approx(
-                    error_bound(mdp, phi, xi, br_direction(mdp, phi, xi)).bound,
-                    rel=1e-6)
+                    assert rec.b_td == pytest.approx(td.condition_estimate, rel=1e-6)
+                assert rec.b_br == pytest.approx(br.condition_estimate, rel=1e-6)
 
     def test_best_error_is_minimal(self):
         config = SMALL
@@ -169,9 +163,8 @@ class TestRunTrial:
     @pytest.mark.parametrize("k, phi_trial, mdp_trial", REFEREE_TRIALS)
     def test_error_bound_passes_exact_referee(self, x, k, phi_trial, mdp_trial):
         mdp, phi, xi = trial_instance(SweepConfig(), 3, 10, k, phi_trial, mdp_trial)
-        direction = {"td": td_direction, "br": br_direction}[x](mdp, phi, xi)
-        b = error_bound(mdp, phi, xi, direction).bound
-        assert_passes_referee(x, (k, phi_trial, mdp_trial), b, "error_bound")
+        b = {"td": solve_td, "br": solve_br}[x](mdp, phi, xi).condition_estimate
+        assert_passes_referee(x, (k, phi_trial, mdp_trial), b, f"solve_{x}")
 
     @pytest.mark.parametrize("gamma, n, k, phi_trial, mdp_trial, exact", [
         (0.99, 30, 29, 14, 5, 2.7042),
@@ -185,8 +178,7 @@ class TestRunTrial:
         config = SweepConfig()
         mdp, phi, xi = trial_instance(config, config.gammas.index(gamma), n, k,
                                       phi_trial, mdp_trial)
-        rep = error_bound(mdp, phi, xi, br_direction(mdp, phi, xi))
-        assert rep.bound == pytest.approx(exact, rel=1e-4)
+        assert solve_br(mdp, phi, xi).condition_estimate == pytest.approx(exact, rel=1e-4)
 
 
 class TestSweep:

@@ -6,13 +6,11 @@ import pytest
 
 from projeval import (
     br_direction,
-    error_bound,
     error_report,
     exact_value,
     make_feature_basis,
     make_mdp,
     make_state_weights,
-    optimal_direction,
     solve_best,
     solve_br,
     solve_oblique,
@@ -24,7 +22,7 @@ from projeval.instances import example1
 from projeval.mdp import l_matrix
 
 from conftest import random_instance
-from oracles import concentration_coefficient, orthogonal_coefficient_map
+from oracles import concentration_coefficient, optimal_direction, orthogonal_coefficient_map
 
 
 class TestExample1ClosedForms:
@@ -122,26 +120,23 @@ class TestObliqueUnification:
     def test_vector_direction_is_one_column(self, rng):
         mdp, phi, xi = random_instance(rng, n_max=6, m_max=1)
         x = rng.normal(size=mdp.n_states)
-        assert (solve_oblique(mdp, phi, xi, x).weights.tolist()
-                == solve_oblique(mdp, phi, xi, x[:, None]).weights.tolist())
-        assert error_bound(mdp, phi, xi, x).bound == error_bound(mdp, phi, xi, x[:, None]).bound
+        a, b = solve_oblique(mdp, phi, xi, x), solve_oblique(mdp, phi, xi, x[:, None])
+        assert a.weights.tolist() == b.weights.tolist()
+        assert a.condition_estimate == b.condition_estimate
 
     def test_dimension_mismatch(self, rng):
         mdp, phi, xi = random_instance(rng, n_max=6, m_max=3)
         wide = np.ones((phi.n_states, phi.dim + 1))
-        with pytest.raises(ValueError):
-            solve_oblique(mdp, phi, xi, wide)
         with pytest.raises(ValueError, match="direction matrix is"):
-            error_bound(mdp, phi, xi, wide)
+            solve_oblique(mdp, phi, xi, wide)
         short = make_state_weights([1.0])
-        for call in (solve_best, solve_td, solve_br, td_direction, br_direction,
-                     optimal_direction):
+        for call in (solve_best, solve_td, solve_br, td_direction, br_direction):
             with pytest.raises(ValueError, match="weights have length 1"):
                 call(mdp, phi, short)
         # a zero direction makes X' L Phi singular; the weights are checked all the same
         for x in (td_direction(mdp, phi, xi), np.zeros(phi.matrix.shape)):
             with pytest.raises(ValueError, match="weights have length 1"):
-                error_bound(mdp, phi, short, x)
+                solve_oblique(mdp, phi, short, x)
         with pytest.raises(ValueError, match="weights have length 1"):
             error_report(mdp, phi, short, np.zeros(phi.dim))
         with pytest.raises(ValueError, match="weights have length 1"):
@@ -153,20 +148,17 @@ class TestObliqueUnification:
         mdp, phi, xi = random_instance(rng, n_max=6, m_max=1)
         phi = make_feature_basis(rng.normal(size=(mdp.n_states, 2)))
         x = np.repeat(rng.normal(size=(mdp.n_states, 1)), 2, axis=1)
-        for call in (solve_oblique, error_bound):
-            with pytest.raises(ValueError, match="direction columns are not linearly indep"):
-                call(mdp, phi, xi, x)
+        with pytest.raises(ValueError, match="direction columns are not linearly indep"):
+            solve_oblique(mdp, phi, xi, x)
 
     @pytest.mark.parametrize("name, call", [
         ("solve_best", lambda mdp, phi, xi: solve_best(mdp, phi, xi)),
         ("solve_td", lambda mdp, phi, xi: solve_td(mdp, phi, xi)),
         ("solve_br", lambda mdp, phi, xi: solve_br(mdp, phi, xi)),
         ("solve_oblique", lambda mdp, phi, xi: solve_oblique(mdp, phi, xi, np.ones((3, 1)))),
-        ("error_bound", lambda mdp, phi, xi: error_bound(mdp, phi, xi, np.ones((3, 1)))),
         ("error_report", lambda mdp, phi, xi: error_report(mdp, phi, xi, np.zeros(1))),
         ("td_direction", lambda mdp, phi, xi: td_direction(mdp, phi, xi)),
         ("br_direction", lambda mdp, phi, xi: br_direction(mdp, phi, xi)),
-        ("optimal_direction", lambda mdp, phi, xi: optimal_direction(mdp, phi, xi)),
     ])
     def test_feature_rows_checked_against_chain(self, name, call):
         # a 3-state chain, 3 weights and a 3-row direction: only Phi is wrong
@@ -192,17 +184,48 @@ def test_library_never_reaches_the_normal_equations(rng):
         assert not [line for line in imports if "kernels" in line]
     for inst in (example1(0.5, 0.0), example1(5.0 / 6.0, 1.0)):
         mdp, phi, xi = inst.mdp, inst.phi, inst.xi
-        x = td_direction(mdp, phi, xi)
-        sols = [solve(mdp, phi, xi) for solve in (solve_best, solve_td, solve_br)]
-        sols.append(solve_oblique(mdp, phi, xi, x))
-        assert error_bound(mdp, phi, xi, x).ok == sols[1].ok == sols[3].ok
-        error_report(mdp, phi, xi, sols[0].weights)
+        for solve in (solve_td, solve_br):
+            solve(mdp, phi, xi)
+        solve_oblique(mdp, phi, xi, td_direction(mdp, phi, xi))
+        error_report(mdp, phi, xi, solve_best(mdp, phi, xi).weights)
     mdp, phi, xi = random_instance(rng, n_max=12, m_max=5)
     for sol in (solve_best(mdp, phi, xi), solve_td(mdp, phi, xi), solve_br(mdp, phi, xi),
                 solve_oblique(mdp, phi, xi, rng.normal(size=phi.matrix.shape))):
         if sol.ok:
             error_report(mdp, phi, xi, sol.weights)
-    error_bound(mdp, phi, xi, br_direction(mdp, phi, xi))
+
+
+def test_direction_bound_is_one_number_whichever_solver_asks(rng):
+    # TD's and BR's bound and status are those of `solve_oblique` on their directions,
+    # the one way to ask for any X, singular instances included
+    instances = [(i.mdp, i.phi, i.xi) for i in (example1(0.5, 0.0), example1(5.0 / 6.0, 1.0))]
+    instances += [random_instance(rng, n_max=15, m_max=8, gamma=gamma)
+                  for gamma in (0.5, 0.9, 0.99, 0.999) for _ in range(25)]
+    for mdp, phi, xi in instances:
+        for solve, direction in ((solve_td, td_direction), (solve_br, br_direction)):
+            sol = solve(mdp, phi, xi)
+            obl = solve_oblique(mdp, phi, xi, direction(mdp, phi, xi))
+            assert (sol.condition_estimate, sol.status) == (obl.condition_estimate, obl.status)
+    assert solve_td(*instances[1]).status == "singular"
+
+
+def test_only_projection_solution_carries_a_status():
+    # a direction's bound and singular status are read from its solve: no second
+    # result type repeats them
+    import dataclasses
+    import importlib
+    import pkgutil
+
+    import projeval
+
+    carriers = set()
+    for info in pkgutil.iter_modules(projeval.__path__):
+        module = importlib.import_module(f"projeval.{info.name}")
+        carriers |= {name for name, cls in vars(module).items()
+                     if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                     and cls.__module__ == module.__name__
+                     and "status" in {f.name for f in dataclasses.fields(cls)}}
+    assert carriers == {"ProjectionSolution"}
 
 
 class TestTdFixedPoint:
