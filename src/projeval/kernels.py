@@ -14,7 +14,8 @@ Best solves the Gram system A; TD solves (Xi Phi)'(L Phi), singular past
 SINGULAR_CONDITION_LIMIT on a cancellation-aware condition estimate; BR solves
 (L Phi)'(Xi L Phi), ungated; each bound is `_bound`, inexact for BR (ROADMAP item
 11). The sweep's CSVs are compared byte for byte against earlier runs, so every
-operand and operation order here is fixed.
+operand and operation order behind the errors and bounds is fixed; the TD gate's
+estimate is only compared with the limit, so its norms set the flag alone.
 """
 
 from __future__ import annotations
@@ -28,12 +29,6 @@ from .projections import (SINGULAR_CONDITION_LIMIT, FeatureBasis, StateWeights, 
 BACKEND = "numpy"
 
 TD_SINGULAR = "td_singular"  # the field of the singular-TD flag
-
-
-def _frobenius(x):
-    """Frobenius norm per matrix, rounded as `np.linalg.norm(x)` (a BLAS dot)."""
-    flat = x.reshape(*x.shape[:-2], 1, -1)
-    return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
 
 
 def _psd_sqrt(a):
@@ -83,7 +78,7 @@ def cell_stats(chains: Mdp, bases: FeatureBasis, weights: StateWeights, out: np.
     m_td = xiphi.swapaxes(-1, -2) @ lphi
     s_min = np.linalg.svd(m_td, compute_uv=False)[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = _frobenius(xiphi) * _frobenius(lphi) / s_min
+        cond = np.linalg.norm(xiphi, axis=(-2, -1)) * np.linalg.norm(lphi, axis=(-2, -1)) / s_min
     out[TD_SINGULAR] = singular = ~(cond <= SINGULAR_CONDITION_LIMIT)
     m_td[singular] = np.eye(m_td.shape[-1])
     w_td = _solve(m_td, xiphi, r)

@@ -6,15 +6,16 @@ as Python's `float()` reads it (`-1.5`, `2e-3`, `1e400` is inf) or `nan`,
 `inf`, `infinity` in any case and with an optional sign; digit-group
 underscores (`1_0`) and non-ASCII digits are rejected. Blank lines are
 skipped, and so is a line whose first non-blank character is '#'; a '#'
-later in a line is an error. The CSVs hold the fields of the record arrays
-`harness.TRIAL_DTYPE` (but v_norm) and `harness.CELL_DTYPE`, floats at 12
-significant digits.
+later in a line is an error. Matrix files and cells.csv are read as UTF-8,
+and a line holding bytes that are not UTF-8 is a bad line. The CSVs hold
+the fields of the record arrays `harness.TRIAL_DTYPE` (but v_norm) and
+`harness.CELL_DTYPE`, floats at 12 significant digits.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from typing import TextIO
 
 import numpy as np
@@ -37,6 +38,19 @@ class MatrixParseError(ValueError):
         self.line_no = line_no
 
 
+def _utf8_lines(path: str, newline: str | None = None) -> Iterator[str]:
+    """The lines of the text file `path`, opened with `newline`; the first line holding
+    bytes that are not UTF-8 raises its MatrixParseError."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():  # each undecodable byte was escaped to a lone surrogate
+                try:
+                    line.encode(errors="surrogateescape").decode()
+                except UnicodeDecodeError as exc:
+                    raise MatrixParseError(path, line_no, f"not UTF-8: {exc}") from None
+            yield line
+
+
 def parse_matrix(path: str) -> np.ndarray:
     """Read a 2-D matrix; a file of single numbers yields a column vector.
 
@@ -46,12 +60,11 @@ def parse_matrix(path: str) -> np.ndarray:
     the first bad one.
     """
     line_nos, lines = [], []
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and line[0] != "#":
-                line_nos.append(line_no)
-                lines.append(line.replace(",", " "))
+    for line_no, raw in enumerate(_utf8_lines(path), start=1):
+        line = raw.strip()
+        if line and line[0] != "#":
+            line_nos.append(line_no)
+            lines.append(line.replace(",", " "))
     if not lines:
         raise MatrixParseError(path, 0, "file contains no matrix rows")
     # np.loadtxt would skip a row of separators only
@@ -121,23 +134,22 @@ def read_cell_csv(path: str) -> np.recarray:
     types = [CELL_DTYPE[f].type for f in CELL_HEADER]
     cells = []
     first_line = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CELL_HEADER:
-            raise MatrixParseError(path, reader.line_num, f"unexpected header {header}")
-        for row in reader:
-            if len(row) != len(types):
-                raise MatrixParseError(path, reader.line_num,
-                                       f"row has {len(row)} fields, expected {len(types)}")
-            try:
-                cell = tuple(t(x) for t, x in zip(types, row))
-            except (ValueError, OverflowError) as exc:
-                raise MatrixParseError(path, reader.line_num, f"bad value: {exc}") from None
-            problem = _grid_problem(dict(zip(CELL_HEADER, cell)), first_line, reader.line_num)
-            if problem:
-                raise MatrixParseError(path, reader.line_num, problem)
-            cells.append(cell)
+    reader = csv.reader(_utf8_lines(path, newline=""))
+    header = next(reader, None)
+    if header != CELL_HEADER:
+        raise MatrixParseError(path, reader.line_num, f"unexpected header {header}")
+    for row in reader:
+        if len(row) != len(types):
+            raise MatrixParseError(path, reader.line_num,
+                                   f"row has {len(row)} fields, expected {len(types)}")
+        try:
+            cell = tuple(t(x) for t, x in zip(types, row))
+        except (ValueError, OverflowError) as exc:
+            raise MatrixParseError(path, reader.line_num, f"bad value: {exc}") from None
+        problem = _grid_problem(dict(zip(CELL_HEADER, cell)), first_line, reader.line_num)
+        if problem:
+            raise MatrixParseError(path, reader.line_num, problem)
+        cells.append(cell)
     return np.array(cells, dtype=CELL_DTYPE).view(np.recarray)
 
 

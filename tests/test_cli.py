@@ -124,6 +124,19 @@ class TestSolve:
         assert run_solve(example1_files, 0.5) == 1
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, line", [
+        (b"0 1\n0 \xff1\n", 2),
+        (b"# \xc3(\n0 1\n0 1\n", 1),  # a comment is read too
+    ], ids=["row", "comment"])
+    def test_matrix_not_utf8_reports_line(self, content, line, example1_files, tmp_path,
+                                          capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        example1_files["P"] = str(bad)
+        assert run_solve(example1_files, 0.5) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{line}: not UTF-8: ") and err.count("\n") == 1
+
     def test_report_of_near_dependent_features(self, tmp_path, capsys):
         # the Gram system Phi' Xi Phi would be past the 1e12 limit (2.0e12),
         # but the report's projection forms none
@@ -750,12 +763,13 @@ class TestHeatmapCommand:
         ("0.9,3,0,0.5,0.5,1.1,1.2,1.3,0,0", "k is 0, expected 1..3"),
         ("0.9,6,1,0.5,0.5,1.1,1.2,1.3,-4,0", "singular_count is -4, expected at least 0"),
         ("0.9,6,1,0.5,0.5,1.1,1.2,1.3,0,-1", "excluded_count is -1, expected at least 0"),
+        ("0.9,2,1,0.5,\udcff,1.1,1.2,1.3,0,0", "not UTF-8: "),  # written as the byte 0xff
     ])
     def test_malformed_row_reports_line(self, row, message, cells_csv, tmp_path, capsys):
         lines = Path(cells_csv).read_text().splitlines()
         lines.insert(3, row)
         bad = tmp_path / "cells.csv"
-        bad.write_text("\r\n".join(lines) + "\r\n")
+        bad.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", errors="surrogateescape")
         svg = tmp_path / "x.svg"
         assert main(["heatmap", "--cells", str(bad), "--stat", "td_win_ratio",
                      "--gamma", "0.9", "--out", str(svg)]) == 1

@@ -9,6 +9,7 @@ from projeval import (
     SweepConfig,
     aggregate,
     harness,
+    kernels,
     matio,
     random_chain,
     random_features,
@@ -232,6 +233,29 @@ class TestSweep:
         matio.write_trial_csv(tmp_path / "trials.csv", records)
         assert hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest() == \
             "a3ad9f164de794983290f2796a66004fd8fa47f82f162dc9fde7ae31a48382b0"
+
+    @pytest.mark.parametrize("gamma, gamma_index, n, phi_trial, mdp_trials", [
+        (0.95, 1, 21, 18, [0, 2, 6, 7, 10, 15, 16, 18]),
+        (0.999, 3, 25, 14, [0]),
+    ])
+    def test_default_grid_singular_trials_pinned(self, gamma, gamma_index, n, phi_trial,
+                                                 mdp_trials):
+        # the default grid's only TD-singular trials, all in these two k = n cells, drawn
+        # from the documented seed labels as run_column draws a cell; no smaller pinned grid
+        # has one. ROADMAP item 7 removes the k = n cells, and these trials with them
+        config = SweepConfig()
+        assert config.gammas[gamma_index] == gamma
+        F, M = config.feature_trials, config.mdp_trials
+        root = SeedSpec(config.master_seed)
+        out = np.zeros((F, M), dtype=harness.TRIAL_DTYPE)
+        kernels.cell_stats(random_chain(n, gamma, root.derive(0, gamma_index, n), count=M),
+                           random_features(n, n, root.derive(1, gamma_index, n, n), count=F),
+                           random_weights(n, root.derive(2, gamma_index, n, n), count=F), out)
+        singular = np.zeros((F, M), dtype=bool)
+        singular[phi_trial, mdp_trials] = True
+        np.testing.assert_array_equal(out[kernels.TD_SINGULAR], singular)
+        for field in ("e_td", "b_td"):
+            np.testing.assert_array_equal(np.isnan(out[field]), singular, err_msg=field)
 
     @pytest.mark.parametrize("name", sorted(CSV_DIGESTS))
     def test_csv_bytes_pinned(self, name, tmp_path):

@@ -82,6 +82,10 @@ def test_traced_run_finds_its_names(pe, tmp_path, capsys):
         cfg = pe.harness.SweepConfig(gammas=(0.9,), n_min=2, n_max=3,
                                      feature_trials=1, mdp_trials=2)
         records = sweeps.pipeline(pe, cfg, str(tmp_path))
+        # one cycle of the solve workload, whose hooks read each solve's status
+        cycle, _ = solve.make_requests(1, str(tmp_path))
+        for request in cycle:
+            solve.call(pe.cli, request.argv)
         metrics = traced.metrics(1, {})
     finally:
         traced.restore()
@@ -90,4 +94,8 @@ def test_traced_run_finds_its_names(pe, tmp_path, capsys):
     assert missing <= STALE_TRACE_NAMES
     assert metrics["harness.records"] == len(records) == 10
     assert metrics["matio.bytes_written"] > 0 and metrics["heatmap.svg_bytes"] > 0
+    # the cycle's 30 requests: 28 solved, the singular example solved and flagged,
+    # the non-stochastic P rejected before any solve
+    assert len(cycle) == 30
+    assert metrics["solvers.calls"] == 29 and metrics["solvers.singular"] == 1
     assert pe.harness.sweep.__name__ == "sweep" and pe.cli.make_mdp.__name__ == "make_mdp"
