@@ -3,12 +3,15 @@
 `example1` carries closed-form reference weights; the random generators
 (chains, features, weights) are pure functions of a SeedSpec, so any trial
 of a sweep can be regenerated bit-identically in isolation: member p of a
-stack, checked at once, is the single draw from seed.derive(p). Each draw is
-made once: a basis that fails its independence check raises.
+stack, checked at once, is the single draw from seed.derive(p). A stack's
+generators are seeded together, by numpy's SeedSequence hash applied to all
+member indices at once, each bit-equal to derive(p).rng(). Each draw is made
+once: a basis that fails its independence check raises.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +20,18 @@ from .mdp import Mdp, make_mdp
 from .projections import FeatureBasis, StateWeights, make_feature_basis, make_state_weights
 
 _WEIGHT_FLOOR = 1e-3
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the pool's size and the
+# multipliers of its entropy hash (A), of generate_state (B) and of its mixing step
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# generate_state(4, np.uint64) hashes the pool's words in turn, twice over, each word
+# xored with one constant and multiplied by the next
+_STATE_WORDS = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+_STATE_CONSTANTS = np.array([_INIT_B * pow(_MULT_B, i, 2**32) % 2**32
+                             for i in range(2 * _POOL_SIZE + 1)], dtype=np.uint32)[:, None]
 
 
 @dataclass(frozen=True)
@@ -55,8 +70,58 @@ class SeedSpec:
         return SeedSpec(self.master_seed, self.labels + tuple(labels))
 
     def rngs(self, count: int | None) -> list[np.random.Generator]:
-        """[rng()] for a single draw; for a stack of `count`, member p's is derive(p).rng()."""
-        return [self.rng()] if count is None else [self.derive(p).rng() for p in range(count)]
+        """[rng()] for a single draw; for a stack of `count`, member p's is derive(p).rng().
+
+        derive(p)'s SeedSequence pool is this seed's pool with one more entropy word, p,
+        mixed in, so the stack hashes one pool and mixes every p into it at once; member
+        p's generator is seeded with its row of the resulting generate_state words.
+        """
+        if count is None:
+            return [self.rng()]
+        pool = np.random.SeedSequence(self.master_seed, spawn_key=self.labels).pool[:, None]
+        words = max(_word_count(self.master_seed), _POOL_SIZE) + sum(map(_word_count, self.labels))
+        mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hashed_indices(words, count)  # (4, count)
+        mixed ^= mixed >> 16
+        state = mixed[_STATE_WORDS] ^ _STATE_CONSTANTS[:-1]                     # (8, count)
+        state *= _STATE_CONSTANTS[1:]
+        state ^= state >> 16
+        seeds = (state[0::2].astype(np.uint64) | state[1::2].astype(np.uint64) << 32).T
+        # PCG64 reads each row's raw buffer, and a row of the transpose is strided
+        return [np.random.Generator(np.random.PCG64(_SeedState(seed)))
+                for seed in np.ascontiguousarray(seeds)]
+
+
+def _word_count(value: int) -> int:
+    """The 32-bit words numpy splits a seed integer into; 0 is one word."""
+    return max(1, -(-int(value).bit_length() // 32))
+
+
+@functools.lru_cache(maxsize=64)
+def _hashed_indices(words: int, count: int) -> np.ndarray:
+    """(4, count) hashes of the indices p < count, each as SeedSequence mixes an entropy
+    word after `words` others into the pool's four words: by then its hash constant has
+    stepped 4 * words times, whatever the words were."""
+    h = _INIT_A * pow(_MULT_A, 4 * words, 2**32) % 2**32
+    hashed = np.empty((_POOL_SIZE, count), dtype=np.uint32)
+    for row in hashed:
+        row[:] = np.arange(count, dtype=np.uint32) ^ h
+        h = h * _MULT_A % 2**32
+        row *= h
+        row ^= row >> 16
+    hashed.flags.writeable = False
+    return hashed
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose only state, generate_state(4, np.uint64), is given."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, np.dtype(dtype)) != (len(self.state), self.state.dtype):
+            raise ValueError(f"this seed holds {len(self.state)} {self.state.dtype} words")
+        return self.state
 
 
 def example1(gamma: float, theta: float) -> Instance:

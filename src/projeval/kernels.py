@@ -13,9 +13,12 @@ a row equals, bit for bit, its trial run alone.
 Best solves the Gram system A; TD solves (Xi Phi)'(L Phi), singular past
 SINGULAR_CONDITION_LIMIT on a cancellation-aware condition estimate; BR solves
 (L Phi)'(Xi L Phi), ungated; each bound is `_bound`, inexact for BR (ROADMAP item
-11). The sweep's CSVs are compared byte for byte against earlier runs, so every
-operand and operation order behind the errors and bounds is fixed; the TD gate's
-estimate is only compared with the limit, so its norms set the flag alone.
+11), from the system's inverse, which TD's gate forms first. A member whose estimate,
+taken with ||m^-1||_F for 1 / sigma_min(m), lies 1e3 inside the limit is regular
+without an SVD; every other member, and every member of a stack whose inverse raises,
+takes the SVD rule. The sweep's CSVs are compared byte for byte against earlier runs,
+so every operand and operation order behind the errors and bounds is fixed; the TD
+gate's estimate is only compared with the limit, so its norms set the flag alone.
 """
 
 from __future__ import annotations
@@ -30,6 +33,11 @@ BACKEND = "numpy"
 
 TD_SINGULAR = "td_singular"  # the field of the singular-TD flag
 
+# the TD gate skips the SVD of a member whose estimate, with ||m^-1||_F for 1 / sigma_min(m),
+# is this far inside the limit: the inverse's and the SVD's rounding, about k u kappa, is
+# 1e-5 there (Higham, ch. 14)
+_CERTIFICATE_MARGIN = 1e-3
+
 
 def _psd_sqrt(a):
     """Symmetric square root per PSD matrix, negative eigenvalues clipped."""
@@ -42,11 +50,10 @@ def _solve(m, x, b):
     return np.linalg.solve(m, x.swapaxes(-1, -2) @ b[..., None])[..., 0]
 
 
-def _bound(a_half, m, L, x, xi):
-    """sqrt(lambda_max(A^1/2 B C B' A^1/2)) per member, from A^1/2 and the system
-    m = X' L Phi, with B = m^-1 and C = X' L Xi^-1 L' X; the symmetric form
+def _bound(a_half, b, L, x, xi):
+    """sqrt(lambda_max(A^1/2 B C B' A^1/2)) per member, from A^1/2 and B = m^-1, the
+    inverse of the system m = X' L Phi, with C = X' L Xi^-1 L' X; the symmetric form
     avoids complex eigensolvers."""
-    b = np.linalg.inv(m)
     ltx = L.swapaxes(-1, -2) @ x
     c = (ltx / xi.weights[..., None]).swapaxes(-1, -2) @ ltx
     sym = a_half @ (b @ c @ b.swapaxes(-1, -2)) @ a_half
@@ -76,17 +83,32 @@ def cell_stats(chains: Mdp, bases: FeatureBasis, weights: StateWeights, out: np.
     # TD is singular past the limit on ||Xi Phi||_F ||L Phi||_F / sigma_min(m), which
     # catches a tiny m from cancellation; the identity stands in for its m, w is NaN
     m_td = xiphi.swapaxes(-1, -2) @ lphi
-    s_min = np.linalg.svd(m_td, compute_uv=False)[..., -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.linalg.norm(xiphi, axis=(-2, -1)) * np.linalg.norm(lphi, axis=(-2, -1)) / s_min
-    out[TD_SINGULAR] = singular = ~(cond <= SINGULAR_CONDITION_LIMIT)
+    norms = np.linalg.norm(xiphi, axis=(-2, -1)) * np.linalg.norm(lphi, axis=(-2, -1))
+    singular = np.zeros(norms.shape, dtype=bool)
+    try:
+        inv_td = np.linalg.inv(m_td)
+    except np.linalg.LinAlgError:                 # a member is exactly singular
+        inv_td, unclear = None, ~singular
+    else:  # 1 / sigma_min(m) <= ||m^-1||_F: a member clearly inside the limit needs no SVD
+        with np.errstate(over="ignore", invalid="ignore"):
+            unclear = ~(norms * np.linalg.norm(inv_td, axis=(-2, -1))
+                        <= _CERTIFICATE_MARGIN * SINGULAR_CONDITION_LIMIT)
+    if unclear.any():
+        s_min = np.linalg.svd(m_td[unclear], compute_uv=False)[..., -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            singular[unclear] = ~(norms[unclear] / s_min <= SINGULAR_CONDITION_LIMIT)
+    out[TD_SINGULAR] = singular
     m_td[singular] = np.eye(m_td.shape[-1])
+    if inv_td is None:
+        inv_td = np.linalg.inv(m_td)
+    else:
+        inv_td[singular] = np.eye(m_td.shape[-1])
     w_td = _solve(m_td, xiphi, r)
     w_td[singular] = np.nan
     out["e_td"] = error(w_td)
-    out["b_td"] = np.where(singular, np.nan, _bound(a_half, m_td, L, xiphi, xi))
+    out["b_td"] = np.where(singular, np.nan, _bound(a_half, inv_td, L, xiphi, xi))
 
     xilphi = row_weighted(xi, lphi)               # Xi L Phi
     m_br = lphi.swapaxes(-1, -2) @ xilphi
     out["e_br"] = error(_solve(m_br, xilphi, r))
-    out["b_br"] = _bound(a_half, m_br, L, xilphi, xi)
+    out["b_br"] = _bound(a_half, np.linalg.inv(m_br), L, xilphi, xi)

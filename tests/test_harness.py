@@ -209,14 +209,21 @@ class TestSweep:
 
     def test_chains_drawn_once_per_column(self, monkeypatch):
         # every generator the sweep seeds, counted by its labels: one per chain
-        # of a column and one per basis and weight vector of a cell, redraws included
+        # of a column and one per basis and weight vector of a cell, redraws included.
+        # A single draw seeds through rng; member p of a stack is seeded as derive(p)
         drawn = Counter()
 
-        def counted(seed, _rng=SeedSpec.rng):
+        def counted_rng(seed, _rng=SeedSpec.rng):
             drawn[seed.labels] += 1
             return _rng(seed)
 
-        monkeypatch.setattr(SeedSpec, "rng", counted)
+        def counted_rngs(seed, count, _rngs=SeedSpec.rngs):
+            if count is not None:
+                drawn.update(seed.labels + (p,) for p in range(count))
+            return _rngs(seed, count)
+
+        monkeypatch.setattr(SeedSpec, "rng", counted_rng)
+        monkeypatch.setattr(SeedSpec, "rngs", counted_rngs)
         records = sweep(SMALL)
         expected = Counter()
         for r in records:

@@ -208,6 +208,28 @@ class TestSeedSpec:
         b = SeedSpec(9, (1, 2, 3)).rng().uniform(size=8)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("master_seed", [0, 1, 20100627, 2**32 - 1, 2**32, 2**64 + 3,
+                                             2**130 + 7])
+    @pytest.mark.parametrize("labels", [(), (0,), (2, 12, 7), (2**32, 5), (1, 2**64 + 9)])
+    def test_stacked_generators_equal_derived(self, master_seed, labels):
+        # rngs mixes every member index into one pool at once; member p must be seeded as
+        # derive(p) is, whatever the seed's and the labels' sizes in 32-bit words. From two
+        # members on, a member seeded from a strided state row would differ here
+        seed = SeedSpec(master_seed, labels)
+        for count in range(1, 26):
+            stack = seed.rngs(count)
+            assert len(stack) == count
+            for p, rng in enumerate(stack):
+                alone = seed.derive(p).rng()
+                assert rng.bit_generator.state == alone.bit_generator.state, (count, p)
+                np.testing.assert_array_equal(rng.integers(2**63, size=3),
+                                              alone.integers(2**63, size=3), strict=True)
+                assert rng.uniform() == alone.uniform()
+
+    def test_single_draw_is_rng(self):
+        (rng,) = STACK_SEED.rngs(None)
+        assert rng.bit_generator.state == STACK_SEED.rng().bit_generator.state
+
 
 STACK_SEED = SeedSpec(17, (1, 0, 6, 3))
 

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from projeval import FeatureBasis, StateWeights, harness, kernels, make_mdp
+from projeval import FeatureBasis, StateWeights, harness, kernels, make_mdp, projections
 from projeval.instances import example1
 
 SINGULAR_GAMMA = 5.0 / 6.0
@@ -99,6 +100,50 @@ def test_all_singular_stack_rows_equal_stacks_of_one():
         assert np.all(np.isnan(out[field]))
     for field in ("e", "e_br", "b_br"):
         assert np.all(np.isfinite(out[field]))
+
+
+# state 2 returns to state 1 with probability 0.6: at gamma 5/6, with Phi = (1, 3/2)' and
+# weights (3/4, 1/4), Xi Phi = (3/4, 3/8)' and L Phi = (-1/4, 1/2)', so the TD system is
+# exactly 0, in floats too; example 1's own system there rounds to -1.1e-16
+RETURN_P = [[0, 1], [0.6, 0.4]]
+
+
+def td_estimates(P, gamma, phi, xi):
+    """The TD gate's rule, ||Xi Phi||_F ||L Phi||_F / sigma_min(Phi' Xi L Phi), and the TD
+    systems, for every (basis, chain) pair, by the SVD of each system."""
+    L = np.eye(P.shape[-1]) - gamma * P
+    xiphi = (xi[..., None] * phi)[:, None]
+    lphi = L @ phi[:, None]
+    m = xiphi.swapaxes(-1, -2) @ lphi
+    s_min = np.linalg.svd(m, compute_uv=False)[..., -1]
+    norms = np.linalg.norm(xiphi, axis=(-2, -1)) * np.linalg.norm(lphi, axis=(-2, -1))
+    with np.errstate(divide="ignore"):
+        return (norms / s_min).reshape(-1), m
+
+
+@pytest.mark.parametrize("chains", [
+    [(EXAMPLE1_P, 1.0), (IDENTITY_P, 0.3), (RETURN_P, 2.0)],
+    [(EXAMPLE1_P, 1.0), (IDENTITY_P, 0.3)],
+], ids=["exactly-singular", "no-exact-zero"])
+def test_gate_certificate_and_fallback_equal_the_svd_rule(chains):
+    # against example 1's chain, Phi = (1, 2 + 1e-9)' sits at an estimate of 1e10, inside
+    # the limit but past the SVD-free certificate's margin, so it takes the SVD and stays
+    # regular; Phi = (1, 2)' sits past the limit. An exactly singular member makes the
+    # stack's inverse raise, so the whole stack takes the SVD; a stack of one does not
+    phis = [[1, 2], [1, 2 + 1e-9], [1, 1], [1, 1.5]]
+    xis = [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.75, 0.25]]
+    grid = example1_grid(chains, phis, xis)
+    out = assert_rows_match_stacks_of_one(*grid)
+    P, _, gamma, phi, xi = grid
+    estimates, m = td_estimates(P, gamma, phi, xi)
+    np.testing.assert_array_equal(out[kernels.TD_SINGULAR],
+                                  ~(estimates <= projections.SINGULAR_CONDITION_LIMIT))
+    assert np.any(estimates <= 1e6)
+    assert np.any((1e9 < estimates) & (estimates <= projections.SINGULAR_CONDITION_LIMIT))
+    assert np.any(projections.SINGULAR_CONDITION_LIMIT < estimates)
+    assert np.any(m == 0) == (len(chains) == 3)
+    for field in ("e_td", "b_td"):
+        np.testing.assert_array_equal(np.isnan(out[field]), out[kernels.TD_SINGULAR])
 
 
 def test_every_kernel_field_overwritten():
