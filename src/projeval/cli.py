@@ -24,8 +24,7 @@ import sys
 import numpy as np
 
 from . import analysis, heatmap, instances, matio, solvers
-from .harness import (DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR, SINGULAR_POLICIES,
-                      SweepConfig, aggregate, sweep_columns)
+from .harness import SINGULAR_POLICIES, SweepConfig, aggregate, is_degenerate, sweep_columns
 from .mdp import exact_value, make_mdp
 from .projections import make_feature_basis, make_state_weights, weighted_norm
 
@@ -80,14 +79,16 @@ def cmd_example1(args) -> None:
     rows = []  # all of them before the file is created, so an error leaves none
     for gamma, theta in itertools.product(gammas, thetas):
         inst = instances.example1(gamma, theta)
-        v, ref = exact_value(inst.mdp), inst.reference
-        e_best, e_td, e_br = (None if w is None else
-                              weighted_norm(v - inst.phi.matrix @ [w], inst.xi) ** 2
-                              for w in (ref.w_best, ref.w_td, ref.w_br))
+        v = exact_value(inst.mdp)
+        sols = [solve(inst.mdp, inst.phi, inst.xi)
+                for solve in (solvers.solve_best, solvers.solve_td, solvers.solve_br)]
+        # each error from its solve, None where the solve's gate calls it singular
+        e_best, e_td, e_br = (weighted_norm(v - sol.value_estimate, inst.xi) ** 2 if sol.ok
+                              else None for sol in sols)
         # the sweep's degeneracy cutoff: near v in span(Phi) every error is rounding noise
-        cutoff = max(DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR * weighted_norm(v, inst.xi))
+        regular = not is_degenerate(math.sqrt(e_best), weighted_norm(v, inst.xi))
         rows.append([_fmt(gamma), _fmt(theta)] + [
-            "singular" if e is None else _fmt(e / e_best if math.sqrt(e_best) > cutoff else math.nan)
+            "singular" if e is None else _fmt(e / e_best if regular else math.nan)
             for e in (e_td, e_br)])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

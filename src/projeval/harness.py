@@ -133,6 +133,12 @@ def sweep(config: SweepConfig, workers: int = 1) -> np.recarray:
     return np.concatenate(list(sweep_columns(config, workers))).view(np.recarray)
 
 
+def is_degenerate(e, v_norm):
+    """Whether a best error e (xi-norm, not squared) is rounding noise: at most
+    max(1e-12, 1e-9 * ||v||_xi); elementwise on arrays."""
+    return e <= np.fmax(DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR * v_norm)
+
+
 def _mean(values: np.ndarray) -> float:
     return float(np.mean(values)) if values.size else float("nan")
 
@@ -146,8 +152,7 @@ def aggregate(records: np.ndarray,
     Under the "worst" policy a singular TD trial counts as a TD loss (and as
     a correctly predicted loss) in the indicator means; under "exclude" it is
     dropped from them. Singular trials never enter the ratio means, and
-    degenerate trials, whose best error e is at most
-    max(1e-12, 1e-9 * ||v||_xi), are excluded from all ratio means; both
+    degenerate trials (`is_degenerate`) are excluded from all ratio means; both
     counts are reported. A cell's means sum its values in record order.
     """
     if singular_policy not in SINGULAR_POLICIES:
@@ -173,7 +178,7 @@ def aggregate(records: np.ndarray,
         wins = td_wins & ~singular                                  # a diverged TD solve loses
         predictions = (td_wins == (c["b_td"] < c["b_br"])) | singular  # as its bound says
         scored = ~singular if singular_policy == "exclude" else ...
-        degenerate = e <= np.fmax(DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR * c["v_norm"])
+        degenerate = is_degenerate(e, c["v_norm"])
         br = ~degenerate
         td = br & ~singular
         out[i] = (gamma, n, k, _mean(wins[scored]), _mean(predictions[scored]),

@@ -1,6 +1,6 @@
-"""The analytic fixture and the seeded random generators of the sweep.
+"""The paper's example 1 and the seeded random generators of the sweep.
 
-`example1` carries closed-form reference weights; the random generators
+`example1` builds the analytic two-state instance; the random generators
 (chains, features, weights) are pure functions of a SeedSpec, so any trial
 of a sweep can be regenerated bit-identically in isolation: member p of a
 stack, checked at once, is the single draw from seed.derive(p). A stack's
@@ -35,20 +35,10 @@ _STATE_CONSTANTS = np.array([_INIT_B * pow(_MULT_B, i, 2**32) % 2**32
 
 
 @dataclass(frozen=True)
-class ReferenceWeights:
-    """Closed-form solver weights, when analytically known."""
-
-    w_best: float
-    w_td: float | None  # None when the TD system is singular
-    w_br: float
-
-
-@dataclass(frozen=True)
 class Instance:
     mdp: Mdp
     phi: FeatureBasis
     xi: StateWeights
-    reference: ReferenceWeights | None = None
 
 
 @dataclass(frozen=True)
@@ -128,26 +118,10 @@ def example1(gamma: float, theta: float) -> Instance:
     """Two-state chain with one feature (1, 2)' and uniform weights.
 
     State 1 jumps to state 2, state 2 is absorbing; rewards are
-    (cos theta, sin theta). Reference weights:
-
-      w_best = r1/5 + (2+gamma) r2 / (5(1-gamma))
-      w_td   = (r1 + 2 r2) / (5 - 6 gamma)        (absent at gamma = 5/6)
-      w_br   = ((1-2g) r1 + (2-2g) r2) / ((1-2g)^2 + (2-2g)^2)
-
-    The TD system is singular exactly at gamma = 5/6.
+    (cos theta, sin theta). The TD system is singular exactly at gamma = 5/6.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must be in (0,1)")
-    r1, r2 = np.cos(theta), np.sin(theta)
-    mdp = make_mdp([[0.0, 1.0], [0.0, 1.0]], [r1, r2], gamma)
-    phi = make_feature_basis([[1.0], [2.0]])
-    xi = make_state_weights([0.5, 0.5])
-    w_best = r1 / 5.0 + (2.0 + gamma) * r2 / (5.0 * (1.0 - gamma))
-    den_td = 5.0 - 6.0 * gamma
-    w_td = None if den_td == 0.0 else (r1 + 2.0 * r2) / den_td
-    g1, g2 = 1.0 - 2.0 * gamma, 2.0 - 2.0 * gamma
-    w_br = (g1 * r1 + g2 * r2) / (g1 * g1 + g2 * g2)
-    return Instance(mdp, phi, xi, ReferenceWeights(w_best, w_td, w_br))
+    mdp = make_mdp([[0.0, 1.0], [0.0, 1.0]], [np.cos(theta), np.sin(theta)], gamma)
+    return Instance(mdp, make_feature_basis([[1.0], [2.0]]), make_state_weights([0.5, 0.5]))
 
 
 def random_chain(n: int, gamma: float, seed: SeedSpec, count: int | None = None) -> Mdp:

@@ -7,10 +7,11 @@ oracle for induced xi-operator norms, the matrix-free L and L' products, a
 trial's three errors, a candidate's error report and an exact test of a
 trial's TD and BR bounds in rational arithmetic (stdlib `fractions`), a
 record-by-record loop over a sweep's cells, a token-by-token matrix file
-reader, a 17-digit matrix file writer and a `str.format` CSV writer; and
-the paper's two performance guarantees (BR's concentration bound and TD's
-bound under the stationary distribution), with the stationary distribution
-and the two fixtures they are checked on (a block-triangular instance and
+reader, a 17-digit matrix file writer, a `str.format` CSV writer and the
+closed-form weights of the paper's example 1; and the paper's two
+performance guarantees (BR's concentration bound and TD's bound under the
+stationary distribution), with the stationary distribution and the two
+fixtures they are checked on (a block-triangular instance and
 an ergodic cyclic chain). The package itself needs none of these; they
 exist to cross-check its solvers, bounds and statistics by an independent
 route.
@@ -362,6 +363,28 @@ def write_matrix(path: str, matrix: np.ndarray) -> None:
     with open(path, "w") as fh:
         for row in matrix:
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+
+
+@dataclass(frozen=True)
+class Example1Weights:
+    w_best: float
+    w_td: float | None  # None when the TD system is singular
+    w_br: float
+
+
+def example1_weights(gamma: float, theta: float) -> Example1Weights:
+    """The closed-form weights of `instances.example1(gamma, theta)`, r = (cos, sin) theta:
+
+      w_best = r1/5 + (2+gamma) r2 / (5(1-gamma))
+      w_td   = (r1 + 2 r2) / (5 - 6 gamma)        (None at gamma = 5/6)
+      w_br   = ((1-2g) r1 + (2-2g) r2) / ((1-2g)^2 + (2-2g)^2)
+    """
+    r1, r2 = np.cos(theta), np.sin(theta)
+    den_td = 5.0 - 6.0 * gamma
+    g1, g2 = 1.0 - 2.0 * gamma, 2.0 - 2.0 * gamma
+    return Example1Weights(w_best=r1 / 5.0 + (2.0 + gamma) * r2 / (5.0 * (1.0 - gamma)),
+                           w_td=None if den_td == 0.0 else (r1 + 2.0 * r2) / den_td,
+                           w_br=(g1 * r1 + g2 * r2) / (g1 * g1 + g2 * g2))
 
 
 # The paper's performance guarantees, checked by acceptance criteria 7 and 8,

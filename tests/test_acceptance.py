@@ -42,6 +42,7 @@ from oracles import (
     block_triangular,
     br_guarantee,
     ergodic_chain,
+    example1_weights,
     oblique_coefficient_map,
     operator_norm_oracle,
     optimal_direction,
@@ -93,7 +94,7 @@ def test_criterion_01_example1_closed_forms():
     for gamma in GAMMA_GRID:
         for theta in THETA_GRID:
             inst = example1(gamma, theta)
-            ref = inst.reference
+            ref = example1_weights(gamma, theta)
             assert solve_best(inst.mdp, inst.phi, inst.xi).weights[0] == \
                 pytest.approx(ref.w_best, rel=1e-10, abs=1e-14)
             assert solve_td(inst.mdp, inst.phi, inst.xi).weights[0] == \
@@ -170,9 +171,10 @@ def test_criterion_04_bound_correctness(instances_200):
     def err(w):
         return weighted_norm(v - inst.phi.matrix[:, 0] * w, inst.xi)
 
-    e_best = err(inst.reference.w_best)
-    assert err(inst.reference.w_td) / e_best == pytest.approx(b_td, abs=1e-10)
-    assert err(inst.reference.w_br) / e_best == pytest.approx(b_br, abs=1e-10)
+    ref = example1_weights(0.5, 0.0)
+    e_best = err(ref.w_best)
+    assert err(ref.w_td) / e_best == pytest.approx(b_td, abs=1e-10)
+    assert err(ref.w_br) / e_best == pytest.approx(b_br, abs=1e-10)
     report(4, "projector-norm bound equals norm oracle; analytic values 1.25, sqrt(1.25)")
 
 

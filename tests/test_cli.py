@@ -412,6 +412,22 @@ class TestExample1Command:
             # the squared BR ratio tends to 13.25 at the singular discount
             assert float(row["ratio_br"]) < 20.0
 
+    @pytest.mark.parametrize("gamma", [
+        5 / 6, 5 / 6 - 1e-13, 5 / 6 + 1e-13, 5 / 6 - 1e-12, 5 / 6 + 1e-12,
+        5 / 6 - 1e-10, 5 / 6 + 1e-10, 0.8332, 0.8334])
+    def test_singular_exactly_where_solve_exits_2(self, gamma, example1_files, tmp_path,
+                                                   capsys):
+        # both commands gate on the oblique solve's bound, about (5/12) / |gamma - 5/6|,
+        # so they agree next to 5/6: singular within about 4.2e-13 of it
+        out = tmp_path / "ratios.csv"
+        assert main(["example1", "--gamma-grid", repr(gamma), "--theta-grid", "0",
+                     "--out", str(out)]) == 0
+        with open(out) as fh:
+            (row,) = list(csv.DictReader(fh))
+        code = run_solve(example1_files, gamma, "td")  # theta 0: rewards (1, 0)
+        assert code in (0, 2)
+        assert (row["ratio_td"] == "singular") == (code == 2)
+
     def test_sign_flip_of_reward_gives_same_ratios(self, tmp_path):
         out = tmp_path / "ratios.csv"
         assert main(["example1", "--gamma-grid", "0.6",
@@ -423,6 +439,7 @@ class TestExample1Command:
     def test_bad_gamma_rejected(self, tmp_path, capsys):
         assert main(["example1", "--gamma-grid", "1.5", "--theta-grid", "0",
                      "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: invalid MDP: discount not in (0,1)\n"
 
     def test_discount_next_to_one_is_singular_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

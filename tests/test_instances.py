@@ -25,29 +25,18 @@ THETA_GRID = (0.0, 1.0, 2.0, 4.0)
 
 class TestExample1:
     def test_reference_weights_at_half(self):
-        ref = example1(0.5, 0.0).reference
-        assert ref.w_best == pytest.approx(0.2)
-        assert ref.w_td == pytest.approx(0.5)
-        assert ref.w_br == pytest.approx(0.0, abs=1e-15)
+        inst = example1(0.5, 0.0)
+        assert solve_best(inst.mdp, inst.phi, inst.xi).weights[0] == pytest.approx(0.2)
+        assert solve_td(inst.mdp, inst.phi, inst.xi).weights[0] == pytest.approx(0.5)
+        assert solve_br(inst.mdp, inst.phi, inst.xi).weights[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_td_reference_absent_at_singularity(self):
-        assert example1(5.0 / 6.0, 1.3).reference.w_td is None
+        inst = example1(5.0 / 6.0, 1.3)
+        assert solve_td(inst.mdp, inst.phi, inst.xi).status == "singular"
 
     def test_pure_second_reward(self):
-        ref = example1(0.5, np.pi / 2).reference
-        assert ref.w_best == pytest.approx(1.0, rel=1e-12)
-
-    def test_solvers_match_closed_forms(self):
-        for gamma in GAMMA_GRID:
-            for theta in THETA_GRID:
-                inst = example1(gamma, theta)
-                ref = inst.reference
-                assert solve_best(inst.mdp, inst.phi, inst.xi).weights[0] == \
-                    pytest.approx(ref.w_best, rel=1e-10, abs=1e-14)
-                assert solve_td(inst.mdp, inst.phi, inst.xi).weights[0] == \
-                    pytest.approx(ref.w_td, rel=1e-10, abs=1e-14)
-                assert solve_br(inst.mdp, inst.phi, inst.xi).weights[0] == \
-                    pytest.approx(ref.w_br, rel=1e-10, abs=1e-14)
+        inst = example1(0.5, np.pi / 2)
+        assert solve_best(inst.mdp, inst.phi, inst.xi).weights[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_br_error_dominates_td_error_on_grid(self):
         # on this fixture BR is never worse than TD
@@ -55,10 +44,9 @@ class TestExample1:
             for theta in THETA_GRID:
                 inst = example1(gamma, theta)
                 v = exact_value(inst.mdp)
-                e_td = weighted_norm(v - inst.phi.matrix[:, 0] * inst.reference.w_td,
-                                     inst.xi)
-                e_br = weighted_norm(v - inst.phi.matrix[:, 0] * inst.reference.w_br,
-                                     inst.xi)
+                e_td, e_br = (
+                    weighted_norm(v - solve(inst.mdp, inst.phi, inst.xi).value_estimate, inst.xi)
+                    for solve in (solve_td, solve_br))
                 assert e_br <= e_td + 1e-12
 
 
