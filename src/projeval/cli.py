@@ -7,9 +7,10 @@ Subcommands:
   heatmap   render one cell statistic as an SVG heatmap
 
 Exit codes: 0 success; 1 with an `error: <message>` line on stderr for any
-`ValueError` or `OSError`, usage errors included; 2 with a `singular:
+other `ValueError` or `OSError`, usage errors included; 2 with a `singular:
 <message>` line for any numerically singular system, whether a singular
-status or an `ArithmeticError`. The commands raise; only `main` catches.
+status, an `ArithmeticError` or numpy's `LinAlgError` (a `ValueError`).
+The commands raise; only `main` catches.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
         _parser = _parser or build_parser()
         args = _parser.parse_args(argv)
         globals()[f"cmd_{args.command}"](args)  # looked up per call, so a wrapper runs
-    except ArithmeticError as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"singular: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except (OSError, ValueError) as exc:

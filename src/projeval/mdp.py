@@ -1,7 +1,9 @@
 """Finite MDP with a fixed policy: transition matrix, rewards, discount.
 
 The chain is uncontrolled; all value computations reduce to dense linear
-algebra with L = I - gamma * P.
+algebra with L = I - gamma * P. L v = r is solved only while L's condition
+number, exactly ||L||_inf / (1 - gamma) for a row-stochastic P (Higham 2002,
+ch. 7), is within the library's one singularity limit.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .projections import SINGULAR_CONDITION_LIMIT
 
 ROW_SUM_TOL = 1e-12
 
@@ -37,7 +41,17 @@ class Mdp:
 
     @cached_property
     def _v(self) -> np.ndarray:
-        return _read_only(checked_solve(self._l, self.rewards[..., None], "value")[..., 0])
+        cond = np.atleast_1d(value_condition(self))
+        over = cond > SINGULAR_CONDITION_LIMIT
+        if over.any():
+            bad = over.argmax()
+            where = f" of chain {bad}" if self.transitions.ndim == 3 else ""
+            raise ArithmeticError(f"value system{where} has condition number {cond[bad]:.6g} "
+                                  f"at discount {self.discount!r}")
+        v = np.linalg.solve(self._l, self.rewards[..., None])[..., 0]
+        if not np.all(np.isfinite(v)):
+            raise ArithmeticError("value solution overflows: it is not finite")
+        return _read_only(v)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -108,16 +122,13 @@ def l_matrix(mdp: Mdp) -> np.ndarray:
     return mdp._l
 
 
-def checked_solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """x with a x = b by a pivoted dense solve; ArithmeticError when the
-    residual is non-finite or above 1e-10 relative to b."""
-    x = np.linalg.solve(a, b)
-    resid = np.max(np.abs(a @ x - b))
-    if not np.isfinite(resid) or resid > 1e-10 * (1.0 + np.max(np.abs(b), initial=0.0)):
-        raise ArithmeticError(f"{what} solve residual too large: {resid}")
-    return x
+def value_condition(mdp: Mdp) -> np.floating | np.ndarray:
+    """||L||_inf ||L^-1||_inf of L = I - gamma P (each chain's, in a stack): exactly
+    ||L||_inf / (1 - gamma), as L^-1 = sum_t gamma^t P^t >= 0 has row sums 1 / (1 - gamma)."""
+    return np.abs(mdp._l).sum(-1).max(-1) / (1.0 - mdp.discount)
 
 
 def exact_value(mdp: Mdp) -> np.ndarray:
-    """Unique solution of (I - gamma P) v = r, solved once per Mdp."""
+    """Unique solution of (I - gamma P) v = r, solved once per Mdp; ArithmeticError when
+    v is not finite or `value_condition` (a stack's first chain over) is past the limit."""
     return mdp._v

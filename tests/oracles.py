@@ -1,20 +1,21 @@
 """Reference implementations the tests compare the package against.
 
-Coefficient maps of (oblique) projections as explicit m x N matrices, the
-direction X* whose oblique solve is the best projection, the projector norm computed from them through small m x m products, the
-matrices A, B and C of the amplification bound, a full-size singular-value
-oracle for induced xi-operator norms, the matrix-free L and L' products, a
-trial's three errors, a candidate's error report and an exact test of a
-trial's TD and BR bounds in rational arithmetic (stdlib `fractions`), a
-record-by-record loop over a sweep's cells, a token-by-token matrix file
-reader, a 17-digit matrix file writer, a `str.format` CSV writer and the
-closed-form weights of the paper's example 1; and the paper's two
-performance guarantees (BR's concentration bound and TD's bound under the
-stationary distribution), with the stationary distribution and the two
-fixtures they are checked on (a block-triangular instance and
-an ergodic cyclic chain). The package itself needs none of these; they
-exist to cross-check its solvers, bounds and statistics by an independent
-route.
+Coefficient maps of (oblique) projections as explicit m x N matrices, a
+dense solve checked on its residual, the direction X* whose oblique solve is
+the best projection, the projector norm computed from them through small
+m x m products, the matrices A, B and C of the amplification bound, a
+full-size singular-value oracle for induced xi-operator norms, the
+matrix-free L and L' products, a trial's three errors, a candidate's error
+report and an exact test of a trial's TD and BR bounds in rational
+arithmetic (stdlib `fractions`), a record-by-record loop over a sweep's
+cells, a token-by-token matrix file reader, a 17-digit matrix file writer,
+a `str.format` CSV writer and the closed-form weights of the paper's
+example 1; and the paper's two performance guarantees (BR's concentration
+bound and TD's bound under the stationary distribution), with the
+stationary distribution and the two fixtures they are checked on (a
+block-triangular instance and an ergodic cyclic chain). The package itself
+needs none of these; they exist to cross-check its solvers, bounds and
+statistics by an independent route.
 """
 
 import math
@@ -26,7 +27,7 @@ import numpy as np
 from projeval.harness import CELL_DTYPE, DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR
 from projeval.instances import _WEIGHT_FLOOR, Instance, SeedSpec
 from projeval.matio import MatrixParseError
-from projeval.mdp import bellman_apply, checked_solve, exact_value, l_matrix, make_mdp
+from projeval.mdp import bellman_apply, exact_value, l_matrix, make_mdp
 from projeval.projections import (FeatureBasis, StateWeights, make_feature_basis,
                                   make_state_weights, weight_column, weighted_norm)
 from projeval.solvers import solve_best, solve_td, td_direction
@@ -77,6 +78,16 @@ def oblique_coefficient_map(phi: FeatureBasis, x: np.ndarray) -> CoefficientMap:
         raise ValueError(f"direction matrix is {x.shape}, expected {phi.matrix.shape}")
     return CoefficientMap(_coefficient_matrix(x, phi.matrix, "direction product X'Phi"),
                           "oblique-X")
+
+
+def checked_solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """x with a x = b by a pivoted dense solve; ArithmeticError when the
+    residual is non-finite or above 1e-10 relative to b."""
+    x = np.linalg.solve(a, b)
+    resid = np.max(np.abs(a @ x - b))
+    if not np.isfinite(resid) or resid > 1e-10 * (1.0 + np.max(np.abs(b), initial=0.0)):
+        raise ArithmeticError(f"{what} solve residual too large: {resid}")
+    return x
 
 
 def optimal_direction(mdp, phi: FeatureBasis, xi: StateWeights) -> np.ndarray:

@@ -1,9 +1,13 @@
 import concurrent.futures
 import csv
 import hashlib
+import io
+import math
 import os
+import re
 import tempfile
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
@@ -78,9 +82,15 @@ def random_files(tmp_path, seed, n=6, k=2):
     return paths
 
 
-# 1 - 2**-53 passes the 0 < gamma < 1 check, but L = I - gamma P is
-# numerically singular, and L v = r fails its residual check
+# 1 - 2**-53 passes the 0 < gamma < 1 check, but L = I - gamma P is numerically
+# singular: its condition number ||L||_inf / (1 - gamma) is about 1e16
 NEXT_TO_ONE = 1.0 - 2.0 ** -53
+
+# L's condition number is at most (1 + gamma) / (1 - gamma): about 2e7 and 2e11 at
+# the first two, below the 1e12 limit although v is of size 1 / (1 - gamma); above
+# it at the third
+NEAR_ONE = (0.9999999, 0.99999999999)
+PAST_THE_LIMIT = 0.999999999999
 
 
 def assert_one_line(err, prefix):
@@ -279,10 +289,24 @@ class TestSolve:
     @pytest.mark.parametrize("method", ["td", "br", "best", "oblique"])
     def test_discount_next_to_one_is_singular(self, tmp_path, capsys, method):
         paths = random_files(tmp_path, 7)
-        assert run_solve(paths, NEXT_TO_ONE, method, direction(method, paths)) == 2
+        for gamma in (NEXT_TO_ONE, PAST_THE_LIMIT):
+            assert run_solve(paths, gamma, method, direction(method, paths)) == 2
+            captured = capsys.readouterr()
+            assert_one_line(captured.err, "singular: value system has condition number ")
+            assert captured.err.endswith(f" at discount {gamma!r}\n")
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("gamma", NEAR_ONE)
+    @pytest.mark.parametrize("method", ["td", "br", "best", "oblique"])
+    def test_discount_near_one_solves(self, tmp_path, capsys, method, gamma):
+        paths = random_files(tmp_path, 7)
+        assert run_solve(paths, gamma, method, direction(method, paths)) == 0
         captured = capsys.readouterr()
-        assert_one_line(captured.err, "singular: value solve residual too large: ")
-        assert captured.out == ""
+        # every line after "method: ..." holds numbers
+        numbers = [float(x) for line in captured.out.splitlines()[1:]
+                   for x in line.split(":")[1].split()]
+        assert len(numbers) == 2 + 6 + 5 and np.all(np.isfinite(numbers))
+        assert captured.err == ""
 
     @pytest.mark.parametrize("name, content, method", [
         ("r", "1e308\n1e308\n", "td"),
@@ -348,7 +372,7 @@ def solve_inputs(draw):
         a = arrays[non_finite]
         a.flat[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from([np.nan, np.inf]))
     method = draw(st.sampled_from(["td", "br", "best", "oblique"]))
-    gamma = draw(st.sampled_from([0.5, 0.9, 0.99, NEXT_TO_ONE]))
+    gamma = draw(st.sampled_from([0.5, 0.9, 0.99, *NEAR_ONE, NEXT_TO_ONE]))
     return arrays, method, gamma, {resized, non_finite} - {None}
 
 
@@ -368,9 +392,11 @@ DENSE_NEXT_TO_ONE = ({"P": np.array([[0.3, 0.7], [0.6, 0.4]]), "r": np.array([1.
 @example(DENSE_NEXT_TO_ONE)
 @given(solve_inputs())
 def test_solve_exit_code_property(inputs):
-    # bad input exits 1 and a singular system exits 2; nothing may escape main
+    # bad input exits 1 and a singular system exits 2, naming the bound it is over;
+    # nothing may escape main
     arrays, method, gamma, bad = inputs
-    with tempfile.TemporaryDirectory() as tmp:
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(err):
         paths = {}
         for name, array in arrays.items():
             paths[name] = os.path.join(tmp, f"{name}.txt")
@@ -378,6 +404,9 @@ def test_solve_exit_code_property(inputs):
         code = run_solve(paths, gamma, method, direction(method, paths))
     read = {"P", "r", "phi", "xi", "x"} if method == "oblique" else {"P", "r", "phi", "xi"}
     assert code == 1 if bad & read else code in (0, 1, 2)
+    if code == 2 and not bad & read:
+        assert re.match(r"singular: (\w+ system has error bound|value system has condition "
+                        r"number) \S+", err.getvalue())
 
 
 class TestExample1Command:
@@ -443,10 +472,26 @@ class TestExample1Command:
 
     def test_discount_next_to_one_is_singular_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        assert main(["example1", "--gamma-grid", f"0.5 {NEXT_TO_ONE!r}",
-                     "--theta-grid", "0.3", "--out", str(out)]) == 2
-        assert_one_line(capsys.readouterr().err, "singular: value solve residual too large: ")
-        assert not out.exists()
+        for gamma in (NEXT_TO_ONE, PAST_THE_LIMIT):
+            assert main(["example1", "--gamma-grid", f"0.5 {gamma!r}",
+                         "--theta-grid", "0.3", "--out", str(out)]) == 2
+            # example 1's ||L||_inf is 1 + gamma
+            cond = (1 + gamma) / (1 - gamma)
+            assert capsys.readouterr().err == (f"singular: value system has condition number "
+                                               f"{cond:.6g} at discount {gamma!r}\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("gamma", NEAR_ONE)
+    def test_discount_near_one_computes(self, gamma, tmp_path, capsys):
+        out = tmp_path / "ratios.csv"
+        assert main(["example1", "--gamma-grid", repr(gamma), "--theta-grid", "0.3",
+                     "--out", str(out)]) == 0
+        with open(out) as fh:
+            (row,) = list(csv.DictReader(fh))
+        # best is the optimal projection, so each finite ratio is at least 1
+        for field in ("ratio_td", "ratio_br"):
+            assert math.isfinite(float(row[field])) and float(row[field]) >= 1.0
+        assert capsys.readouterr().err == ""
 
     def test_csv_bytes_pinned(self, tmp_path):
         # 5/6 is singular for TD; at gamma 0.25 and theta = atan(3), v lies in span(Phi)
@@ -659,7 +704,16 @@ class TestSweepCommand:
         assert main(["sweep", "--gammas", "0.999999999999", "--n-max", "3",
                      "--trials", "2", "--out-dir", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
-        assert_one_line(captured.err, "singular: value solve residual too large: ")
+        assert_one_line(captured.err, "singular: value system of chain ")
+        assert captured.out == ""
+
+    def test_exactly_singular_member_is_one_singular_line(self, tmp_path, capsys):
+        # the kernel's ungated BR solve meets an exactly singular member here (ROADMAP
+        # item 7): numpy's LinAlgError, a ValueError, exits 2 like any singular system
+        assert main(["sweep", "--gammas", "0.999998", "--n-max", "21", "--trials", "4",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert_one_line(captured.err, "singular: ")
         assert captured.out == ""
 
     @pytest.mark.parametrize("flag, value, message", [

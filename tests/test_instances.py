@@ -24,16 +24,6 @@ THETA_GRID = (0.0, 1.0, 2.0, 4.0)
 
 
 class TestExample1:
-    def test_reference_weights_at_half(self):
-        inst = example1(0.5, 0.0)
-        assert solve_best(inst.mdp, inst.phi, inst.xi).weights[0] == pytest.approx(0.2)
-        assert solve_td(inst.mdp, inst.phi, inst.xi).weights[0] == pytest.approx(0.5)
-        assert solve_br(inst.mdp, inst.phi, inst.xi).weights[0] == pytest.approx(0.0, abs=1e-15)
-
-    def test_td_reference_absent_at_singularity(self):
-        inst = example1(5.0 / 6.0, 1.3)
-        assert solve_td(inst.mdp, inst.phi, inst.xi).status == "singular"
-
     def test_pure_second_reward(self):
         inst = example1(0.5, np.pi / 2)
         assert solve_best(inst.mdp, inst.phi, inst.xi).weights[0] == pytest.approx(1.0, rel=1e-12)

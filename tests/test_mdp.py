@@ -10,8 +10,9 @@ from projeval import (
     make_mdp,
     validate,
 )
-from projeval.instances import SeedSpec
-from projeval.mdp import Mdp
+from projeval.instances import SeedSpec, random_chain
+from projeval.mdp import Mdp, l_matrix, value_condition
+from projeval.projections import SINGULAR_CONDITION_LIMIT
 
 from conftest import random_dense_mdp
 from oracles import apply_L, apply_L_transpose, ergodic_chain, stationary_distribution
@@ -149,11 +150,37 @@ class TestExactValue:
         np.testing.assert_allclose(v12, v1 + v2, atol=1e-10)
 
     def test_geometric_series_bound(self, rng):
-        for _ in range(20):
-            m = random_dense_mdp(rng, int(rng.integers(2, 31)))
+        # near 1, v is of size 1 / (1 - gamma) and a backward-stable solve leaves a
+        # residual far above 1e-10, yet L's condition number is at most 2e11
+        for gamma in [None] * 20 + [1 - 1e-7, 1 - 1e-11] * 5:
+            m = random_dense_mdp(rng, int(rng.integers(2, 31)), gamma)
             v = exact_value(m)
             limit = np.max(np.abs(m.rewards)) / (1.0 - m.discount)
             assert np.max(np.abs(v)) <= limit + 1e-10
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 5 / 6, 0.9, 0.99, 0.999])
+    def test_condition_closed_form_is_numpys(self, gamma, rng):
+        # example 1: ||L||_inf = 1 + gamma, so kappa_inf(L) = (1 + gamma) / (1 - gamma)
+        m = two_state(gamma)
+        assert value_condition(m) == pytest.approx((1 + gamma) / (1 - gamma), rel=1e-12)
+        chains = [m, random_chain(int(rng.integers(2, 31)), gamma, SeedSpec(int(gamma * 1e3)))]
+        chains += [random_dense_mdp(rng, int(rng.integers(2, 31)), gamma) for _ in range(5)]
+        for chain in chains:
+            assert value_condition(chain) == pytest.approx(
+                np.linalg.cond(l_matrix(chain), np.inf), rel=1e-9)
+        stack = random_chain(7, gamma, SeedSpec(5), count=4)
+        np.testing.assert_allclose(value_condition(stack),
+                                   np.linalg.cond(l_matrix(stack), np.inf), rtol=1e-9)
+
+    def test_stack_names_the_first_chain_over_the_limit(self):
+        # P = I gives L = (1 - gamma) I, perfectly conditioned at any discount
+        P = np.array([np.eye(2), np.eye(2), [[0.0, 1.0], [0.0, 1.0]], [[0.25, 0.75], [0.0, 1.0]]])
+        stack = make_mdp(P, np.ones((4, 2)), 1 - 1e-12, stack=True)
+        cond = value_condition(stack)
+        assert cond[0] == 1.0 and cond[2] > cond[3] > SINGULAR_CONDITION_LIMIT
+        message = f"value system of chain 2 has condition number {cond[2]:.6g} at discount "
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}"):
+            exact_value(stack)
 
 
 class TestApplyL:
