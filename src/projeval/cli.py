@@ -120,21 +120,20 @@ def cmd_sweep(args) -> None:
             breaks[gamma] = breaks[gamma] + _breaks(kept)
             yield records
 
-    # both files are open before the first column runs
+    # both files are open before the first column runs; a failure then removes both
     with open(os.path.join(args.out_dir, "trials.csv"), "w", newline="") as trials_fh, \
             open(os.path.join(args.out_dir, "cells.csv"), "w", newline="") as cells_fh:
-        matio.write_csv(trials_fh, columns(), matio.TRIAL_HEADER)
-        cells = np.concatenate(cell_blocks)
-        matio.write_csv(cells_fh, [cells], matio.CELL_HEADER)
+        try:
+            matio.write_csv(trials_fh, columns(), matio.TRIAL_HEADER)
+            matio.write_csv(cells_fh, [np.concatenate(cell_blocks)], matio.CELL_HEADER)
+        except BaseException:
+            for fh in (trials_fh, cells_fh):
+                fh.close()
+                os.remove(fh.name)
+            raise
 
     for gamma in gammas:
-        sub = cells[cells["gamma"] == gamma]
-        wins = float(np.mean(sub["td_win_ratio"]))
-        ratios = sub["mean_td_over_br"][~np.isnan(sub["mean_td_over_br"])]
-        mean_ratio = float(np.mean(ratios)) if ratios.size else float("nan")
-        print(f"gamma={gamma:g}: cells={len(sub)} td_win_ratio={wins:.4f} "
-              f"mean_td_over_br={mean_ratio:.4f}")
-        print(_tail_summary(tails[gamma]))
+        print(_tail_summary(gamma, tails[gamma]))
         print("  k<n breaks: " + " ".join(map("{}={}".format, BREAKS, breaks[gamma])))
 
 
@@ -158,14 +157,14 @@ def _breaks(trials: np.ndarray) -> np.ndarray:
                              e_td > b_td * e * (1 + 1e-6), e_br > b_br * e * (1 + 1e-6)], axis=1)
 
 
-def _tail_summary(ratios: np.ndarray) -> str:
-    """How often TD beats BR trial by trial, and how much of the mean ratio its worst
-    0.1% of trials hold."""
+def _tail_summary(gamma: float, ratios: np.ndarray) -> str:
+    """How often TD beats BR trial by trial at `gamma`, and how much of the mean ratio
+    its worst 0.1% of trials hold."""
     top = math.ceil(0.001 * ratios.size)
     share = np.sort(ratios)[-top:].sum() / ratios.sum()
     # a ratio is below 1 exactly when e_td < e_br: the quotient is then at most
     # 1 - 2**-53, a float, and division rounds monotonically
-    return (f"  k<n: trials={ratios.size} td_win_share={np.mean(ratios < 1):.4f} "
+    return (f"gamma={gamma!r} k<n: trials={ratios.size} td_win_share={np.mean(ratios < 1):.4f} "
             f"td_over_br median={np.median(ratios):.4f} mean={np.mean(ratios):.4f} "
             f"p99={np.percentile(ratios, 99):.4f} top{top}_share={share:.4f}")
 

@@ -45,7 +45,7 @@ class Mdp:
         over = cond > SINGULAR_CONDITION_LIMIT
         if over.any():
             bad = over.argmax()
-            where = f" of chain {bad}" if self.transitions.ndim == 3 else ""
+            where = f" of chain {bad} (n={self.n_states})" if self.transitions.ndim == 3 else ""
             raise ArithmeticError(f"value system{where} has condition number {cond[bad]:.6g} "
                                   f"at discount {self.discount!r}")
         v = np.linalg.solve(self._l, self.rewards[..., None])[..., 0]

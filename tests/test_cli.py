@@ -527,7 +527,7 @@ class TestSweepCommand:
         assert len(rows) == 28
         with open(out / "trials.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 28 * 9
-        assert "td_win_ratio" in capsys.readouterr().out
+        assert "td_win_share" in capsys.readouterr().out
 
     def test_single_gamma(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -576,32 +576,38 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.splitlines()
         with open(out / "trials.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(lines) == 6
-        for gamma, head, line in zip(("0.9", "0.99"), lines[::3], lines[1::3]):
-            assert head.startswith(f"gamma={gamma}: cells=35 ")
+        cells = read_cell_csv(out / "cells.csv")
+        assert len(lines) == 4
+        for gamma, line in zip(("0.9", "0.99"), lines[::2]):
             kept = [row for row in rows if row["gamma"] == gamma
                     and int(row["k"]) < int(row["n"]) and row["td_singular"] == "0"]
             e_td = np.array([float(row["e_td"]) for row in kept])
             e_br = np.array([float(row["e_br"]) for row in kept])
             ratios = np.sort(e_td / e_br)
             top = int(np.ceil(0.001 * len(ratios)))
-            assert line.startswith(f"  k<n: trials={len(kept)} ") and top == 2
+            assert line.startswith(f"gamma={gamma} k<n: trials=1008 ") and len(kept) == 1008
+            assert top == 2
             printed = dict(tok.split("=") for tok in line.split() if "=" in tok)
             expected = {"td_win_share": np.mean(e_td < e_br), "median": np.median(ratios),
                         "mean": np.mean(ratios), "p99": np.percentile(ratios, 99),
                         f"top{top}_share": ratios[-top:].sum() / ratios.sum()}
-            assert set(printed) == {"trials"} | set(expected)
+            assert set(printed) == {"gamma", "trials"} | set(expected)
             for key, value in expected.items():
                 # printed to 4 decimals; the CSV's 12 digits move a ratio by ~1e-11
                 assert abs(float(printed[key]) - value) <= 0.5e-4 + 1e-9 * abs(value), key
+            # no k < n trial here is singular or degenerate, so the k < n cells' means
+            # hold nothing the printed line lacks
+            sub = cells[(cells["gamma"] == float(gamma)) & (cells["k"] < cells["n"])]
+            for stat, key in (("td_win_ratio", "td_win_share"), ("mean_td_over_br", "mean")):
+                assert abs(np.mean(sub[stat]) - float(printed[key])) <= 0.5e-4, stat
 
     def test_breaks_recomputed_from_trials_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
         # 21,600 trials, 18,000 of them with k < n; 32 of those break the BR bound
         assert main(["sweep", "--gammas", "0.999", "--n-max", "10", "--trials", "20",
                      "--out-dir", str(out)]) == 0
-        head, tail, line = capsys.readouterr().out.splitlines()
-        assert head.startswith("gamma=0.999: ") and tail.startswith("  k<n: trials=18000 ")
+        tail, line = capsys.readouterr().out.splitlines()
+        assert tail.startswith("gamma=0.999 k<n: trials=18000 ")
         with open(out / "trials.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 21600
@@ -701,20 +707,26 @@ class TestSweepCommand:
 
     def test_discount_next_to_one_is_singular(self, tmp_path, capsys):
         # the gamma closest to 1 whose 12-digit CSV text reads back as itself
+        out = tmp_path / "out"
         assert main(["sweep", "--gammas", "0.999999999999", "--n-max", "3",
-                     "--trials", "2", "--out-dir", str(tmp_path / "out")]) == 2
+                     "--trials", "2", "--out-dir", str(out)]) == 2
         captured = capsys.readouterr()
-        assert_one_line(captured.err, "singular: value system of chain ")
+        # mdp_trial 1 of the first column, n = 2
+        assert_one_line(captured.err, "singular: value system of chain 1 (n=2) has condition "
+                        "number 1.52254e+12 at discount 0.999999999999")
         assert captured.out == ""
+        assert not (out / "trials.csv").exists() and not (out / "cells.csv").exists()
 
     def test_exactly_singular_member_is_one_singular_line(self, tmp_path, capsys):
         # the kernel's ungated BR solve meets an exactly singular member here (ROADMAP
         # item 7): numpy's LinAlgError, a ValueError, exits 2 like any singular system
+        out = tmp_path / "out"
         assert main(["sweep", "--gammas", "0.999998", "--n-max", "21", "--trials", "4",
-                     "--out-dir", str(tmp_path / "out")]) == 2
+                     "--out-dir", str(out)]) == 2
         captured = capsys.readouterr()
         assert_one_line(captured.err, "singular: ")
         assert captured.out == ""
+        assert not (out / "trials.csv").exists() and not (out / "cells.csv").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--gammas", "", "gammas must be nonempty and distinct"),

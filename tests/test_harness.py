@@ -29,14 +29,20 @@ SMALL = SweepConfig(gammas=(0.9, 0.99), n_min=2, n_max=5,
                     feature_trials=2, mdp_trials=2, master_seed=123)
 UNEVEN = SweepConfig(gammas=(0.95,), n_min=2, n_max=6,
                      feature_trials=3, mdp_trials=2, master_seed=7)
+# `projeval sweep --gammas 0.99 --n-max 8 --trials 1`: stacks of one and F = M = 1
+# cells, the edge cases of the stacked seeding and of the TD gate's SVD-free certificate
+ONE_TRIAL = SweepConfig(gammas=(0.99,), n_max=8, feature_trials=1, mdp_trials=1)
 
-# sha256 of the trials.csv / cells.csv these grids wrote before the sweep
-# ran a cell as one stacked kernel call with one draw per chain and basis
+# sha256 of the trials.csv / cells.csv these grids write; SMALL and UNEVEN were
+# recorded before the sweep ran a cell as one stacked kernel call with one draw per
+# chain and basis
 CSV_DIGESTS = {
     "SMALL": ("d1983732a5d5826c0523777d2be572c122d2c4164c8e91a906e683d710c1cb36",
               "5cc6b8a2e374add080fb78ef2da815766cba6b3f75aa937073d5e2533d956645"),
     "UNEVEN": ("7884a7712c383483b7af24628f9d4e15901d7235835b8b91cc59ec52e2b09f7a",
                "6ecfc37f9afe2b5cd2dd08cd52ac15ad2f03bbfa3a9ca10e1174b4278b6e89dc"),
+    "ONE_TRIAL": ("b7c352756b0ce14797793354225a57d95f1a3ff4a1341a3adcf462e67382fbbb",
+                  "a2e13d1ee12605a58e5c9da1d93e0f6f2500c0d02b6e6bacdef2d567eb17e6fb"),
 }
 
 
@@ -204,7 +210,7 @@ class TestSweep:
     @pytest.mark.parametrize("name", ["SMALL", "UNEVEN"])
     def test_parallel_matches_serial(self, name):
         # the pool hands the columns back in canonical order, one at a time
-        config = {"SMALL": SMALL, "UNEVEN": UNEVEN}[name]
+        config = {"SMALL": SMALL, "UNEVEN": UNEVEN, "ONE_TRIAL": ONE_TRIAL}[name]
         assert_records_equal(sweep(config, workers=2), sweep(config))
 
     def test_chains_drawn_once_per_column(self, monkeypatch):
@@ -266,7 +272,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("name", sorted(CSV_DIGESTS))
     def test_csv_bytes_pinned(self, name, tmp_path):
-        config = {"SMALL": SMALL, "UNEVEN": UNEVEN}[name]
+        config = {"SMALL": SMALL, "UNEVEN": UNEVEN, "ONE_TRIAL": ONE_TRIAL}[name]
         records = sweep(config)
         cells = aggregate(records, singular_policy=config.singular_policy,
                           expected_cell_size=config.feature_trials * config.mdp_trials)

@@ -178,7 +178,7 @@ class TestExactValue:
         stack = make_mdp(P, np.ones((4, 2)), 1 - 1e-12, stack=True)
         cond = value_condition(stack)
         assert cond[0] == 1.0 and cond[2] > cond[3] > SINGULAR_CONDITION_LIMIT
-        message = f"value system of chain 2 has condition number {cond[2]:.6g} at discount "
+        message = f"value system of chain 2 (n=2) has condition number {cond[2]:.6g} at discount "
         with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}"):
             exact_value(stack)
 
