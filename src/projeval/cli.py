@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import analysis, heatmap, instances, matio, solvers
-from .harness import SINGULAR_POLICIES, SweepConfig, aggregate, is_degenerate, sweep_columns
+from .harness import SweepConfig, aggregate, is_degenerate, sweep_columns
 from .mdp import exact_value, make_mdp
 from .projections import make_feature_basis, make_state_weights, weighted_norm
 
@@ -88,7 +88,8 @@ def cmd_example1(args) -> None:
                               else None for sol in sols)
         # the sweep's degeneracy cutoff: near v in span(Phi) every error is rounding noise
         regular = not is_degenerate(math.sqrt(e_best), weighted_norm(v, inst.xi))
-        rows.append([_fmt(gamma), _fmt(theta)] + [
+        # keys as their shortest exact text: 0.1, 0.8333333333333334, but 2 for 2.0
+        rows.append([repr(x).removesuffix(".0") for x in (gamma, theta)] + [
             "singular" if e is None else _fmt(e / e_best if regular else math.nan)
             for e in (e_td, e_br)])
     with open(args.out, "w", newline="") as fh:
@@ -101,8 +102,7 @@ def cmd_sweep(args) -> None:
     gammas = tuple(_parse_grid(args.gammas))
     config = SweepConfig(gammas=gammas, n_max=args.n_max,
                          feature_trials=args.trials, mdp_trials=args.trials,
-                         master_seed=args.seed,
-                         singular_policy=args.singular_policy)
+                         master_seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
 
     cell_blocks = []
@@ -209,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=SweepConfig.n_max)
     p.add_argument("--trials", type=int, default=SweepConfig.feature_trials,
                    help="feature trials and MDP trials per cell")
-    p.add_argument("--singular-policy", default=SweepConfig.singular_policy,
-                   choices=SINGULAR_POLICIES)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("heatmap", help="render one cell statistic as SVG")

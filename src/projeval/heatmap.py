@@ -88,7 +88,7 @@ def render_heatmap(cells: np.ndarray, stat: str, gamma: float,
         "</pattern></defs>",
         f'<rect width="{width}" height="{height}" fill="white"/>',
         _text(f"{width / 2:.1f}", 18, 12,
-              f"{stat} (gamma={gamma:g}{', log scale' if log_scale else ''})"),
+              f"{stat} (gamma={gamma!r}{', log scale' if log_scale else ''})"),
     ]
     for (n, k), v in sorted(values.items()):
         x = _MARGIN_LEFT + (n - n_min) * _CELL

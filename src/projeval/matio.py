@@ -9,7 +9,8 @@ skipped, and so is a line whose first non-blank character is '#'; a '#'
 later in a line is an error. Matrix files and cells.csv are read as UTF-8,
 and a line holding bytes that are not UTF-8 is a bad line. The CSVs hold
 the fields of the record arrays `harness.TRIAL_DTYPE` (but v_norm) and
-`harness.CELL_DTYPE`, floats at 12 significant digits.
+`harness.CELL_DTYPE`: gamma, the only float key, as its shortest exact text (`%r`),
+so every gamma reads back as itself, and every other float at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -108,10 +109,12 @@ def parse_vector(path: str) -> np.ndarray:
 
 def write_csv(fh: TextIO, blocks: Iterable[np.ndarray], fields: list[str]) -> None:
     """Write a header, then the named fields of each record array of `blocks`, to `fh` opened
-    with newline="" (lines end in \\r\\n), _CSV_CHUNK_ROWS rows at a time, one %-format line."""
+    with newline="" (lines end in \\r\\n), _CSV_CHUNK_ROWS rows at a time, one %-format line:
+    gamma at %r, every other float at %.12g, every int or bool at %d."""
     fh.write(",".join(fields) + "\r\n")
     for rows in blocks:
-        line = ",".join("%.12g" if rows.dtype[f].kind == "f" else "%d" for f in fields) + "\r\n"
+        line = ",".join("%r" if f == "gamma" else "%.12g" if rows.dtype[f].kind == "f" else "%d"
+                        for f in fields) + "\r\n"
         for start in range(0, len(rows), _CSV_CHUNK_ROWS):
             chunk = rows[start:start + _CSV_CHUNK_ROWS]
             fh.writelines(line % row for row in zip(*(chunk[f].tolist() for f in fields)))

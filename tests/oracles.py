@@ -359,11 +359,12 @@ def parse_matrix_loop(path: str) -> np.ndarray:
 
 def write_csv_format(fh, blocks, fields) -> None:
     """The sweep CSV writer that `matio.write_csv` replaced: each row through
-    one `str.format` line of "{:.12g}" and "{:d}" fields."""
+    one `str.format` line of "{!r}" for gamma, "{:.12g}" for every other float
+    and "{:d}" fields."""
     fh.write(",".join(fields) + "\r\n")
     for rows in blocks:
-        line = ",".join("{:.12g}" if rows.dtype[f].kind == "f" else "{:d}"
-                        for f in fields) + "\r\n"
+        line = ",".join("{!r}" if f == "gamma" else "{:.12g}" if rows.dtype[f].kind == "f"
+                        else "{:d}" for f in fields) + "\r\n"
         fh.writelines(line.format(*row) for row in zip(*(rows[f].tolist() for f in fields)))
 
 

@@ -500,12 +500,27 @@ class TestExample1Command:
                      "--theta-grid", "0 0.3 1.2490457723982544 2 -1",
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "ce0ecbe69cb11bb5abb2e236a06b5bcd9aa2ed004c8c5b793ae1e3278d54c18c")
+            "cf9ad434aa2d2ef91669ceca8fa92a4001e0ac85a00c80ce934a539ef986d0e8")
         with open(out) as fh:
-            (row,) = [row for row in csv.DictReader(fh)
-                      if row["gamma"] == "0.25" and row["theta"] == "1.2490457724"]
+            rows = list(csv.DictReader(fh))
+        assert {row["gamma"] for row in rows} == {"0.1", "0.25", "0.5", "0.8333333333333334",
+                                                  "0.9"}
+        assert {row["theta"] for row in rows} == {"0", "0.3", "1.2490457723982544", "2", "-1"}
+        (row,) = [row for row in rows
+                  if row["gamma"] == "0.25" and row["theta"] == "1.2490457723982544"]
         # its errors are rounding noise, so its ratios are not numbers
         assert (row["ratio_td"], row["ratio_br"]) == ("nan", "nan")
+
+    def test_keys_name_their_discount_exactly(self, tmp_path):
+        # two discounts 6e-13 apart, one of them the TD-singular 5/6 at 13 digits
+        out = tmp_path / "ratios.csv"
+        assert main(["example1", "--gamma-grid", "0.8333333333327 0.8333333333333",
+                     "--theta-grid", "0.3", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["gamma"], row["theta"], row["ratio_td"]) for row in rows] == [
+            ("0.8333333333327", "0.3", "4.3272439655e+23"),
+            ("0.8333333333333", "0.3", "singular")]
 
     @pytest.mark.parametrize("theta", ["nan", "inf", "0 -inf"])
     def test_non_finite_theta_rejected_before_writing(self, theta, tmp_path, capsys):
@@ -706,7 +721,8 @@ class TestSweepCommand:
         assert calls == []
 
     def test_discount_next_to_one_is_singular(self, tmp_path, capsys):
-        # the gamma closest to 1 whose 12-digit CSV text reads back as itself
+        # past the value gate's limit, as in `solve` and `example1`; the sweep names
+        # the first chain at fault
         out = tmp_path / "out"
         assert main(["sweep", "--gammas", "0.999999999999", "--n-max", "3",
                      "--trials", "2", "--out-dir", str(out)]) == 2
@@ -716,6 +732,31 @@ class TestSweepCommand:
                         "number 1.52254e+12 at discount 0.999999999999")
         assert captured.out == ""
         assert not (out / "trials.csv").exists() and not (out / "cells.csv").exists()
+
+    def test_discount_closest_to_one_is_singular(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--gammas", repr(NEXT_TO_ONE), "--n-max", "3",
+                     "--trials", "2", "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert_one_line(captured.err, "singular: value system of chain 0 (n=2) has condition "
+                        f"number 6.68961e+15 at discount {NEXT_TO_ONE!r}")
+        assert captured.out == ""
+        assert not (out / "trials.csv").exists() and not (out / "cells.csv").exists()
+
+    def test_gammas_apart_in_the_13th_digit_read_back_distinct(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        gammas = (0.1, 0.1000000000001)
+        assert main(["sweep", "--gammas", " ".join(map(repr, gammas)), "--n-max", "3",
+                     "--trials", "2", "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        cells = read_cell_csv(out / "cells.csv")
+        assert list(dict.fromkeys(cells.gamma.tolist())) == list(gammas)
+        for gamma in gammas:
+            svg = out / f"{gamma!r}.svg"
+            assert main(["heatmap", "--cells", str(out / "cells.csv"), "--stat",
+                         "td_win_ratio", "--gamma", repr(gamma), "--out", str(svg)]) == 0
+            assert f"td_win_ratio (gamma={gamma!r})" in svg.read_text()
+        assert capsys.readouterr().err == ""
 
     def test_exactly_singular_member_is_one_singular_line(self, tmp_path, capsys):
         # the kernel's ungated BR solve meets an exactly singular member here (ROADMAP
@@ -734,10 +775,6 @@ class TestSweepCommand:
         ("--n-max", "1", "need 2 <= n_min <= n_max"),
         ("--n-max", "-4", "need 2 <= n_min <= n_max"),
         ("--seed", "-1", "master_seed must be an integer >= 0, got -1"),
-        ("--gammas", repr(NEXT_TO_ONE), f"gamma {NEXT_TO_ONE!r} needs more than 12 "
-         "significant digits; the CSVs would write it as 1"),
-        ("--gammas", "0.1 0.1000000000001", "gamma 0.1000000000001 needs more than 12 "
-         "significant digits; the CSVs would write it as 0.1"),
     ])
     def test_grid_that_runs_nothing_or_wrongly_rejected(self, flag, value, message,
                                                         tmp_path, capsys):
@@ -890,6 +927,12 @@ class TestHeatmapCommand:
     def test_svg_bytes_pinned(self, stat, log):
         svg = render_heatmap(PINNED_CELLS, stat, 0.9, log_scale=log)
         assert hashlib.sha256(svg.encode()).hexdigest() == SVG_DIGESTS[stat][log]
+
+    def test_title_names_gamma_exactly(self):
+        cells = PINNED_CELLS.copy()
+        cells["gamma"][cells["gamma"] == 0.9] = 0.9999999
+        svg = render_heatmap(cells, "td_win_ratio", 0.9999999)
+        assert ">td_win_ratio (gamma=0.9999999)</text>" in svg
 
     def test_read_back_equals_aggregate(self, tmp_path):
         records = sweep(SweepConfig(gammas=(0.9,), n_max=4, feature_trials=2, mdp_trials=2))

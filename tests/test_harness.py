@@ -353,12 +353,16 @@ class TestAggregate:
     @pytest.mark.parametrize("policy", harness.SINGULAR_POLICIES)
     def test_matches_record_loop_bit_for_bit(self, policy):
         records = np.concatenate([sweep(SMALL), sweep(UNEVEN)]).view(np.recarray)
-        # every 7th trial made singular, as the kernel writes one
+        # every 7th trial made singular, as the kernel writes one, and every 11th
+        # degenerate, its best error on the cutoff, so that k < n cells exclude trials
         records.td_singular[::7] = True
         records.e_td[::7] = records.b_td[::7] = np.nan
+        records.e[::11] = np.fmax(harness.DEGENERATE_ERROR,
+                                  harness.DEGENERATE_RELATIVE_ERROR * records.v_norm[::11])
         assert_records_equal(aggregate(records, singular_policy=policy),
                              aggregate_loop(records, policy))
-        assert aggregate(records).excluded_count.sum() > 0
+        cells = aggregate(records)
+        assert cells.excluded_count[cells.k < cells.n].sum() > 0
 
     def test_relative_means_at_least_one(self):
         records = sweep(SMALL)

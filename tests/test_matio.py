@@ -12,6 +12,8 @@ its width with the first row's or, with every row empty, returned an
 N x 0 array.
 """
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -136,6 +138,26 @@ def test_reader_matches_token_loop(tmp_path_factory, files):
 
 
 
+# a gamma the sweep accepted while the CSVs wrote it at 12 significant digits: a normal
+# float in (0, 1) that its 12 digits read back as, 0.d1...d12 times 10**-exponent
+TWELVE_DIGIT_GAMMAS = st.builds(lambda digits, exponent: float(f"0.{digits}e-{exponent}"),
+                                st.integers(10**11, 10**12 - 1), st.integers(0, 307)
+                                ).filter(lambda gamma: gamma >= np.finfo(float).tiny)
+
+
+@settings(max_examples=500, deadline=None)
+@given(TWELVE_DIGIT_GAMMAS)
+@example(0.999999999999)  # the 12-digit gamma closest to 1
+@example(2.22507385851e-308)  # the least normal float, rounded up to 12 digits
+def test_gamma_text_is_its_old_12_digit_text(gamma):
+    assert float("%.12g" % gamma) == gamma
+    rows = np.zeros(1, dtype=harness.CELL_DTYPE)
+    rows["gamma"] = gamma
+    fh = io.StringIO()
+    write_csv(fh, [rows], CELL_HEADER)
+    assert fh.getvalue().split("\r\n")[1].split(",")[0] == "%.12g" % gamma
+
+
 EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e17, 0.1, 1.0 / 3.0,
                -2.5e-7, 123456789012.5, 1e300, np.finfo(float).max]
 EDGE_INTS = [0, 1, -1, np.iinfo(np.int32).max, np.iinfo(np.int32).min]
@@ -159,5 +181,7 @@ def test_csv_writer_matches_format_oracle(dtype, header, tmp_path):
     expected = (tmp_path / "expected.csv").read_bytes()
     assert (tmp_path / "got.csv").read_bytes() == expected
     for token in (b"nan", b"-inf", b"-0,", b"4.94065645841e-324", b"1e+16", b"0.333333333333",
-                  b"2147483647", b"-2147483648"):
+                  b"2147483647", b"-2147483648",
+                  # gamma leads each row at its shortest exact text
+                  b"\r\n5e-324,", b"\r\n-0.0,", b"\r\n0.3333333333333333,"):
         assert token in expected
