@@ -171,7 +171,7 @@ def _tail_summary(gamma: float, ratios: np.ndarray) -> str:
 
 def cmd_heatmap(args) -> None:
     cells = matio.read_cell_csv(args.cells)
-    svg = heatmap.render_heatmap(cells, args.stat, args.gamma, log_scale=args.log)
+    svg = heatmap.render_heatmap(cells, args.stat, args.gamma)
     with open(args.out, "w") as fh:
         fh.write(svg)
 
@@ -215,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", required=True, help="cells.csv from a sweep")
     p.add_argument("--stat", required=True, choices=list(heatmap.STAT_FIELDS))
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--log", action="store_true", help="logarithmic color scale")
     p.add_argument("--out", required=True)
     return parser
 

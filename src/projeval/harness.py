@@ -30,9 +30,8 @@ from . import kernels
 from .instances import SeedSpec, random_chain, random_features, random_weights
 
 # a record is degenerate (exactly-representable value, errors pure numerical
-# noise) below either cutoff; the relative one matters at discounts near 1,
-# where ||v|| ~ 1/(1-gamma) pushes noise-level errors above any absolute bar
-DEGENERATE_ERROR = 1e-12
+# noise) when its best error is at most this fraction of ||v||_xi; the bar is
+# relative because ||v|| ~ 1/(1-gamma) scales noise-level errors with it
 DEGENERATE_RELATIVE_ERROR = 1e-9
 
 # roles distinguishing the independent seed streams of one trial
@@ -131,8 +130,8 @@ def sweep(config: SweepConfig, workers: int = 1) -> np.recarray:
 
 def is_degenerate(e, v_norm):
     """Whether a best error e (xi-norm, not squared) is rounding noise: at most
-    max(1e-12, 1e-9 * ||v||_xi); elementwise on arrays."""
-    return e <= np.fmax(DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR * v_norm)
+    1e-9 * ||v||_xi; elementwise on arrays."""
+    return e <= DEGENERATE_RELATIVE_ERROR * v_norm
 
 
 def _mean(values: np.ndarray) -> float:

@@ -2,9 +2,10 @@
 
 Renders one colored rect per (n, k) row of a cell record array
 (`harness.CELL_DTYPE`, from `aggregate` or `matio.read_cell_csv`) for a
-fixed gamma, n on the x axis and k on the y axis. A cell is hatched when
-its statistic is NaN or when its singular plus excluded (degenerate)
-trials are more than half of it.
+fixed gamma, n on the x axis and k on the y axis. The shares in
+`UNIT_SCALE_STATS` are colored linearly on [0, 1], the ratio means on a log
+scale over their range. A cell is hatched when its statistic is NaN or when
+any of its trials is singular or excluded (degenerate).
 No plotting library is involved; the output is plain SVG 1.1.
 """
 
@@ -15,7 +16,8 @@ import math
 import numpy as np
 
 from .harness import STAT_FIELDS
-# indicator means live in [0,1] and get a fixed color scale
+# indicator means live in [0, 1] and get a fixed linear color scale; ratio means get a
+# log scale over their range, on which a few huge ratios do not wash out every other cell
 UNIT_SCALE_STATS = {"td_win_ratio", "bound_prediction_ratio"}
 
 _CELL = 16
@@ -36,14 +38,7 @@ def _color(t: float) -> str:
     return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
 
 
-def _infer_cell_size(cells: np.ndarray) -> int | None:
-    # full-basis (k = n) cells have every trial degenerate, so their excluded
-    # count reveals the per-cell trial total
-    return int(np.max(cells["excluded_count"], where=cells["k"] == cells["n"], initial=0)) or None
-
-
-def render_heatmap(cells: np.ndarray, stat: str, gamma: float,
-                   log_scale: bool = False) -> str:
+def render_heatmap(cells: np.ndarray, stat: str, gamma: float) -> str:
     """Return an SVG document for one statistic at one gamma of a
     `harness.CELL_DTYPE` record array."""
     if stat not in STAT_FIELDS:
@@ -54,16 +49,14 @@ def render_heatmap(cells: np.ndarray, stat: str, gamma: float,
         available = sorted(set(cells["gamma"].tolist()))
         raise ValueError(f"no cells for gamma={gamma}; available: {available}")
 
-    cell_size = _infer_cell_size(cells)
     ns, ks = selected["n"].tolist(), selected["k"].tolist()
     values = dict(zip(zip(ns, ks), selected[stat].tolist()))
     broken = (selected["singular_count"] + selected["excluded_count"]).tolist()
-    hatched = {key for key, b in zip(zip(ns, ks), broken)
-               if math.isnan(values[key]) or (cell_size is not None and 2 * b > cell_size)}
+    hatched = {key for key, b in zip(zip(ns, ks), broken) if b > 0 or math.isnan(values[key])}
 
     finite = [v for v in values.values() if not math.isnan(v)]
-    unit = stat in UNIT_SCALE_STATS and not log_scale
-    lo, hi = (min(finite), max(finite)) if finite and not unit else (0.0, 1.0)
+    log_scale = stat not in UNIT_SCALE_STATS
+    lo, hi = (min(finite), max(finite)) if finite and log_scale else (0.0, 1.0)
     floor = min((v for v in finite if v > 0), default=1.0)
 
     def axis(v):

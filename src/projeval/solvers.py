@@ -12,8 +12,9 @@ columns. Each goes through `projections.oblique_solve`, and its
 best achievable error is exactly the xi-norm of the projector onto span(Phi)
 along span(L'X)^perp, 1 / sigma_min(Q_W' Q_U) for orthonormal bases Q_U of
 Xi^1/2 Phi and Q_W of Xi^-1/2 L' X (Szyld 2006). A bound above 1e12 is the
-status "singular", never an exception or garbage. A solution that overflows
-to a non-finite value raises ArithmeticError.
+status "singular", not an exception. Every solve needs v, though: a value
+system L v = r past that limit raises ArithmeticError (`mdp.exact_value`),
+as does a solution that overflows to a non-finite value.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from projeval.harness import CELL_DTYPE, DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR
+from projeval.harness import CELL_DTYPE, DEGENERATE_RELATIVE_ERROR
 from projeval.instances import _WEIGHT_FLOOR, Instance, SeedSpec
 from projeval.matio import MatrixParseError
 from projeval.mdp import bellman_apply, exact_value, l_matrix, make_mdp
@@ -315,7 +315,7 @@ def aggregate_loop(records, singular_policy: str = "worst") -> np.recarray:
                 td_wins = rec.e_td < rec.e_br
                 wins.append(1.0 if td_wins else 0.0)
                 predictions.append(1.0 if td_wins == (rec.b_td < rec.b_br) else 0.0)
-            if rec.e <= max(DEGENERATE_ERROR, DEGENERATE_RELATIVE_ERROR * rec.v_norm):
+            if rec.e <= DEGENERATE_RELATIVE_ERROR * rec.v_norm:
                 excluded += 1
                 continue
             rel_br.append(rec.e_br / rec.e)

@@ -801,8 +801,9 @@ class TestSweepCommand:
 
 # a hand-built cell table, so that no BLAS bit enters the SVGs: cells of 4
 # trials (the k = n cells exclude all 4); at gamma 0.9, NaN cells, n=3 k=2 with
-# 3 of its 4 trials singular or excluded, zeros below mean_rel_td's log floor
-# and two constant columns, bound_prediction_ratio (unit scale) and mean_rel_br
+# 3 of its 4 trials singular or excluded, n=3 k=1 and n=4 k=2 with 1 and 2,
+# zeros below mean_rel_td's log floor and two constant columns,
+# bound_prediction_ratio (unit scale) and mean_rel_br
 PINNED_CELLS = np.array([
     (0.9, 2, 1, 1.0, 0.75, 1.25, 0.0, 2.5, 0, 0),
     (0.9, 2, 2, 0.0, 0.75, np.nan, 0.0, 2.5, 0, 4),
@@ -817,23 +818,15 @@ PINNED_CELLS = np.array([
     (0.5, 2, 2, 0.0, 0.0, np.nan, 0.0, 0.0, 0, 4),
 ], dtype=harness.CELL_DTYPE)
 
-# sha256 of render_heatmap(PINNED_CELLS, stat, 0.9, log_scale) per stat, linear then log
+# sha256 of render_heatmap(PINNED_CELLS, stat, 0.9) per stat, and whether the
+# statistic's map is log-scaled: the shares are linear, the ratio means log
 SVG_DIGESTS = {
-    "td_win_ratio": (
-        "5f37a6e4eed45d57568af2ed07a4fe82c73c3ff5f5121025d6192048b4168be5",
-        "67f7c55ab963f88b9063d3dc7d6e9b514dff498e4098fadcd28d129920600871"),
-    "bound_prediction_ratio": (
-        "6093de23e020a81932939d1374b05263d1b4b97fc61288472552d279708930db",
-        "6bf1bad086201f2763b78493ccfdf38697a40b989287a8fbcca587a60609ba32"),
-    "mean_td_over_br": (
-        "29eb91927835a72430b885e974e96fe8a2c3ed79761af5c4ece9e48032ac75d0",
-        "603932c309f7ca45045442ae7417857c208140f71581a8b4fe96f62f45e9a8e8"),
-    "mean_rel_td": (
-        "45b4493da0fe57d41826288e160c898c124cd617d2c67d27266fe60d0ac0e623",
-        "58f7df20c0b648551a94aa30b139edab31f5d2591eec340f518359b2e9696e91"),
-    "mean_rel_br": (
-        "33866eba781ced4071614b72441a25f2df6c989fb6ce1e7398a393341d902981",
-        "7fce6a8a66d9fd6d313b0166368fcad50e5e2f534bc16174d3269b21f3af914e"),
+    ("td_win_ratio", False): "15a48e4243a42f6f7eda09b4784b4c22f1e941c214e15c385129645194593c1c",
+    ("bound_prediction_ratio", False):
+        "e318c05f65be41e61ce1a0043c26688a420f306f7ba062b0dac7acaf906b597a",
+    ("mean_td_over_br", True): "cd40548fd9a21803a216fb092c791a50046f1d4dcfe5e30cf30f190702c2ce87",
+    ("mean_rel_td", True): "efc550d01ff1961688bef620a934f43736f3358d81afb529d7363d66ad8d7139",
+    ("mean_rel_br", True): "97d0ba50f09c0cf21a8dc525ad94951d30ac3ff17008506e81bc8e39929a2a28",
 }
 
 
@@ -857,11 +850,14 @@ class TestHeatmapCommand:
         # 14 cells + background + pattern rect
         assert len(rects) == 14 + 2
 
-    def test_log_scale_flag(self, cells_csv, tmp_path):
+    def test_log_scale_flag(self, cells_csv, tmp_path, capsys):
+        # the statistic picks the scale, so there is no flag to choose it
         svg = tmp_path / "map.svg"
         assert main(["heatmap", "--cells", cells_csv, "--stat", "mean_rel_td",
-                     "--gamma", "0.9", "--log", "--out", str(svg)]) == 0
-        assert "log scale" in svg.read_text()
+                     "--gamma", "0.9", "--log", "--out", str(svg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not svg.exists()
 
     def test_missing_gamma_lists_available(self, cells_csv, tmp_path, capsys):
         assert main(["heatmap", "--cells", cells_csv, "--stat", "td_win_ratio",
@@ -922,11 +918,21 @@ class TestHeatmapCommand:
                  if rect.find(f"{ns}title") is not None]
         assert fills == ["url(#hatch)"] * 14
 
-    @pytest.mark.parametrize("log", [False, True])
-    @pytest.mark.parametrize("stat", harness.STAT_FIELDS)
+    @pytest.mark.parametrize("stat, log", SVG_DIGESTS)
     def test_svg_bytes_pinned(self, stat, log):
-        svg = render_heatmap(PINNED_CELLS, stat, 0.9, log_scale=log)
-        assert hashlib.sha256(svg.encode()).hexdigest() == SVG_DIGESTS[stat][log]
+        svg = render_heatmap(PINNED_CELLS, stat, 0.9)
+        assert hashlib.sha256(svg.encode()).hexdigest() == SVG_DIGESTS[stat, log]
+        assert f">{stat} (gamma=0.9{', log scale' if log else ''})</text>" in svg
+
+    def test_any_broken_trial_hatches_its_cell(self):
+        # without the k = n cells, whose counts say nothing of the others: each
+        # cell is read alone, and (3, 2) has 3 of its 4 trials singular or excluded
+        svg = render_heatmap(PINNED_CELLS[PINNED_CELLS["k"] < PINNED_CELLS["n"]],
+                             "td_win_ratio", 0.9)
+        ns = "{http://www.w3.org/2000/svg}"
+        hatched = [rect.find(f"{ns}title").text.split()[:2]
+                   for rect in ET.fromstring(svg).iter(f"{ns}rect") if rect.get("fill") == "url(#hatch)"]
+        assert hatched == [["n=3", "k=1"], ["n=3", "k=2"], ["n=4", "k=2"]]
 
     def test_title_names_gamma_exactly(self):
         cells = PINNED_CELLS.copy()

@@ -357,8 +357,7 @@ class TestAggregate:
         # degenerate, its best error on the cutoff, so that k < n cells exclude trials
         records.td_singular[::7] = True
         records.e_td[::7] = records.b_td[::7] = np.nan
-        records.e[::11] = np.fmax(harness.DEGENERATE_ERROR,
-                                  harness.DEGENERATE_RELATIVE_ERROR * records.v_norm[::11])
+        records.e[::11] = harness.DEGENERATE_RELATIVE_ERROR * records.v_norm[::11]
         assert_records_equal(aggregate(records, singular_policy=policy),
                              aggregate_loop(records, policy))
         cells = aggregate(records)

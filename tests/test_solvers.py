@@ -18,7 +18,7 @@ from projeval import (
     td_direction,
     weighted_norm,
 )
-from projeval.instances import example1
+from projeval.instances import SeedSpec, example1, random_chain, random_features, random_weights
 from projeval.mdp import l_matrix
 
 from conftest import random_instance
@@ -62,6 +62,14 @@ class TestExample1ClosedForms:
         with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match=message):
             solve(mdp, phi, inst.xi)
 
+    @pytest.mark.parametrize("solve", [solve_best, solve_td, solve_br, solve_oblique])
+    def test_value_system_past_the_limit_raises(self, solve):
+        # every solve needs v, and L v = r has condition number about 2e13 here
+        inst = example1(1.0 - 1e-13, 0.0)
+        direction = (td_direction(inst.mdp, inst.phi, inst.xi),) if solve is solve_oblique else ()
+        with pytest.raises(ArithmeticError, match="^value system has condition number"):
+            solve(inst.mdp, inst.phi, inst.xi, *direction)
+
     def test_best_is_never_singular(self):
         # at 5/6 TD's system is singular; best's direction spans span(Phi) itself,
         # so its bound is 1 up to rounding
@@ -85,11 +93,24 @@ class TestExactnessCorollary:
 
     def test_full_basis_reproduces_exact_value(self, rng):
         mdp, _, xi = random_instance(rng, n_max=10, m_max=1)
-        from projeval import make_feature_basis
-
         phi = make_feature_basis(np.eye(mdp.n_states))
         sol = solve_best(mdp, phi, xi)
         np.testing.assert_allclose(sol.value_estimate, exact_value(mdp), atol=1e-10)
+        # k = n: span(Phi) is the whole space, so every method's projector is the
+        # identity, with bound 1, whichever full basis spans it
+        cases = [(mdp, phi, xi)]
+        for n in range(2, 31):
+            for g, gamma in enumerate((0.9, 0.95, 0.99, 0.999)):
+                seed = SeedSpec(36, (n, g))
+                cases.append((random_chain(n, gamma, seed.derive(0)),
+                              random_features(n, n, seed.derive(1)),
+                              random_weights(n, seed.derive(2))))
+        for mdp, phi, xi in cases:
+            v = exact_value(mdp)
+            for solver in (solve_best, solve_td, solve_br):
+                sol = solver(mdp, phi, xi)
+                assert weighted_norm(v - sol.value_estimate, xi) <= 1e-9 * weighted_norm(v, xi)
+                assert abs(sol.condition_estimate - 1.0) <= 1e-12
 
 
 class TestObliqueUnification:
