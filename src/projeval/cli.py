@@ -60,8 +60,8 @@ def cmd_solve(args) -> None:
     print(f"method: {sol.method}")
     print("w: " + " ".join(_fmt(x) for x in sol.weights))
     print("v_hat: " + " ".join(_fmt(x) for x in sol.value_estimate))
-    for field in ("approx_error", "td_error", "br_residual", "adequacy"):
-        print(f"{field}: {_fmt(getattr(report, field))}")
+    for field, value in {"approx_error": sol.approx_error, **vars(report)}.items():
+        print(f"{field}: {_fmt(value)}")
     print(f"condition_estimate: {_fmt(sol.condition_estimate)}")
 
 
@@ -80,14 +80,13 @@ def cmd_example1(args) -> None:
     rows = []  # all of them before the file is created, so an error leaves none
     for gamma, theta in itertools.product(gammas, thetas):
         inst = instances.example1(gamma, theta)
-        v = exact_value(inst.mdp)
         sols = [solve(inst.mdp, inst.phi, inst.xi)
                 for solve in (solvers.solve_best, solvers.solve_td, solvers.solve_br)]
-        # each error from its solve, None where the solve's gate calls it singular
-        e_best, e_td, e_br = (weighted_norm(v - sol.value_estimate, inst.xi) ** 2 if sol.ok
-                              else None for sol in sols)
+        # each squared error from its solve, None where the solve's gate calls it singular
+        e_best, e_td, e_br = (sol.approx_error ** 2 if sol.ok else None for sol in sols)
         # the sweep's degeneracy cutoff: near v in span(Phi) every error is rounding noise
-        regular = not is_degenerate(math.sqrt(e_best), weighted_norm(v, inst.xi))
+        v_norm = weighted_norm(exact_value(inst.mdp), inst.xi)
+        regular = not is_degenerate(math.sqrt(e_best), v_norm)
         # keys as their shortest exact text: 0.1, 0.8333333333333334, but 2 for 2.0
         rows.append([repr(x).removesuffix(".0") for x in (gamma, theta)] + [
             "singular" if e is None else _fmt(e / e_best if regular else math.nan)

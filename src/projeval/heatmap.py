@@ -4,8 +4,8 @@ Renders one colored rect per (n, k) row of a cell record array
 (`harness.CELL_DTYPE`, from `aggregate` or `matio.read_cell_csv`) for a
 fixed gamma, n on the x axis and k on the y axis. The shares in
 `UNIT_SCALE_STATS` are colored linearly on [0, 1], the ratio means on a log
-scale over their range. A cell is hatched when its statistic is NaN or when
-any of its trials is singular or excluded (degenerate).
+scale over the range of the cells drawn in color. A cell is hatched when its
+statistic is NaN or when any of its trials is singular or excluded (degenerate).
 No plotting library is involved; the output is plain SVG 1.1.
 """
 
@@ -54,10 +54,10 @@ def render_heatmap(cells: np.ndarray, stat: str, gamma: float) -> str:
     broken = (selected["singular_count"] + selected["excluded_count"]).tolist()
     hatched = {key for key, b in zip(zip(ns, ks), broken) if b > 0 or math.isnan(values[key])}
 
-    finite = [v for v in values.values() if not math.isnan(v)]
+    drawn = [v for key, v in values.items() if key not in hatched]  # the colored cells
     log_scale = stat not in UNIT_SCALE_STATS
-    lo, hi = (min(finite), max(finite)) if finite and log_scale else (0.0, 1.0)
-    floor = min((v for v in finite if v > 0), default=1.0)
+    lo, hi = (min(drawn), max(drawn)) if drawn and log_scale else (0.0, 1.0)
+    floor = min((v for v in drawn if v > 0), default=1.0)
 
     def axis(v):
         return math.log10(max(v, floor)) if log_scale else v

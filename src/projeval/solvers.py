@@ -12,9 +12,9 @@ columns. Each goes through `projections.oblique_solve`, and its
 best achievable error is exactly the xi-norm of the projector onto span(Phi)
 along span(L'X)^perp, 1 / sigma_min(Q_W' Q_U) for orthonormal bases Q_U of
 Xi^1/2 Phi and Q_W of Xi^-1/2 L' X (Szyld 2006). A bound above 1e12 is the
-status "singular", not an exception. Every solve needs v, though: a value
-system L v = r past that limit raises ArithmeticError (`mdp.exact_value`),
-as does a solution that overflows to a non-finite value.
+status "singular", not an exception. Every solve needs v and reports its error
+||v - Phi w||_xi as `approx_error`; a value system L v = r past that limit
+raises ArithmeticError (`mdp.exact_value`), as does a solution that overflows.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .mdp import Mdp, exact_value, l_matrix
 from .projections import (FeatureBasis, StateWeights, direction_matrix, feature_matrix,
-                          oblique_solve, row_weighted, weight_column)
+                          oblique_solve, row_weighted, weight_column, weighted_norm)
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class ProjectionSolution:
     method: str
     condition_estimate: float
     status: str  # "ok" | "singular"
+    approx_error: float | None  # ||v - v_hat||_xi, None when singular
 
     def __post_init__(self):  # every solver's one check that "ok" means finite
         if self.ok and not np.isfinite(np.r_[self.weights, self.value_estimate]).all():
@@ -49,9 +50,11 @@ class ProjectionSolution:
 
 def _solve(mdp: Mdp, phi: FeatureBasis, xi: StateWeights, ltx: np.ndarray,
            method: str) -> ProjectionSolution:
-    w, bound = oblique_solve(phi.matrix, xi, ltx, exact_value(mdp))
+    v = exact_value(mdp)
+    w, bound = oblique_solve(phi.matrix, xi, ltx, v)
     v_hat, status = (None, "singular") if w is None else (phi.matrix @ w, "ok")
-    return ProjectionSolution(w, v_hat, method, bound, status)
+    error = None if w is None else weighted_norm(v - v_hat, xi)
+    return ProjectionSolution(w, v_hat, method, bound, status, error)
 
 
 def solve_best(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:

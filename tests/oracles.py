@@ -239,7 +239,8 @@ def exact_best_weights(mdp, phi: FeatureBasis, xi: StateWeights) -> list[float]:
 def exact_report(mdp, phi: FeatureBasis, xi: StateWeights,
                  w) -> tuple[float, float, float, float]:
     """approx_error, td_error, br_residual and adequacy of the candidate Phi w in exact
-    rational arithmetic, as `analysis.error_report` names them.
+    rational arithmetic: the first as `ProjectionSolution` names it, the other three
+    as `analysis.error_report` does.
 
     Proj T v_hat is Phi c with (Phi' Xi Phi) c = Phi' Xi T v_hat, solved by
     elimination: the Gram system the package avoids is exact here.

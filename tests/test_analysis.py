@@ -42,8 +42,10 @@ class TestErrorReport:
         r = l_matrix(mdp) @ phi.matrix @ w0
         m = make_mdp(mdp.transitions, r, mdp.discount)
         rep = error_report(m, phi, xi, w0)
-        for value in (rep.approx_error, rep.td_error, rep.br_residual, rep.adequacy):
+        for value in (rep.td_error, rep.br_residual, rep.adequacy):
             assert value == pytest.approx(0.0, abs=1e-8)
+        for solve in (solve_best, solve_td, solve_br):
+            assert solve(m, phi, xi).approx_error == pytest.approx(0.0, abs=1e-8)
 
     def test_td_solution_has_zero_td_error(self, rng):
         for _ in range(10):
@@ -56,9 +58,27 @@ class TestErrorReport:
             assert rep.br_residual == pytest.approx(rep.adequacy, abs=1e-8)
 
     def test_two_state_hand_value(self):
+        # v = (1, 0) and Phi = (1, 2): the best w is 0.2, T Phi w = (1.2, 0.2) and
+        # Proj T Phi w = (0.32, 0.64); the error comes with the solve
         inst = example1(0.5, 0.0)
+        best = solve_best(inst.mdp, inst.phi, inst.xi)
+        assert best.weights == pytest.approx([0.2], rel=1e-12)
+        assert best.approx_error == pytest.approx(np.sqrt(0.4), rel=1e-12)
         rep = error_report(inst.mdp, inst.phi, inst.xi, [0.2])
-        assert rep.approx_error == pytest.approx(np.sqrt(0.4), rel=1e-12)
+        assert (rep.td_error, rep.br_residual, rep.adequacy) == pytest.approx(
+            np.sqrt([0.036, 0.52, 0.484]), rel=1e-12)
+
+    def test_report_needs_no_exact_value(self):
+        # past the value gate every solve raises, yet the report's three functionals
+        # are functions of the candidate alone
+        inst = example1(1.0 - 1e-13, 0.3)
+        with pytest.raises(ArithmeticError, match="condition number 1.99938e"):
+            solve_td(inst.mdp, inst.phi, inst.xi)
+        rep = error_report(inst.mdp, inst.phi, inst.xi, [0.7])
+        values = (rep.td_error, rep.br_residual, rep.adequacy)
+        assert np.all(np.isfinite(values))
+        assert rep.br_residual ** 2 == pytest.approx(rep.td_error ** 2 + rep.adequacy ** 2,
+                                                     rel=1e-12)
 
     def test_near_dependent_columns_match_exact_report(self, rng):
         # columns 1e-8 apart: the Gram system Phi' Xi Phi is past the 1e12 limit,
@@ -68,10 +88,10 @@ class TestErrorReport:
         b = a + 1e-8 * rng.uniform(-1.0, 1.0, size=mdp.n_states)
         phi = make_feature_basis(np.column_stack([a, b]))
         rep = error_report(mdp, phi, xi, [1.0, -1.0])
-        values = (rep.approx_error, rep.td_error, rep.br_residual, rep.adequacy)
+        values = (rep.td_error, rep.br_residual, rep.adequacy)
         assert np.all(np.isfinite(values))
         assert abs(rep.br_residual ** 2 - rep.td_error ** 2 - rep.adequacy ** 2) <= 1e-12
-        assert values == pytest.approx(exact_report(mdp, phi, xi, [1.0, -1.0]), rel=1e-6)
+        assert values == pytest.approx(exact_report(mdp, phi, xi, [1.0, -1.0])[1:], rel=1e-6)
 
     @pytest.mark.parametrize("w, message", [
         ([np.nan], "non-finite"),

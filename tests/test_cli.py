@@ -109,7 +109,34 @@ def run_solve(paths, gamma, method="td", extra=()):
                  "--weights", paths["xi"], "--method", method, *extra])
 
 
+# sha256 of `projeval solve`'s stdout per (instance, method): example 1's files at
+# gamma 0.5, with direction 1 -1 for oblique, and random_files(seed 40, n=40, k=8) at
+# gamma 0.9. A change that means to move a printed digit re-records them
+SOLVE_DIGESTS = {
+    ("example1", "td"): "83f97c3c2f0a6f1ea085a7a7460f90774dfc70953f2c5089bbf5809abaa7441b",
+    ("example1", "br"): "70d4cd2582c367e133c409c95ae78b731bed840ef3d7fd8b4c4e421195ea692e",
+    ("example1", "best"): "ef2000d2c12e04875c244b182f85742b9fec65b195fa2c42654f049448e25fbb",
+    ("example1", "oblique"): "e672996fecad098ce397a1d9b16ba37202df46bff8c73f9f4f8d04dd671c4cad",
+    ("chain", "td"): "49605a033538336dd3e961ec1a8fec2b42de701a2bd9620b0a2a0e4ecc1d0d56",
+    ("chain", "br"): "6bc91693d9d3a7a7cd387c367fca002a54a8aadfc1f8eaa196321aad4cc3fc78",
+    ("chain", "best"): "c94e666c1084f6f5b91ebca49b24667e3c443ed2abb86cec7d9245613da48fb1",
+    ("chain", "oblique"): "daf68dbf6a748e95ef542f823044c5544c9784ec924af59e0948f8706a7ac2c9",
+}
+
+
 class TestSolve:
+    @pytest.mark.parametrize("instance, method", SOLVE_DIGESTS)
+    def test_stdout_pinned(self, example1_files, tmp_path, capsys, instance, method):
+        if instance == "example1":
+            (tmp_path / "x.txt").write_text("1\n-1\n")
+            paths, gamma = dict(example1_files, x=str(tmp_path / "x.txt")), 0.5
+        else:
+            (tmp_path / "chain").mkdir()
+            paths, gamma = random_files(tmp_path / "chain", 40, n=40, k=8), 0.9
+        assert run_solve(paths, gamma, method, direction(method, paths)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_DIGESTS[instance, method]
+
     def test_td_weight(self, example1_files, capsys):
         assert run_solve(example1_files, 0.5, "td") == 0
         out = capsys.readouterr().out
@@ -341,7 +368,7 @@ class TestSolve:
         monkeypatch.setattr(np, "eye", counting_eye)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         assert run_solve(paths, 0.9, method, direction(method, paths)) == 0
-        # L = I - gamma P once; L v = r once, for the oblique solve and the report's error
+        # L = I - gamma P once; L v = r once, for the oblique solve and its error
         assert formed.count(n) == 1
         assert solved.count((n, n)) == 1
         assert "approx_error" in capsys.readouterr().out
@@ -824,8 +851,8 @@ SVG_DIGESTS = {
     ("td_win_ratio", False): "15a48e4243a42f6f7eda09b4784b4c22f1e941c214e15c385129645194593c1c",
     ("bound_prediction_ratio", False):
         "e318c05f65be41e61ce1a0043c26688a420f306f7ba062b0dac7acaf906b597a",
-    ("mean_td_over_br", True): "cd40548fd9a21803a216fb092c791a50046f1d4dcfe5e30cf30f190702c2ce87",
-    ("mean_rel_td", True): "efc550d01ff1961688bef620a934f43736f3358d81afb529d7363d66ad8d7139",
+    ("mean_td_over_br", True): "6ff04fb862a9db34375d2b0690ee7b4f1f580f9833f9e061210d01729ba28ddb",
+    ("mean_rel_td", True): "69023f7faabc3766ba7ec5ea065d696f7dcf73279e14f7eeb7ade6de633b800d",
     ("mean_rel_br", True): "97d0ba50f09c0cf21a8dc525ad94951d30ac3ff17008506e81bc8e39929a2a28",
 }
 
@@ -923,6 +950,13 @@ class TestHeatmapCommand:
         svg = render_heatmap(PINNED_CELLS, stat, 0.9)
         assert hashlib.sha256(svg.encode()).hexdigest() == SVG_DIGESTS[stat, log]
         assert f">{stat} (gamma=0.9{', log scale' if log else ''})</text>" in svg
+
+    @pytest.mark.parametrize("stat, text", [("mean_td_over_br", "range [0.003, 1.25]"),
+                                            ("mean_rel_td", "range [0, 1.5]")])
+    def test_range_comes_from_colored_cells(self, stat, text):
+        # the hatched (4, 2) holds the largest values, 1.1e3 and 7.25; it is drawn in
+        # no color, so it stretches neither scale
+        assert f">{text}</text>" in render_heatmap(PINNED_CELLS, stat, 0.9)
 
     def test_any_broken_trial_hatches_its_cell(self):
         # without the k = n cells, whose counts say nothing of the others: each

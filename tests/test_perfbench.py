@@ -29,10 +29,11 @@ from run import BLAS_THREAD_VARS, load_projeval  # noqa: E402
 sys.dont_write_bytecode = dont_write_bytecode
 
 # names the traced run wraps that no longer exist (ROADMAP item 6); the error report
-# forms no L, so `analysis` imports no `l_matrix`
+# forms no L and needs no exact value, so `analysis` imports no `l_matrix` and no
+# `exact_value`
 STALE_TRACE_NAMES = {"projeval.kernels.trial_stats", "projeval.solvers.condition_estimate",
                      "projeval.analysis.condition_estimate", "projeval.analysis.l_matrix",
-                     "projeval.projections.condition_estimate"}
+                     "projeval.analysis.exact_value", "projeval.projections.condition_estimate"}
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,8 @@ from projeval.instances import SeedSpec, example1, random_chain, random_features
 from projeval.mdp import l_matrix
 
 from conftest import random_instance
-from oracles import concentration_coefficient, optimal_direction, orthogonal_coefficient_map
+from oracles import (concentration_coefficient, exact_report, optimal_direction,
+                     orthogonal_coefficient_map)
 
 
 class TestExample1ClosedForms:
@@ -228,6 +229,24 @@ def test_direction_bound_is_one_number_whichever_solver_asks(rng):
             obl = solve_oblique(mdp, phi, xi, direction(mdp, phi, xi))
             assert (sol.condition_estimate, sol.status) == (obl.condition_estimate, obl.status)
     assert solve_td(*instances[1]).status == "singular"
+
+
+def test_each_solve_carries_its_approximation_error(rng):
+    # ||v - Phi w||_xi is the solve's, as its bound is; an exact-arithmetic candidate
+    # agrees, and a singular solve has none
+    for _ in range(10):
+        mdp, phi, xi = random_instance(rng, n_max=6, m_max=3)
+        v = exact_value(mdp)
+        for sol in (solve_best(mdp, phi, xi), solve_td(mdp, phi, xi), solve_br(mdp, phi, xi),
+                    solve_oblique(mdp, phi, xi, rng.normal(size=phi.matrix.shape))):
+            if sol.ok:
+                assert sol.approx_error == weighted_norm(v - sol.value_estimate, xi)
+                assert sol.approx_error == pytest.approx(
+                    exact_report(mdp, phi, xi, sol.weights)[0],
+                    rel=1e-9, abs=1e-12 * weighted_norm(v, xi))
+    inst = example1(5.0 / 6.0, 0.0)
+    sol = solve_td(inst.mdp, inst.phi, inst.xi)
+    assert sol.status == "singular" and sol.approx_error is None
 
 
 def test_only_projection_solution_carries_a_status():
