@@ -105,7 +105,7 @@ def cmd_sweep(args) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
 
     cell_blocks = []
-    tails = dict.fromkeys(gammas, np.empty(0))  # e_td / e_br of k < n, regular-TD trials
+    tails = {gamma: [] for gamma in gammas}  # e_td / e_br of k < n, regular-TD trials, by column
     breaks = dict.fromkeys(gammas, 0)  # _breaks of the same trials
 
     def columns():
@@ -115,7 +115,7 @@ def cmd_sweep(args) -> None:
                                          config.feature_trials * config.mdp_trials))
             kept = records[(records["k"] < records["n"]) & ~records["td_singular"]]
             gamma = float(records["gamma"][0])
-            tails[gamma] = np.append(tails[gamma], kept["e_td"] / kept["e_br"])
+            tails[gamma].append(kept["e_td"] / kept["e_br"])
             breaks[gamma] = breaks[gamma] + _breaks(kept)
             yield records
 
@@ -132,7 +132,7 @@ def cmd_sweep(args) -> None:
             raise
 
     for gamma in gammas:
-        print(_tail_summary(gamma, tails[gamma]))
+        print(_tail_summary(gamma, np.concatenate(tails[gamma])))
         print("  k<n breaks: " + " ".join(map("{}={}".format, BREAKS, breaks[gamma])))
 
 

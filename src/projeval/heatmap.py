@@ -4,9 +4,10 @@ Renders one colored rect per (n, k) row of a cell record array
 (`harness.CELL_DTYPE`, from `aggregate` or `matio.read_cell_csv`) for a
 fixed gamma, n on the x axis and k on the y axis. The shares in
 `UNIT_SCALE_STATS` are colored linearly on [0, 1], the ratio means on a log
-scale over the range of the cells drawn in color. A cell is hatched when its
-statistic is NaN or when any of its trials is singular or excluded (degenerate).
-No plotting library is involved; the output is plain SVG 1.1.
+scale over the range of the cells drawn in color. A cell is colored only when
+its value lies in its scale's domain and none of its trials is singular or
+excluded (degenerate); every other cell, a NaN one too, is hatched. No plotting
+library is involved; the output is plain SVG 1.1.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import math
 import numpy as np
 
 from .harness import STAT_FIELDS
-# indicator means live in [0, 1] and get a fixed linear color scale; ratio means get a
-# log scale over their range, on which a few huge ratios do not wash out every other cell
+# indicator means have the domain [0, 1] and get a fixed linear color scale; ratio means
+# have the domain (0, inf) and get a log scale over their range, on which a few huge
+# ratios do not wash out every other cell
 UNIT_SCALE_STATS = {"td_win_ratio", "bound_prediction_ratio"}
 
 _CELL = 16
@@ -31,7 +33,6 @@ _ANCHORS = [(0.0, (68, 1, 84)), (0.5, (33, 145, 140)), (1.0, (253, 231, 37))]
 
 
 def _color(t: float) -> str:
-    t = min(1.0, max(0.0, t))
     (t0, c0), (t1, c1) = next(pair for pair in zip(_ANCHORS, _ANCHORS[1:]) if t <= pair[1][0])
     u = (t - t0) / (t1 - t0)
     rgb = [round(a + u * (b - a)) for a, b in zip(c0, c1)]
@@ -49,23 +50,20 @@ def render_heatmap(cells: np.ndarray, stat: str, gamma: float) -> str:
         available = sorted(set(cells["gamma"].tolist()))
         raise ValueError(f"no cells for gamma={gamma}; available: {available}")
 
-    ns, ks = selected["n"].tolist(), selected["k"].tolist()
-    values = dict(zip(zip(ns, ks), selected[stat].tolist()))
-    broken = (selected["singular_count"] + selected["excluded_count"]).tolist()
-    hatched = {key for key, b in zip(zip(ns, ks), broken) if b > 0 or math.isnan(values[key])}
-
-    drawn = [v for key, v in values.items() if key not in hatched]  # the colored cells
+    values = selected[stat]
     log_scale = stat not in UNIT_SCALE_STATS
+    # NaN fails every comparison, so it is hatched with the values the scale cannot place
+    in_domain = (values > 0) & (values < math.inf) if log_scale else (values >= 0) & (values <= 1)
+    colored = in_domain & (selected["singular_count"] + selected["excluded_count"] == 0)
+    drawn = values[colored].tolist()
     lo, hi = (min(drawn), max(drawn)) if drawn and log_scale else (0.0, 1.0)
-    floor = min((v for v in drawn if v > 0), default=1.0)
-
-    def axis(v):
-        return math.log10(max(v, floor)) if log_scale else v
-    alo, ahi = axis(lo), axis(hi)
+    axis = math.log10 if log_scale else float
+    alo, ahi = (axis(lo), axis(hi)) if drawn else (lo, hi)  # no log10(0) when nothing is drawn
 
     def scale(v):
         return 0.5 if ahi == alo else (axis(v) - alo) / (ahi - alo)
 
+    ns, ks = selected["n"].tolist(), selected["k"].tolist()
     n_min, n_max, k_max = min(ns), max(ns), max(ks)
     width = _MARGIN_LEFT + (n_max - n_min + 1) * _CELL + _MARGIN_RIGHT
     axis_y = _MARGIN_TOP + k_max * _CELL
@@ -83,10 +81,10 @@ def render_heatmap(cells: np.ndarray, stat: str, gamma: float) -> str:
         _text(f"{width / 2:.1f}", 18, 12,
               f"{stat} (gamma={gamma!r}{', log scale' if log_scale else ''})"),
     ]
-    for (n, k), v in sorted(values.items()):
+    for n, k, v, c in sorted(zip(ns, ks, values.tolist(), colored.tolist())):
         x = _MARGIN_LEFT + (n - n_min) * _CELL
         y = _MARGIN_TOP + (k_max - k) * _CELL
-        fill = "url(#hatch)" if (n, k) in hatched else _color(scale(v))
+        fill = _color(scale(v)) if c else "url(#hatch)"
         parts.append(
             f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" '
             f'fill="{fill}" stroke="white" stroke-width="0.5">'

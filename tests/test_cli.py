@@ -829,7 +829,7 @@ class TestSweepCommand:
 # a hand-built cell table, so that no BLAS bit enters the SVGs: cells of 4
 # trials (the k = n cells exclude all 4); at gamma 0.9, NaN cells, n=3 k=2 with
 # 3 of its 4 trials singular or excluded, n=3 k=1 and n=4 k=2 with 1 and 2,
-# zeros below mean_rel_td's log floor and two constant columns,
+# zeros outside mean_rel_td's log domain and two constant columns,
 # bound_prediction_ratio (unit scale) and mean_rel_br
 PINNED_CELLS = np.array([
     (0.9, 2, 1, 1.0, 0.75, 1.25, 0.0, 2.5, 0, 0),
@@ -852,9 +852,19 @@ SVG_DIGESTS = {
     ("bound_prediction_ratio", False):
         "e318c05f65be41e61ce1a0043c26688a420f306f7ba062b0dac7acaf906b597a",
     ("mean_td_over_br", True): "6ff04fb862a9db34375d2b0690ee7b4f1f580f9833f9e061210d01729ba28ddb",
-    ("mean_rel_td", True): "69023f7faabc3766ba7ec5ea065d696f7dcf73279e14f7eeb7ade6de633b800d",
+    ("mean_rel_td", True): "3a5bef4007fbafffc93bb31a1320b705bd1909abdbbd793de1cd932a491f2932",
     ("mean_rel_br", True): "97d0ba50f09c0cf21a8dc525ad94951d30ac3ff17008506e81bc8e39929a2a28",
 }
+
+
+def _fills(svg: str) -> dict:
+    """Each cell's fill in a heatmap, by (n, k)."""
+    return {(int(n), int(k)): fill
+            for fill, n, k in re.findall(r'fill="([^"]+)"[^>]*><title>n=(\d+) k=(\d+) ', svg)}
+
+
+def _range(svg: str) -> str:
+    return re.search(r">(range \[.*\])</text>", svg).group(1)
 
 
 class TestHeatmapCommand:
@@ -952,11 +962,37 @@ class TestHeatmapCommand:
         assert f">{stat} (gamma=0.9{', log scale' if log else ''})</text>" in svg
 
     @pytest.mark.parametrize("stat, text", [("mean_td_over_br", "range [0.003, 1.25]"),
-                                            ("mean_rel_td", "range [0, 1.5]")])
+                                            ("mean_rel_td", "range [1.5, 1.5]")])
     def test_range_comes_from_colored_cells(self, stat, text):
         # the hatched (4, 2) holds the largest values, 1.1e3 and 7.25; it is drawn in
         # no color, so it stretches neither scale
         assert f">{text}</text>" in render_heatmap(PINNED_CELLS, stat, 0.9)
+
+    def test_zero_ratio_is_hatched(self):
+        # 0 lies outside the log scale's domain: (2, 1) and (4, 3) hold it and are
+        # hatched, and the scale is placed by (4, 1)'s 1.5 alone
+        fills = _fills(render_heatmap(PINNED_CELLS, "mean_rel_td", 0.9))
+        assert fills[2, 1] == fills[4, 3] == "url(#hatch)"
+        assert fills[4, 1] == "rgb(33,145,140)"
+
+    @pytest.mark.parametrize("stat, bad", [
+        ("mean_td_over_br", {(2, 1): np.inf}),
+        ("mean_td_over_br", {(2, 1): -1.0}),
+        ("td_win_ratio", {(2, 1): 1.7, (4, 3): -0.3}),
+    ], ids=["ratio-inf", "ratio-negative", "share-above-and-below"])
+    def test_value_outside_the_domain_is_hatched(self, stat, bad):
+        # a value its scale cannot place is hatched and stretches no scale: the other
+        # cells keep the colors and range of the same map without the bad cells
+        cells = PINNED_CELLS[PINNED_CELLS["gamma"] == 0.9]
+        at = np.zeros(cells.size, dtype=bool)
+        for (n, k), value in bad.items():
+            cell = (cells["n"] == n) & (cells["k"] == k)
+            cells[stat][cell] = value
+            at |= cell
+        svg, clean = (render_heatmap(c, stat, 0.9) for c in (cells, cells[~at]))
+        fills = _fills(svg)
+        assert [fills.pop(key) for key in bad] == ["url(#hatch)"] * len(bad)
+        assert fills == _fills(clean) and _range(svg) == _range(clean)
 
     def test_any_broken_trial_hatches_its_cell(self):
         # without the k = n cells, whose counts say nothing of the others: each
