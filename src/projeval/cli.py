@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import analysis, heatmap, instances, matio, solvers
-from .harness import SweepConfig, aggregate, is_degenerate, sweep_columns
+from .harness import SweepConfig, aggregate, is_degenerate, report, sweep_columns, tail
 from .mdp import exact_value, make_mdp
 from .projections import make_feature_basis, make_state_weights, weighted_norm
 
@@ -98,25 +98,18 @@ def cmd_example1(args) -> None:
 
 
 def cmd_sweep(args) -> None:
-    gammas = tuple(_parse_grid(args.gammas))
-    config = SweepConfig(gammas=gammas, n_max=args.n_max,
-                         feature_trials=args.trials, mdp_trials=args.trials,
-                         master_seed=args.seed)
+    config = SweepConfig(gammas=tuple(_parse_grid(args.gammas)), n_max=args.n_max,
+                         feature_trials=args.trials, mdp_trials=args.trials, master_seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    cell_blocks = []
-    tails = {gamma: [] for gamma in gammas}  # e_td / e_br of k < n, regular-TD trials, by column
-    breaks = dict.fromkeys(gammas, 0)  # _breaks of the same trials
+    cell_blocks, tails = [], {gamma: [] for gamma in config.gammas}  # each column's tail, by gamma
 
     def columns():
-        # each column's trial rows are written, and its cells and ratios kept, as it arrives
+        # each column's trial rows are written, and its cells and tail kept, as it arrives
         for records in sweep_columns(config, workers=_usable_cpus()):
             cell_blocks.append(aggregate(records, config.singular_policy,
                                          config.feature_trials * config.mdp_trials))
-            kept = records[(records["k"] < records["n"]) & ~records["td_singular"]]
-            gamma = float(records["gamma"][0])
-            tails[gamma].append(kept["e_td"] / kept["e_br"])
-            breaks[gamma] = breaks[gamma] + _breaks(kept)
+            tails[float(records["gamma"][0])].append(tail(records))
             yield records
 
     # both files are open before the first column runs; a failure then removes both
@@ -131,9 +124,8 @@ def cmd_sweep(args) -> None:
                 os.remove(fh.name)
             raise
 
-    for gamma in gammas:
-        print(_tail_summary(gamma, np.concatenate(tails[gamma])))
-        print("  k<n breaks: " + " ".join(map("{}={}".format, BREAKS, breaks[gamma])))
+    for gamma, gamma_tails in tails.items():
+        print(report(gamma, gamma_tails))
 
 
 def _usable_cpus() -> int:
@@ -143,33 +135,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# the paper's inequalities for a regular TD trial, as the checks its trials may break:
-# the best error is at most either error, each bound at least 1, each error within its bound
-BREAKS = ("e>e_td", "e>e_br", "b_td<1", "b_br<1", "e_td>b_td*e", "e_br>b_br*e")
-
-
-def _breaks(trials: np.ndarray) -> np.ndarray:
-    """How many trials break each check of `BREAKS`, with a relative slack."""
-    e, e_td, e_br, b_td, b_br = (trials[f] for f in ("e", "e_td", "e_br", "b_td", "b_br"))
-    return np.count_nonzero([e > e_td * (1 + 1e-9), e > e_br * (1 + 1e-9),
-                             b_td < 1 - 1e-9, b_br < 1 - 1e-9,
-                             e_td > b_td * e * (1 + 1e-6), e_br > b_br * e * (1 + 1e-6)], axis=1)
-
-
-def _tail_summary(gamma: float, ratios: np.ndarray) -> str:
-    """How often TD beats BR trial by trial at `gamma`, and how much of the mean ratio
-    its worst 0.1% of trials hold."""
-    top = math.ceil(0.001 * ratios.size)
-    share = np.sort(ratios)[-top:].sum() / ratios.sum()
-    # a ratio is below 1 exactly when e_td < e_br: the quotient is then at most
-    # 1 - 2**-53, a float, and division rounds monotonically
-    return (f"gamma={gamma!r} k<n: trials={ratios.size} td_win_share={np.mean(ratios < 1):.4f} "
-            f"td_over_br median={np.median(ratios):.4f} mean={np.mean(ratios):.4f} "
-            f"p99={np.percentile(ratios, 99):.4f} top{top}_share={share:.4f}")
-
-
 def cmd_heatmap(args) -> None:
-    cells = matio.read_cell_csv(args.cells)
+    cells = matio.read_csv(args.cells)
+    if cells.dtype.names != matio.CELL_DTYPE.names:
+        raise ValueError(f"{args.cells}: a trials.csv, expected a cells.csv")
     svg = heatmap.render_heatmap(cells, args.stat, args.gamma)
     with open(args.out, "w") as fh:
         fh.write(svg)

@@ -180,3 +180,29 @@ def aggregate(records: np.ndarray,
                   _mean(e_td[td] / e_br[td]), _mean(e_td[td] / e[td]), _mean(e_br[br] / e[br]),
                   np.count_nonzero(singular), np.count_nonzero(degenerate))
     return out
+
+
+BREAKS = ("e>e_td", "e>e_br", "b_td<1", "b_br<1", "e_td>b_td*e", "e_br>b_br*e")
+
+
+def tail(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The `e_td / e_br` ratios of the k < n, regular-TD trials of `records` (trials.csv's
+    fields suffice), and how many break each of the paper's inequalities in `BREAKS`, with a
+    slack: the best error at most either error, each bound at least 1, each error within it."""
+    kept = records[(records["k"] < records["n"]) & ~records["td_singular"]]
+    e, e_td, e_br, b_td, b_br = (kept[f] for f in ("e", "e_td", "e_br", "b_td", "b_br"))
+    return e_td / e_br, np.count_nonzero([
+        e > e_td * (1 + 1e-9), e > e_br * (1 + 1e-9), b_td < 1 - 1e-9, b_br < 1 - 1e-9,
+        e_td > b_td * e * (1 + 1e-6), e_br > b_br * e * (1 + 1e-6)], axis=1)
+
+
+def report(gamma: float, tails: list[tuple[np.ndarray, np.ndarray]]) -> str:
+    """The sweep's two printed lines for `gamma`, from the `tail`s of its trials in any slices."""
+    ratios = np.concatenate([r for r, _ in tails])
+    top = int(np.ceil(0.001 * ratios.size))
+    # ratio < 1 exactly when e_td < e_br: 1 - 2**-53 is a float and division rounds monotonically
+    return (f"gamma={float(gamma)!r} k<n: trials={ratios.size} "
+            f"td_win_share={np.mean(ratios < 1):.4f} td_over_br median={np.median(ratios):.4f} "
+            f"mean={np.mean(ratios):.4f} p99={np.percentile(ratios, 99):.4f} "
+            f"top{top}_share={np.sort(ratios)[-top:].sum() / ratios.sum():.4f}\n  k<n breaks: "
+            + " ".join(map("{}={}".format, BREAKS, sum(b for _, b in tails))))

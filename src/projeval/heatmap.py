@@ -1,8 +1,8 @@
 """Self-contained SVG heatmaps of per-cell sweep statistics.
 
 Renders one colored rect per (n, k) row of a cell record array
-(`harness.CELL_DTYPE`, from `aggregate` or `matio.read_cell_csv`) for a
-fixed gamma, n on the x axis and k on the y axis. The shares in
+(`harness.CELL_DTYPE`, from `aggregate` or `matio.read_csv` of a cells.csv) for
+a fixed gamma, n on the x axis and k on the y axis. The shares in
 `UNIT_SCALE_STATS` are colored linearly on [0, 1], the ratio means on a log
 scale over the range of the cells drawn in color. A cell is colored only when
 its value lies in its scale's domain and none of its trials is singular or

@@ -6,7 +6,7 @@ as Python's `float()` reads it (`-1.5`, `2e-3`, `1e400` is inf) or `nan`,
 `inf`, `infinity` in any case and with an optional sign; digit-group
 underscores (`1_0`) and non-ASCII digits are rejected. Blank lines are
 skipped, and so is a line whose first non-blank character is '#'; a '#'
-later in a line is an error. Matrix files and cells.csv are read as UTF-8,
+later in a line is an error. Matrix files and both CSVs are read as UTF-8,
 and a line holding bytes that are not UTF-8 is a bad line. The CSVs hold
 the fields of the record arrays `harness.TRIAL_DTYPE` (but v_norm) and
 `harness.CELL_DTYPE`: gamma, the only float key, as its shortest exact text (`%r`),
@@ -30,7 +30,7 @@ _CSV_CHUNK_ROWS = 4096
 
 
 class MatrixParseError(ValueError):
-    """A line of a matrix file or cells.csv failed to parse; carries the 1-based line number,
+    """A line of a matrix file or a sweep CSV failed to parse; carries the 1-based line number,
     or 0 for an error of the whole file, whose message then names no line."""
 
     def __init__(self, path: str, line_no: int, message: str):
@@ -130,47 +130,52 @@ def write_cell_csv(path: str, cells: np.ndarray) -> None:
         write_csv(fh, [cells], CELL_HEADER)
 
 
-def read_cell_csv(path: str) -> np.recarray:
-    """Read a cells.csv back into a `CELL_DTYPE` record array, checking its
-    header, each row's width and values, and that the rows form a grid: each
-    `(gamma, n, k)` once, `0 < gamma < 1`, `n >= 2`, `1 <= k <= n`, counts >= 0."""
-    types = [CELL_DTYPE[f].type for f in CELL_HEADER]
-    cells = []
-    first_line = {}
+def read_csv(path: str) -> np.recarray:
+    """Read a trials.csv or a cells.csv, as its header says, into a record array of exactly
+    the header's fields (`TRIAL_DTYPE` but v_norm, or `CELL_DTYPE`), checking each row's
+    width and values, and that the rows form a grid (`_grid_problem`)."""
     reader = csv.reader(_utf8_lines(path, newline=""))
     header = next(reader, None)
-    if header != CELL_HEADER:
+    if header not in (TRIAL_HEADER, CELL_HEADER):
         raise MatrixParseError(path, reader.line_num, f"unexpected header {header}")
-    for row in reader:
-        if len(row) != len(types):
-            raise MatrixParseError(path, reader.line_num,
-                                   f"row has {len(row)} fields, expected {len(types)}")
-        try:
-            cell = tuple(t(x) for t, x in zip(types, row))
-        except (ValueError, OverflowError) as exc:
-            raise MatrixParseError(path, reader.line_num, f"bad value: {exc}") from None
-        problem = _grid_problem(dict(zip(CELL_HEADER, cell)), first_line, reader.line_num)
-        if problem:
-            raise MatrixParseError(path, reader.line_num, problem)
-        cells.append(cell)
-    return np.array(cells, dtype=CELL_DTYPE).view(np.recarray)
+    dtype = (CELL_DTYPE if header == CELL_HEADER else TRIAL_DTYPE)[header]  # v_norm left out
+    types = [int if dtype[f].kind == "b" else dtype[f].type for f in header]  # bool("0") is True
+    first_line = {}
+
+    def rows():  # checked one by one into the array, so no row is held as Python objects
+        for row in reader:
+            if len(row) != len(types):
+                raise MatrixParseError(path, reader.line_num,
+                                       f"row has {len(row)} fields, expected {len(types)}")
+            try:
+                values = tuple(t(x) for t, x in zip(types, row))
+            except (ValueError, OverflowError) as exc:
+                raise MatrixParseError(path, reader.line_num, f"bad value: {exc}") from None
+            problem = _grid_problem(dict(zip(header, values)), first_line, reader.line_num)
+            if problem:
+                raise MatrixParseError(path, reader.line_num, problem)
+            yield values
+    return np.fromiter(rows(), dtype).view(np.recarray)
 
 
-def _grid_problem(cell: dict, first_line: dict, line_no: int) -> str | None:
-    """Why a cells.csv row does not fit the grid, or None; `first_line` maps
-    each `(gamma, n, k)` seen so far to its line."""
-    gamma, n, k = cell["gamma"], cell["n"], cell["k"]
+def _grid_problem(row: dict, first_line: dict, line_no: int) -> str | None:
+    """Why a row does not fit the grid, or None; `first_line` maps each key seen so far to its
+    line: (gamma, n, k) and a trial's (phi_trial, mdp_trial), as Python scalars: ints shared."""
+    fields = [f for f in ("gamma", "n", "k", "phi_trial", "mdp_trial") if f in row]
+    key = tuple(row[f].item() for f in fields)
+    gamma, n, k = key[:3]
+    first = first_line.setdefault(key, line_no)
     if not 0.0 < gamma < 1.0:
         return f"gamma is {gamma}, expected in (0, 1)"
-    if (gamma, n, k) in first_line:
-        return (f"duplicate cell gamma={gamma} n={n} k={k}, "
-                f"first on line {first_line[gamma, n, k]}")
-    first_line[gamma, n, k] = line_no
-    if n < 2:
-        return f"n is {n}, expected at least 2"
+    if first != line_no:
+        return (f"duplicate {'trial' if len(key) > 3 else 'cell'} "
+                + " ".join(map("{}={}".format, fields, key)) + f", first on line {first}")
+    for field, least in {"n": 2, "phi_trial": 0, "mdp_trial": 0, "singular_count": 0,
+                         "excluded_count": 0}.items():
+        if row.get(field, least) < least:
+            return f"{field} is {row[field]}, expected at least {least}"
     if not 1 <= k <= n:
         return f"k is {k}, expected 1..{n}"
-    for field in ("singular_count", "excluded_count"):
-        if cell[field] < 0:
-            return f"{field} is {cell[field]}, expected at least 0"
+    if row.get("td_singular", 0) not in (0, 1):
+        return f"td_singular is {row['td_singular']}, expected 0 or 1"
     return None

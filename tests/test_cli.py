@@ -18,7 +18,7 @@ from projeval import (SweepConfig, aggregate, cli, harness, make_feature_basis, 
                       make_state_weights, sweep)
 from projeval.cli import build_parser, main
 from projeval.heatmap import render_heatmap
-from projeval.matio import parse_matrix, parse_vector, read_cell_csv, write_cell_csv
+from projeval.matio import parse_matrix, parse_vector, read_csv, write_cell_csv
 
 from oracles import exact_best_weights, write_matrix
 from test_harness import CSV_DIGESTS
@@ -563,20 +563,16 @@ class TestSweepCommand:
         out = tmp_path / "out"
         assert main(["sweep", "--gammas", "0.9 0.99", "--n-max", "5",
                      "--trials", "3", "--out-dir", str(out)]) == 0
-        with open(out / "cells.csv") as fh:
-            rows = list(csv.DictReader(fh))
         # sum_{n=2..5} n = 14 cells per gamma
-        assert len(rows) == 28
-        with open(out / "trials.csv") as fh:
-            assert len(list(csv.DictReader(fh))) == 28 * 9
+        assert len(read_csv(out / "cells.csv")) == 28
+        assert len(read_csv(out / "trials.csv")) == 28 * 9
         assert "td_win_share" in capsys.readouterr().out
 
     def test_single_gamma(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["sweep", "--gammas", "0.9", "--n-max", "3",
                      "--trials", "2", "--out-dir", str(out)]) == 0
-        with open(out / "cells.csv") as fh:
-            assert {row["gamma"] for row in csv.DictReader(fh)} == {"0.9"}
+        assert set(read_csv(out / "cells.csv").gamma.tolist()) == {0.9}
 
     def test_byte_identical_reruns(self, monkeypatch, tmp_path):
         args = ["sweep", "--gammas", "0.9", "--n-max", "4", "--trials", "2"]
@@ -604,27 +600,26 @@ class TestSweepCommand:
                      "--out-dir", str(out)]) == 0
 
         def keys(name):
-            with open(out / name) as fh:
-                return [(row["gamma"], row["n"], row["k"]) for row in csv.DictReader(fh)]
+            rows = read_csv(out / name)
+            return list(zip(rows.gamma.tolist(), rows.n.tolist(), rows.k.tolist()))
 
         assert keys("cells.csv") == list(dict.fromkeys(keys("trials.csv")))
-        assert keys("cells.csv")[0] == ("0.99", "2", "1")
+        assert keys("cells.csv")[0] == (0.99, 2, 1)
 
     def test_tail_summary_recomputed_from_trials_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
         # 28 * 36 = 1008 trials with k < n per gamma, so the top 0.1% is 2 trials
         assert main(["sweep", "--gammas", "0.9 0.99", "--n-max", "8", "--trials", "6",
                      "--out-dir", str(out)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        with open(out / "trials.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        cells = read_cell_csv(out / "cells.csv")
+        stdout = capsys.readouterr().out
+        lines = stdout.splitlines()
+        trials = read_csv(out / "trials.csv")
+        cells = read_csv(out / "cells.csv")
         assert len(lines) == 4
         for gamma, line in zip(("0.9", "0.99"), lines[::2]):
-            kept = [row for row in rows if row["gamma"] == gamma
-                    and int(row["k"]) < int(row["n"]) and row["td_singular"] == "0"]
-            e_td = np.array([float(row["e_td"]) for row in kept])
-            e_br = np.array([float(row["e_br"]) for row in kept])
+            kept = trials[(trials.gamma == float(gamma)) & (trials.k < trials.n)
+                          & ~trials.td_singular]
+            e_td, e_br = kept.e_td, kept.e_br
             ratios = np.sort(e_td / e_br)
             top = int(np.ceil(0.001 * len(ratios)))
             assert line.startswith(f"gamma={gamma} k<n: trials=1008 ") and len(kept) == 1008
@@ -642,20 +637,23 @@ class TestSweepCommand:
             sub = cells[(cells["gamma"] == float(gamma)) & (cells["k"] < cells["n"])]
             for stat, key in (("td_win_ratio", "td_win_share"), ("mean_td_over_br", "mean")):
                 assert abs(np.mean(sub[stat]) - float(printed[key])) <= 0.5e-4, stat
+        # the report recomputed from the file's 12-digit floats is the printed one exactly
+        recomputed = [harness.report(g, [harness.tail(trials[trials.gamma == g])])
+                      for g in (0.9, 0.99)]
+        assert stdout == "\n".join(recomputed) + "\n"
 
     def test_breaks_recomputed_from_trials_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
         # 21,600 trials, 18,000 of them with k < n; 32 of those break the BR bound
         assert main(["sweep", "--gammas", "0.999", "--n-max", "10", "--trials", "20",
                      "--out-dir", str(out)]) == 0
-        tail, line = capsys.readouterr().out.splitlines()
+        stdout = capsys.readouterr().out
+        tail, line = stdout.splitlines()
         assert tail.startswith("gamma=0.999 k<n: trials=18000 ")
-        with open(out / "trials.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 21600
-        kept = [row for row in rows if int(row["k"]) < int(row["n"]) and row["td_singular"] == "0"]
-        e, e_td, e_br, b_td, b_br = (np.array([float(row[f]) for row in kept])
-                                     for f in ("e", "e_td", "e_br", "b_td", "b_br"))
+        trials = read_csv(out / "trials.csv")
+        assert len(trials) == 21600
+        kept = trials[(trials.k < trials.n) & ~trials.td_singular]
+        e, e_td, e_br, b_td, b_br = (kept[f] for f in ("e", "e_td", "e_br", "b_td", "b_br"))
         expected = {"e>e_td": e > e_td * (1 + 1e-9), "e>e_br": e > e_br * (1 + 1e-9),
                     "b_td<1": b_td < 1 - 1e-9, "b_br<1": b_br < 1 - 1e-9,
                     "e_td>b_td*e": e_td > b_td * e * (1 + 1e-6),
@@ -663,6 +661,7 @@ class TestSweepCommand:
         assert line == "  k<n breaks: " + " ".join(
             f"{name}={np.count_nonzero(broken)}" for name, broken in expected.items())
         assert np.count_nonzero(expected["e_br>b_br*e"]) > 0  # == 0 once ROADMAP item 14 is done
+        assert stdout == harness.report(0.999, [harness.tail(trials)]) + "\n"
 
     def test_pool_capped_at_columns(self, monkeypatch, tmp_path):
         pools = []
@@ -776,7 +775,7 @@ class TestSweepCommand:
         assert main(["sweep", "--gammas", " ".join(map(repr, gammas)), "--n-max", "3",
                      "--trials", "2", "--out-dir", str(out)]) == 0
         capsys.readouterr()
-        cells = read_cell_csv(out / "cells.csv")
+        cells = read_csv(out / "cells.csv")
         assert list(dict.fromkeys(cells.gamma.tolist())) == list(gammas)
         for gamma in gammas:
             svg = out / f"{gamma!r}.svg"
@@ -917,17 +916,36 @@ class TestHeatmapCommand:
         ("0.9,6,1,0.5,0.5,1.1,1.2,1.3,-4,0", "singular_count is -4, expected at least 0"),
         ("0.9,6,1,0.5,0.5,1.1,1.2,1.3,0,-1", "excluded_count is -1, expected at least 0"),
         ("0.9,2,1,0.5,\udcff,1.1,1.2,1.3,0,0", "not UTF-8: "),  # written as the byte 0xff
+        ("trials.csv|0.9,5,1,2,2,0.5,0.6,0.7,1.5,1.6,2", "td_singular is 2, expected 0 or 1"),
+        ("trials.csv|0.9,2,1,0,0,0.5,0.6,0.7,1.5,1.6,0",
+         "duplicate trial gamma=0.9 n=2 k=1 phi_trial=0 mdp_trial=0, first on line 2"),
+        ("trials.csv|0.9,5,1,2,-1,0.5,0.6,0.7,1.5,1.6,0", "mdp_trial is -1, expected at least 0"),
+        ("trials.csv|0.9,5,1,0.5,2,0.5,0.6,0.7,1.5,1.6,0", "bad value"),
+        ("trials.csv|0.9,5,1,2,2,0.5,0.6,0.7,1.5,1.6", "row has 10 fields, expected 11"),
     ])
     def test_malformed_row_reports_line(self, row, message, cells_csv, tmp_path, capsys):
-        lines = Path(cells_csv).read_text().splitlines()
+        # a row after "trials.csv|" goes into the sweep's trials.csv, which the one reader
+        # checks before the heatmap turns the file down; every other row into cells.csv
+        name, _, row = row.rpartition("|")
+        good = Path(cells_csv).with_name(name or "cells.csv")
+        lines = good.read_text().splitlines()
         lines.insert(3, row)
-        bad = tmp_path / "cells.csv"
+        bad = tmp_path / good.name
         bad.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", errors="surrogateescape")
         svg = tmp_path / "x.svg"
         assert main(["heatmap", "--cells", str(bad), "--stat", "td_win_ratio",
                      "--gamma", "0.9", "--out", str(svg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:4: {message}") and err.count("\n") == 1
+        assert not svg.exists()
+
+    def test_trials_csv_rejected(self, cells_csv, tmp_path, capsys):
+        trials_csv = Path(cells_csv).with_name("trials.csv")
+        svg = tmp_path / "x.svg"
+        assert main(["heatmap", "--cells", str(trials_csv), "--stat", "td_win_ratio",
+                     "--gamma", "0.9", "--out", str(svg)]) == 1
+        assert_one_line(capsys.readouterr().err,
+                        f"error: {trials_csv}: a trials.csv, expected a cells.csv")
         assert not svg.exists()
 
     def test_wrong_header_reports_line_1(self, cells_csv, tmp_path, capsys):
@@ -943,10 +961,10 @@ class TestHeatmapCommand:
 
     def test_unknown_statistic_raises(self, cells_csv):
         with pytest.raises(ValueError, match="^unknown statistic 'bogus'"):
-            render_heatmap(read_cell_csv(cells_csv), "bogus", 0.9)
+            render_heatmap(read_csv(cells_csv), "bogus", 0.9)
 
     def test_statistic_nan_in_every_cell_is_all_hatched(self, cells_csv):
-        cells = read_cell_csv(cells_csv)
+        cells = read_csv(cells_csv)
         cells.mean_td_over_br = np.nan
         svg = render_heatmap(cells, "mean_td_over_br", 0.9)
         assert "range [0, 1]" in svg
@@ -1015,7 +1033,7 @@ class TestHeatmapCommand:
         cells = aggregate(records)
         path = tmp_path / "cells.csv"
         write_cell_csv(path, cells)
-        back = read_cell_csv(path)
+        back = read_csv(path)
         assert isinstance(back, np.recarray) and back.dtype == cells.dtype
         for field in cells.dtype.names:
             np.testing.assert_allclose(back[field], cells[field], rtol=1e-11, err_msg=field)

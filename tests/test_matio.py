@@ -19,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from projeval import harness
-from projeval.matio import CELL_HEADER, TRIAL_HEADER, MatrixParseError, parse_matrix, write_csv
+from projeval.matio import (CELL_HEADER, TRIAL_HEADER, MatrixParseError, parse_matrix, read_csv,
+                            write_csv, write_trial_csv)
 
 from oracles import parse_matrix_loop, write_csv_format
 
@@ -185,3 +186,25 @@ def test_csv_writer_matches_format_oracle(dtype, header, tmp_path):
                   # gamma leads each row at its shortest exact text
                   b"\r\n5e-324,", b"\r\n-0.0,", b"\r\n0.3333333333333333,"):
         assert token in expected
+
+
+def test_trial_csv_reads_back_at_12_digits(tmp_path):
+    # a gamma of 13 digits, which only its shortest exact text keeps, and both flags
+    records = harness.sweep(harness.SweepConfig(gammas=(0.9, 0.1000000000001), n_max=4,
+                                                feature_trials=2, mdp_trials=3))
+    records.td_singular[::5] = True
+    path = tmp_path / "trials.csv"
+    write_trial_csv(path, records)
+    back = read_csv(path)
+    assert isinstance(back, np.recarray) and back.dtype.names == tuple(TRIAL_HEADER)
+    assert "v_norm" not in back.dtype.names
+    for f in TRIAL_HEADER:
+        values = records[f].tolist()
+        if records.dtype[f].kind == "f" and f != "gamma":
+            values = [float(f"{x:.12g}") for x in values]
+        assert back[f].dtype == records.dtype[f]
+        np.testing.assert_array_equal(back[f], np.array(values, records.dtype[f]), err_msg=f,
+                                      strict=True)
+    # without v_norm no trial can be told degenerate, so aggregate refuses the file
+    with pytest.raises(ValueError, match="v_norm"):
+        harness.aggregate(back)
