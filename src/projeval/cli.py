@@ -136,9 +136,10 @@ def _usable_cpus() -> int:
 
 
 def cmd_heatmap(args) -> None:
+    with open(args.cells, encoding="utf-8", errors="replace") as fh:  # its header alone
+        if fh.readline().rstrip("\n") == ",".join(matio.TRIAL_HEADER):
+            raise ValueError(f"{args.cells}: a trials.csv, expected a cells.csv")
     cells = matio.read_csv(args.cells)
-    if cells.dtype.names != matio.CELL_DTYPE.names:
-        raise ValueError(f"{args.cells}: a trials.csv, expected a cells.csv")
     svg = heatmap.render_heatmap(cells, args.stat, args.gamma)
     with open(args.out, "w") as fh:
         fh.write(svg)

@@ -18,7 +18,8 @@ from projeval import (SweepConfig, aggregate, cli, harness, make_feature_basis, 
                       make_state_weights, sweep)
 from projeval.cli import build_parser, main
 from projeval.heatmap import render_heatmap
-from projeval.matio import parse_matrix, parse_vector, read_csv, write_cell_csv
+from projeval.matio import (MatrixParseError, parse_matrix, parse_vector, read_csv,
+                            write_cell_csv)
 
 from oracles import exact_best_weights, write_matrix
 from test_harness import CSV_DIGESTS
@@ -924,14 +925,20 @@ class TestHeatmapCommand:
         ("trials.csv|0.9,5,1,2,2,0.5,0.6,0.7,1.5,1.6", "row has 10 fields, expected 11"),
     ])
     def test_malformed_row_reports_line(self, row, message, cells_csv, tmp_path, capsys):
-        # a row after "trials.csv|" goes into the sweep's trials.csv, which the one reader
-        # checks before the heatmap turns the file down; every other row into cells.csv
+        # a row after "trials.csv|" goes into the sweep's trials.csv, which the heatmap turns
+        # down from its header alone, so the one reader reads it; every other row goes into
+        # cells.csv, which the heatmap reads
         name, _, row = row.rpartition("|")
         good = Path(cells_csv).with_name(name or "cells.csv")
         lines = good.read_text().splitlines()
         lines.insert(3, row)
         bad = tmp_path / good.name
         bad.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", errors="surrogateescape")
+        if name:
+            with pytest.raises(MatrixParseError) as info:
+                read_csv(bad)
+            assert str(info.value).startswith(f"{bad}:4: {message}")
+            return
         svg = tmp_path / "x.svg"
         assert main(["heatmap", "--cells", str(bad), "--stat", "td_win_ratio",
                      "--gamma", "0.9", "--out", str(svg)]) == 1
@@ -946,6 +953,19 @@ class TestHeatmapCommand:
                      "--gamma", "0.9", "--out", str(svg)]) == 1
         assert_one_line(capsys.readouterr().err,
                         f"error: {trials_csv}: a trials.csv, expected a cells.csv")
+        assert not svg.exists()
+
+    def test_trials_csv_rejected_from_its_header(self, cells_csv, tmp_path, capsys):
+        # line 3 is malformed, but the header alone turns the file down
+        lines = Path(cells_csv).with_name("trials.csv").read_text().splitlines()
+        lines[2] = "0.9,zero"
+        bad = tmp_path / "trials.csv"
+        bad.write_text("\r\n".join(lines) + "\r\n")
+        svg = tmp_path / "x.svg"
+        assert main(["heatmap", "--cells", str(bad), "--stat", "td_win_ratio",
+                     "--gamma", "0.9", "--out", str(svg)]) == 1
+        assert_one_line(capsys.readouterr().err,
+                        f"error: {bad}: a trials.csv, expected a cells.csv")
         assert not svg.exists()
 
     def test_wrong_header_reports_line_1(self, cells_csv, tmp_path, capsys):

@@ -208,3 +208,67 @@ def test_trial_csv_reads_back_at_12_digits(tmp_path):
     # without v_norm no trial can be told degenerate, so aggregate refuses the file
     with pytest.raises(ValueError, match="v_norm"):
         harness.aggregate(back)
+
+
+@pytest.fixture(scope="module")
+def long_trials_lines(tmp_path_factory):
+    """The lines of a 6,000-row trials.csv on one grid, as the writer writes them."""
+    records = np.zeros(6000, dtype=harness.TRIAL_DTYPE).view(np.recarray)
+    records.gamma, records.n, records.k = 0.9, 10, 3
+    records.phi_trial = np.arange(6000) // 60
+    records.mdp_trial = np.arange(6000) % 60
+    records.e, records.e_td, records.e_br, records.b_td, records.b_br = 1.0, 1.5, 1.25, 2.0, 3.0
+    path = tmp_path_factory.mktemp("long") / "trials.csv"
+    write_trial_csv(path, records)
+    return path.read_bytes().decode().split("\r\n")
+
+
+def read_error(lines, tmp_path, line_no, row):
+    """The error of the long file with line `line_no` (1-based) replaced by `row`."""
+    lines = list(lines)
+    lines[line_no - 1] = row
+    path = tmp_path / "trials.csv"
+    path.write_bytes("\r\n".join(lines).encode("utf-8", "surrogateescape"))
+    with pytest.raises(MatrixParseError) as info:
+        read_csv(path)
+    assert info.value.line_no == line_no
+    return str(info.value).removeprefix(f"{path}:{line_no}: ")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.9,10,3,0,0,1,1.5,1.25,2,3,zero", "bad value: "),
+    ("0.9,10,3,0,0,1,1.5,1.25,2,3,0", "duplicate trial gamma=0.9 n=10 k=3 phi_trial=0 "
+                                      "mdp_trial=0, first on line 2"),
+    ("0.9,10,11,100,0,1,1.5,1.25,2,3,0", "k is 11, expected 1..10"),
+    ("0.9,10,3,100,0,1,1.5,1.25,2,3,2", "td_singular is 2, expected 0 or 1"),
+    ("", "row has 0 fields, expected 11"),
+    ("   ", "row has 1 fields, expected 11"),
+    ("0.9,10,3,100,0,1,1.5,1.25,2,3", "row has 10 fields, expected 11"),
+    # matrix files' number rules: float() and int() read the first two
+    ("0.9,1_0,3,100,0,1,1.5,1.25,2,3,0", "bad value: only ASCII digits without underscores"),
+    ("0.9,10,٣,100,0,1,1.5,1.25,2,3,0", "bad value: only ASCII digits without underscores"),
+    ('"0.9",10,3,100,0,1,1.5,1.25,2,3,0', "bad value: "),
+    ("0.9,10,3,100,0,1,1.5,1.25,2,\udcff,0", "not UTF-8: "),
+])
+def test_bad_row_deep_in_long_file_names_its_line(row, message, long_trials_lines, tmp_path):
+    # line 5,102 holds the key (0.9, 10, 3, 85, 0): a new key replaces it in the k, flag and
+    # width rows, so only the checked fault is left
+    assert read_error(long_trials_lines, tmp_path, 5102, row).startswith(message)
+
+
+def test_conversion_error_reported_before_earlier_off_grid_row(long_trials_lines, tmp_path):
+    lines = list(long_trials_lines)
+    lines[5000] = "0.9,10,11,99,1,1,1.5,1.25,2,3,0"  # line 5,001: k past n
+    assert read_error(lines, tmp_path, 5800, "0.9,zero").startswith("row has 2 fields")
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"", "{path}: unexpected header None"),
+    (b"gamma,n\xff\r\n", "{path}:1: not UTF-8: "),
+])
+def test_header_messages(data, message, tmp_path):
+    path = tmp_path / "trials.csv"
+    path.write_bytes(data)
+    with pytest.raises(MatrixParseError) as info:
+        read_csv(path)
+    assert str(info.value).startswith(message.format(path=path))
