@@ -136,9 +136,8 @@ def _usable_cpus() -> int:
 
 
 def cmd_heatmap(args) -> None:
-    with open(args.cells, encoding="utf-8", errors="replace") as fh:  # its header alone
-        if fh.readline().rstrip("\n") == ",".join(matio.TRIAL_HEADER):
-            raise ValueError(f"{args.cells}: a trials.csv, expected a cells.csv")
+    if matio._csv_dtype(args.cells) != matio.CELL_DTYPE:  # from its header alone
+        raise ValueError(f"{args.cells}: a trials.csv, expected a cells.csv")
     cells = matio.read_csv(args.cells)
     svg = heatmap.render_heatmap(cells, args.stat, args.gamma)
     with open(args.out, "w") as fh:

@@ -11,9 +11,8 @@ and a line holding bytes that are not UTF-8 is a bad line. The CSVs hold
 the fields of the record arrays `harness.TRIAL_DTYPE` (but v_norm) and
 `harness.CELL_DTYPE`: gamma, the only float key, as its shortest exact text (`%r`),
 so every gamma reads back as itself, and every other float at 12 significant digits.
-Both kinds of file are read the same way: one `np.loadtxt` call converts every row in C,
-and only when it fails are the lines read one by one, to name the first bad one; so a
-CSV field follows the matrix entries' number rules.
+Each kind of file is read by one `np.loadtxt` call, and line by line only to
+name the first bad line, so a CSV field follows the matrix entries' number rules.
 """
 
 from __future__ import annotations
@@ -90,7 +89,9 @@ def _first_bad_line(path: str, line_nos: list[int], lines: list[str]) -> MatrixP
         fields = line.split()
         try:
             for tok in fields:
-                _number(float, tok)
+                float(tok)
+                if not tok.isascii() or "_" in tok:
+                    raise ValueError(f"only ASCII digits without underscores are read: {tok!r}")
         except ValueError as exc:
             return MatrixParseError(path, line_no, f"bad number: {exc}")
         if not fields:
@@ -101,14 +102,6 @@ def _first_bad_line(path: str, line_nos: list[int], lines: list[str]) -> MatrixP
             return MatrixParseError(
                 path, line_no, f"row has {len(fields)} entries, expected {width}")
     return MatrixParseError(path, 0, "rows do not form a matrix")
-
-
-def _number(convert, tok: str) -> None:
-    """Raise `ValueError` unless `convert` reads `tok` as `np.loadtxt` would: `float()` and
-    `int()` also read digit-group underscores and non-ASCII digits."""
-    convert(tok)
-    if not tok.isascii() or "_" in tok:
-        raise ValueError(f"only ASCII digits without underscores are read: {tok!r}")
 
 
 def parse_vector(path: str) -> np.ndarray:
@@ -143,73 +136,69 @@ def write_cell_csv(path: str, cells: np.ndarray) -> None:
 
 def read_csv(path: str) -> np.recarray:
     """Read a trials.csv or a cells.csv, as its header says, into a record array of exactly
-    the header's fields (`TRIAL_DTYPE` but v_norm, or `CELL_DTYPE`): one `np.loadtxt` call
-    (td_singular read as an integer, so that 2 is not True), a line walk only if it fails,
-    then numpy masks check the grid (`_grid_problem`). The default grid's trials.csv (742,400
-    rows) reads in 1.0-1.9 s and 196 MB, 8.5 times faster than by `csv.reader`."""
-    with closing(_utf8_lines(path)) as lines:
-        header = next(map(_fields, lines), None)
-        if header not in (TRIAL_HEADER, CELL_HEADER):
-            raise MatrixParseError(path, int(header is not None), f"unexpected header {header}")
-        dtype = (CELL_DTYPE if header == CELL_HEADER else TRIAL_DTYPE)[header]  # v_norm left out
-        read = np.dtype([(f, "i8" if dtype[f].kind == "b" else dtype[f]) for f in header])
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a header alone is an empty table
-                # np.loadtxt would skip a blank line, so it gets a row of two empty fields
-                table = np.loadtxt((line.rstrip("\n") or "," for line in lines), read,
-                                   delimiter=",", ndmin=1, comments=None)
+    the header's fields (`TRIAL_DTYPE` but v_norm, or `CELL_DTYPE`), the way `parse_matrix`
+    reads; then numpy masks check the grid (`_check_grid`)."""
+    dtype = _csv_dtype(path)
+    read = np.dtype([(f, "i8" if dtype[f].kind == "b" else dtype[f]) for f in dtype.names])
+    with closing(_utf8_lines(path)) as lines, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a header alone is an empty table
+        warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x reads 2.5 as an int 2
+        try:  # np.loadtxt would skip a blank line, so it gets a row of two empty fields
+            table = np.loadtxt((line.rstrip("\n") or "," for line in islice(lines, 1, None)),
+                               read, delimiter=",", ndmin=1, comments=None)
         except ValueError:  # a bad value, a row of another width, or a line that is not UTF-8
             raise _first_bad_row(path, read) from None
-    problem = _grid_problem(table)
-    if problem:
-        raise MatrixParseError(path, *problem)
+    _check_grid(path, table)
     records = np.zeros(len(table), dtype).view(np.recarray)  # v_norm's unused bytes are 0
     records[...] = table  # by position: td_singular, now 0 or 1, to bool
     return records
 
 
-def _fields(line: str) -> list[str]:
-    return line.rstrip("\n").split(",") if line != "\n" else []
-
-
-def _first_bad_row(path: str, dtype: np.dtype) -> MatrixParseError:
-    """The error of the first line after the header that is not a row of `dtype`'s fields:
-    its width is checked first, then its values (`_number`)."""
+def _csv_dtype(path: str) -> np.dtype:
+    """The record dtype that the header, the first line of the CSV `path`, names."""
     with closing(_utf8_lines(path)) as lines:
-        for line_no, fields in enumerate(map(_fields, islice(lines, 1, None)), start=2):
-            if len(fields) != len(dtype):
+        line = next(lines, None)
+    header = [] if line == "\n" else line and line.rstrip("\n").split(",")
+    if header not in (TRIAL_HEADER, CELL_HEADER):
+        raise MatrixParseError(path, int(line is not None), f"unexpected header {header}")
+    return (CELL_DTYPE if header == CELL_HEADER else TRIAL_DTYPE)[header]  # v_norm left out
+
+
+def _first_bad_row(path: str, read: np.dtype) -> MatrixParseError:
+    """The error of the first line after the header that is not a row of `read`'s fields:
+    its width is checked first, then `np.loadtxt` reads the line alone."""
+    with closing(_utf8_lines(path)) as lines:
+        for line_no, line in enumerate(islice(lines, 1, None), start=2):
+            width = line.count(",") + 1 if line != "\n" else 0
+            if width != len(read):
                 return MatrixParseError(path, line_no,
-                                        f"row has {len(fields)} fields, expected {len(dtype)}")
+                                        f"row has {width} fields, expected {len(read)}")
             try:
-                for f, tok in zip(dtype.names, fields):
-                    _number(dtype[f].type, tok.strip())
-            except (ValueError, OverflowError) as exc:
-                return MatrixParseError(path, line_no, f"bad value: {exc}")
+                np.loadtxt([line], read, delimiter=",", comments=None)
+            except ValueError as exc:  # its text ends "at row 0, column c."
+                return MatrixParseError(path, line_no, f"bad value: {exc}".replace(" row 0,", ""))
     return MatrixParseError(path, 0, "rows do not form a table")
 
 
-def _grid_problem(t: np.ndarray) -> tuple[int, str] | None:
-    """The line and the first failed check of the first row off the grid, or None. No key,
+def _check_grid(path: str, t: np.ndarray) -> None:
+    """Raise the error of the first row off the grid, naming its first failed check. No key,
     (gamma, n, k) and a trial's (phi_trial, mdp_trial), may repeat."""
     key = [f for f in ("gamma", "n", "k", "phi_trial", "mdp_trial") if f in t.dtype.names]
     order = np.lexsort([t[f] for f in reversed(key)])
-    repeat = np.zeros(len(t), bool)
-    repeat[order[1:]] = t[key][order[1:]] == t[key][order[:-1]]  # a stable sort: first stays
+    repeat = np.zeros(len(t), bool)  # a stable sort keeps each key's first row first
+    repeat[order[1:]] = t[key][order[1:]] == t[key][order[:-1]]
     # each bounded field's least value, its greatest, and the text that states them
-    bounds = {"n": (2, np.inf, "at least 2"), "phi_trial": (0, np.inf, "at least 0"),
-              "mdp_trial": (0, np.inf, "at least 0"), "singular_count": (0, np.inf, "at least 0"),
-              "excluded_count": (0, np.inf, "at least 0"), "k": (1, t["n"], "1..{n}"),
-              "td_singular": (0, 1, "0 or 1")}
+    bounds = {"n": (2, np.inf, "at least 2"), **dict.fromkeys(
+        ("phi_trial", "mdp_trial", "singular_count", "excluded_count"), (0, np.inf, "at least 0")),
+        "k": (1, t["n"], "1..{n}"), "td_singular": (0, 1, "0 or 1")}
     checks = [(~((0 < t["gamma"]) & (t["gamma"] < 1)), "gamma is {gamma}, expected in (0, 1)"),
               (repeat, f"duplicate {'trial' if len(key) > 3 else 'cell'} "
                + " ".join(f"{f}={{{f}}}" for f in key) + ", first on line {first}"),
               *(((t[f] < lo) | (t[f] > hi), f"{f} is {{{f}}}, expected {text}")
                 for f, (lo, hi, text) in bounds.items() if f in t.dtype.names)]
     bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    text = next(text for mask, text in checks if mask[i])
-    return i + 2, text.format(first=np.argmax(t[key] == t[key][i]) + 2,
-                              **dict(zip(t.dtype.names, t[i].item())))
+    if bad.any():
+        i = int(np.argmax(bad))
+        text = next(text for mask, text in checks if mask[i])
+        raise MatrixParseError(path, i + 2, text.format(
+            first=np.argmax(t[key] == t[key][i]) + 2, **dict(zip(t.dtype.names, t[i].item()))))

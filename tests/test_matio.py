@@ -13,6 +13,7 @@ N x 0 array.
 """
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -245,8 +246,10 @@ def read_error(lines, tmp_path, line_no, row):
     ("   ", "row has 1 fields, expected 11"),
     ("0.9,10,3,100,0,1,1.5,1.25,2,3", "row has 10 fields, expected 11"),
     # matrix files' number rules: float() and int() read the first two
-    ("0.9,1_0,3,100,0,1,1.5,1.25,2,3,0", "bad value: only ASCII digits without underscores"),
-    ("0.9,10,٣,100,0,1,1.5,1.25,2,3,0", "bad value: only ASCII digits without underscores"),
+    ("0.9,1_0,3,100,0,1,1.5,1.25,2,3,0", "bad value: could not convert string '1_0' to int32 "
+                                         "at column 2."),
+    ("0.9,10,٣,100,0,1,1.5,1.25,2,3,0", "bad value: could not convert string '٣' to int32 "
+                                        "at column 3."),
     ('"0.9",10,3,100,0,1,1.5,1.25,2,3,0', "bad value: "),
     ("0.9,10,3,100,0,1,1.5,1.25,2,\udcff,0", "not UTF-8: "),
 ])
@@ -272,3 +275,14 @@ def test_header_messages(data, message, tmp_path):
     with pytest.raises(MatrixParseError) as info:
         read_csv(path)
     assert str(info.value).startswith(message.format(path=path))
+
+
+def test_fraction_in_an_integer_field_is_a_bad_value_under_any_warning_filter(
+        long_trials_lines, tmp_path):
+    # numpy 1.x's np.loadtxt reads 0.5 in an integer field as 0 with only a DeprecationWarning;
+    # the reader turns it down itself, so a caller's filters (here: ignore all) cannot hide it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        message = read_error(long_trials_lines, tmp_path, 5102,
+                             "0.9,10,3,100,0.5,1,1.5,1.25,2,3,0")
+    assert message.startswith("bad value: could not convert string '0.5' to int32")
