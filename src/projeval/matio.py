@@ -2,25 +2,25 @@
 
 Matrix format: one row per line, every row of the same width. Entries are
 separated by commas and/or whitespace. An entry is an ASCII decimal number
-as Python's `float()` reads it (`-1.5`, `2e-3`, `1e400` is inf) or `nan`,
-`inf`, `infinity` in any case and with an optional sign; digit-group
-underscores (`1_0`) and non-ASCII digits are rejected. Blank lines are
-skipped, and so is a line whose first non-blank character is '#'; a '#'
-later in a line is an error. Matrix files and both CSVs are read as UTF-8,
-and a line holding bytes that are not UTF-8 is a bad line. The CSVs hold
-the fields of the record arrays `harness.TRIAL_DTYPE` (but v_norm) and
-`harness.CELL_DTYPE`: gamma, the only float key, as its shortest exact text (`%r`),
-so every gamma reads back as itself, and every other float at 12 significant digits.
-Each kind of file is read by one `np.loadtxt` call, and line by line only to
-name the first bad line, so a CSV field follows the matrix entries' number rules.
+(`-1.5`, `2e-3`, `1e400` is inf) or `nan`, `inf`, `infinity` in any case and
+with an optional sign; digit-group underscores (`1_0`) and non-ASCII digits
+are errors. Blank lines are skipped, and so is a line whose first non-blank
+character is '#'; a '#' later in a line is an error. Matrix files and both
+CSVs are read as UTF-8, and a line holding bytes that are not UTF-8 is a bad
+line. The CSVs hold the fields of the record arrays `harness.TRIAL_DTYPE`
+(but v_norm) and `harness.CELL_DTYPE`: gamma, the only float key, as its
+shortest exact text (`%r`), so every gamma reads back as itself, and every
+other float at 12 significant digits. Both kinds of file are read by `_load`,
+so one converter, `np.loadtxt`'s, correctly rounded as `float()` is, judges
+every number read from a file.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterable, Iterator
-from contextlib import closing
-from itertools import islice
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import AbstractContextManager, closing, nullcontext
+from itertools import count, islice
 from typing import TextIO
 
 import numpy as np
@@ -57,51 +57,44 @@ def _utf8_lines(path: str) -> Iterator[str]:
 
 
 def parse_matrix(path: str) -> np.ndarray:
-    """Read a 2-D matrix; a file of single numbers yields a column vector.
-
-    Python keeps the data lines and their numbers, and one `np.loadtxt` call
-    converts every row in C with the correctly rounded conversion `float()`
-    uses. Only when that call fails are the lines read one by one, to name
-    the first bad one.
-    """
-    line_nos, lines = [], []
+    """Read a 2-D matrix through `_load`; a file of single numbers yields a column vector."""
+    line_nos, rows = [], []
     for line_no, raw in enumerate(_utf8_lines(path), start=1):
         line = raw.strip()
         if line and line[0] != "#":
             line_nos.append(line_no)
-            lines.append(line.replace(",", " "))
-    if not lines:
+            rows.append(line.replace(",", " ").strip())  # a row of separators only is ""
+    if not rows:
         raise MatrixParseError(path, 0, "file contains no matrix rows")
-    # np.loadtxt would skip a row of separators only
-    if not any(map(str.isspace, lines)):
-        try:
-            return np.loadtxt(lines, ndmin=2, comments=None)
-        except ValueError:
+    return _load(path, line_nos, lambda: nullcontext(rows), float, None, 2)
+
+
+def _load(path: str, line_nos: Iterable[int],
+          rows: Callable[[], AbstractContextManager[Iterable[str]]], dtype: np.dtype | type,
+          delimiter: str | None, ndmin: int, width: int | None = None) -> np.ndarray:
+    """Read the rows `rows()` gives, lines `line_nos` of `path`, by one `np.loadtxt` call. Only
+    if it fails are they read one by one, to raise the first bad row's error: its width, against
+    `width` or else the first row's, is checked before `np.loadtxt` reads the row alone."""
+    with rows() as lines:
+        try:  # np.loadtxt would skip an empty row, so it gets "," and fails
+            return np.loadtxt((line or "," for line in lines), dtype, delimiter=delimiter,
+                              ndmin=ndmin, comments=None)
+        except ValueError:  # a bad value, a row of another width, or a line that is not UTF-8
             pass
-    raise _first_bad_line(path, line_nos, lines)
-
-
-def _first_bad_line(path: str, line_nos: list[int], lines: list[str]) -> MatrixParseError:
-    """The error of the first line that is not a matrix row: its numbers are
-    checked first, then that it has any, then its width against the first row's."""
-    width = None
-    for line_no, line in zip(line_nos, lines):
-        fields = line.split()
-        try:
-            for tok in fields:
-                float(tok)
-                if not tok.isascii() or "_" in tok:
-                    raise ValueError(f"only ASCII digits without underscores are read: {tok!r}")
-        except ValueError as exc:
-            return MatrixParseError(path, line_no, f"bad number: {exc}")
-        if not fields:
-            return MatrixParseError(path, line_no, "row has no entries")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            return MatrixParseError(
-                path, line_no, f"row has {len(fields)} entries, expected {width}")
-    return MatrixParseError(path, 0, "rows do not form a matrix")
+    with rows() as lines:
+        for line_no, line in zip(line_nos, lines):
+            fields = len(line.split(delimiter)) if line else 0
+            if not (width or fields):
+                raise MatrixParseError(path, line_no, "row has no fields")
+            width = width or fields
+            if fields != width:
+                raise MatrixParseError(path, line_no, f"row has {fields} fields, expected {width}")
+            try:
+                np.loadtxt([line], dtype, delimiter=delimiter, comments=None)
+            except ValueError as exc:  # its text ends "at row 0, column c."
+                raise MatrixParseError(path, line_no,
+                                       f"bad value: {exc}".replace(" row 0,", "")) from None
+    raise MatrixParseError(path, 0, "rows do not form a table")
 
 
 def parse_vector(path: str) -> np.ndarray:
@@ -136,18 +129,18 @@ def write_cell_csv(path: str, cells: np.ndarray) -> None:
 
 def read_csv(path: str) -> np.recarray:
     """Read a trials.csv or a cells.csv, as its header says, into a record array of exactly
-    the header's fields (`TRIAL_DTYPE` but v_norm, or `CELL_DTYPE`), the way `parse_matrix`
-    reads; then numpy masks check the grid (`_check_grid`)."""
+    the header's fields (`TRIAL_DTYPE` but v_norm, or `CELL_DTYPE`) through `_load`, as
+    `parse_matrix` reads; then numpy masks check the grid (`_check_grid`)."""
     dtype = _csv_dtype(path)
     read = np.dtype([(f, "i8" if dtype[f].kind == "b" else dtype[f]) for f in dtype.names])
-    with closing(_utf8_lines(path)) as lines, warnings.catch_warnings():
+
+    def rows():  # the lines after the header, without their "\n"
+        return closing(line.rstrip("\n") for line in islice(_utf8_lines(path), 1, None))
+
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a header alone is an empty table
         warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x reads 2.5 as an int 2
-        try:  # np.loadtxt would skip a blank line, so it gets a row of two empty fields
-            table = np.loadtxt((line.rstrip("\n") or "," for line in islice(lines, 1, None)),
-                               read, delimiter=",", ndmin=1, comments=None)
-        except ValueError:  # a bad value, a row of another width, or a line that is not UTF-8
-            raise _first_bad_row(path, read) from None
+        table = _load(path, count(2), rows, read, ",", 1, len(read))
     _check_grid(path, table)
     records = np.zeros(len(table), dtype).view(np.recarray)  # v_norm's unused bytes are 0
     records[...] = table  # by position: td_singular, now 0 or 1, to bool
@@ -162,22 +155,6 @@ def _csv_dtype(path: str) -> np.dtype:
     if header not in (TRIAL_HEADER, CELL_HEADER):
         raise MatrixParseError(path, int(line is not None), f"unexpected header {header}")
     return (CELL_DTYPE if header == CELL_HEADER else TRIAL_DTYPE)[header]  # v_norm left out
-
-
-def _first_bad_row(path: str, read: np.dtype) -> MatrixParseError:
-    """The error of the first line after the header that is not a row of `read`'s fields:
-    its width is checked first, then `np.loadtxt` reads the line alone."""
-    with closing(_utf8_lines(path)) as lines:
-        for line_no, line in enumerate(islice(lines, 1, None), start=2):
-            width = line.count(",") + 1 if line != "\n" else 0
-            if width != len(read):
-                return MatrixParseError(path, line_no,
-                                        f"row has {width} fields, expected {len(read)}")
-            try:
-                np.loadtxt([line], read, delimiter=",", comments=None)
-            except ValueError as exc:  # its text ends "at row 0, column c."
-                return MatrixParseError(path, line_no, f"bad value: {exc}".replace(" row 0,", ""))
-    return MatrixParseError(path, 0, "rows do not form a table")
 
 
 def _check_grid(path: str, t: np.ndarray) -> None:

@@ -333,8 +333,8 @@ def aggregate_loop(records, singular_policy: str = "worst") -> np.recarray:
 
 
 def parse_matrix_loop(path: str) -> np.ndarray:
-    """A matrix file read one `float()` call per token: the reader that
-    `matio.parse_matrix` replaced, with the same messages and line numbers."""
+    """A matrix file read one `float()` call per token, with the messages and line numbers
+    of `matio.parse_matrix`: a row's width is checked before its numbers."""
     rows = []
     width = None
     with open(path) as fh:
@@ -343,15 +343,19 @@ def parse_matrix_loop(path: str) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             fields = line.replace(",", " ").split()
-            try:
-                row = [float(tok) for tok in fields]
-            except ValueError as exc:
-                raise MatrixParseError(path, line_no, f"bad number: {exc}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+            if not (width or fields):
+                raise MatrixParseError(path, line_no, "row has no fields")
+            width = width or len(fields)
+            if len(fields) != width:
                 raise MatrixParseError(
-                    path, line_no, f"row has {len(row)} entries, expected {width}")
+                    path, line_no, f"row has {len(fields)} fields, expected {width}")
+            row = []
+            for column, tok in enumerate(fields, start=1):
+                try:
+                    row.append(float(tok))
+                except ValueError:
+                    raise MatrixParseError(path, line_no, "bad value: could not convert string "
+                                           f"{tok!r} to float64 at column {column}.") from None
             rows.append(row)
     if not rows:
         raise MatrixParseError(path, 0, "file contains no matrix rows")

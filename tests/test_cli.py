@@ -281,8 +281,10 @@ class TestSolve:
         ("xi", "0.5\n", "weights have length 1, expected 2"),
         ("phi", "1\n2\n3\n", "features have 3 rows, expected 2"),
         # float() reads these two, the C reader does not
-        ("xi", "0.5\n1_0\n", "bad.txt:2: bad number: only ASCII digits"),
-        ("xi", "0.5\n٣\n", "bad.txt:2: bad number: only ASCII digits"),
+        ("xi", "0.5\n1_0\n", "bad.txt:2: bad value: could not convert string '1_0' to float64 "
+                             "at column 1.\n"),
+        ("xi", "0.5\n٣\n", "bad.txt:2: bad value: could not convert string '٣' to float64 "
+                           "at column 1.\n"),
         # errors of the whole file name no line
         ("xi", "0.5 1\n1 0\n", "bad.txt: expected a vector, got shape (2, 2)\n"),
         ("P", "# no rows\n", "bad.txt: file contains no matrix rows\n"),
