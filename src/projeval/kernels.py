@@ -15,8 +15,8 @@ SINGULAR_CONDITION_LIMIT on a cancellation-aware condition estimate; BR solves
 (L Phi)'(Xi L Phi), ungated; each bound is `_bound`, inexact for BR (ROADMAP item
 11), from the system's inverse, which TD's gate forms first. A member whose estimate,
 taken with ||m^-1||_F for 1 / sigma_min(m), lies 1e3 inside the limit is regular
-without an SVD; every other member, and every member of a stack whose inverse raises,
-takes the SVD rule. The sweep's CSVs are compared byte for byte against earlier runs,
+without an SVD; every other member takes the SVD rule, as all do when the stack's
+inverse raises (its stand-in is infinite). The sweep's CSVs are pinned byte for byte,
 so every operand and operation order behind the errors and bounds is fixed; the TD
 gate's estimate is only compared with the limit, so its norms set the flag alone.
 """
@@ -84,25 +84,22 @@ def cell_stats(chains: Mdp, bases: FeatureBasis, weights: StateWeights, out: np.
     # catches a tiny m from cancellation; the identity stands in for its m, w is NaN
     m_td = xiphi.swapaxes(-1, -2) @ lphi
     norms = np.linalg.norm(xiphi, axis=(-2, -1)) * np.linalg.norm(lphi, axis=(-2, -1))
-    singular = np.zeros(norms.shape, dtype=bool)
     try:
         inv_td = np.linalg.inv(m_td)
-    except np.linalg.LinAlgError:                 # a member is exactly singular
-        inv_td, unclear = None, ~singular
-    else:  # 1 / sigma_min(m) <= ||m^-1||_F: a member clearly inside the limit needs no SVD
-        with np.errstate(over="ignore", invalid="ignore"):
-            unclear = ~(norms * np.linalg.norm(inv_td, axis=(-2, -1))
-                        <= _CERTIFICATE_MARGIN * SINGULAR_CONDITION_LIMIT)
+    except np.linalg.LinAlgError:  # a member is exactly singular: every member takes the SVD
+        inv_td = np.full_like(m_td, np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):  # 1 / sigma_min(m) <= ||m^-1||_F
+        unclear = ~(norms * np.linalg.norm(inv_td, axis=(-2, -1))
+                    <= _CERTIFICATE_MARGIN * SINGULAR_CONDITION_LIMIT)
+    singular = np.zeros(norms.shape, dtype=bool)
     if unclear.any():
         s_min = np.linalg.svd(m_td[unclear], compute_uv=False)[..., -1]
         with np.errstate(divide="ignore", invalid="ignore"):
             singular[unclear] = ~(norms[unclear] / s_min <= SINGULAR_CONDITION_LIMIT)
     out[TD_SINGULAR] = singular
-    m_td[singular] = np.eye(m_td.shape[-1])
-    if inv_td is None:
+    if singular.any():  # each member's inverse is its own LAPACK call, the rest's bits stay
+        m_td[singular] = np.eye(m_td.shape[-1])
         inv_td = np.linalg.inv(m_td)
-    else:
-        inv_td[singular] = np.eye(m_td.shape[-1])
     w_td = _solve(m_td, xiphi, r)
     w_td[singular] = np.nan
     out["e_td"] = error(w_td)

@@ -3,9 +3,9 @@ Xi M and the one direction check, and the one oblique solve.
 
 Best, TD, BR and any oblique direction X solve (X' L Phi) w = X' r:
 `oblique_solve` does so from orthonormal bases of Xi^1/2 Phi (`weighted_qr`,
-also the xi-orthogonal projection) and of Xi^-1/2 L' X, gated on the
-projector's norm. The other helpers take stacks too, and give each member,
-bit for bit, its result alone.
+also the xi-orthogonal projection) and of Xi^-1/2 L' X, with one gate on the
+projector's norm, reported as a mask. It and the other helpers take a member
+or a stack, and give each member, bit for bit, its result alone.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# any solve whose bound (the kernel's TD: condition estimate) is above this is declared
-# singular; TD genuinely diverges on such instances and must be reported, not masked
+# one gate, for a member or a stack: a solve whose bound (the kernel's TD: condition estimate)
+# is not at most this is singular, reported as a mask; TD genuinely diverges there
 SINGULAR_CONDITION_LIMIT = 1e12
 
 INDEPENDENCE_SV_RATIO = 1e-10
@@ -132,24 +132,25 @@ def direction_matrix(x, phi: FeatureBasis) -> np.ndarray:
 def weighted_qr(phi_mat: np.ndarray, xi: StateWeights) -> tuple[np.ndarray, ...]:
     """s = Xi^1/2 as a column and the thin QR (q, r) of s Phi: Proj y = q q' (s y) / s,
     with coordinates c solving r c = q' (s y), conditioned as cond(r), not its square."""
-    s = np.sqrt(weight_column(xi, phi_mat.shape[0]))
+    s = np.sqrt(weight_column(xi, phi_mat.shape[-2]))
     return (s, *np.linalg.qr(s * phi_mat))
 
 
 def oblique_solve(phi_mat: np.ndarray, xi: StateWeights, ltx: np.ndarray,
-                  v: np.ndarray) -> tuple[np.ndarray | None, float]:
-    """(w, b) of the direction X with ltx = L' X: w solves (X' L Phi) w = X' L v, and the
-    xi-norm of its projector is b = 1 / sigma_min(K), K = Q_W' Q_U for orthonormal bases of
-    Xi^-1/2 L' X and Xi^1/2 Phi (Szyld 2006). w is None when b > SINGULAR_CONDITION_LIMIT,
-    the library's one singularity test."""
+                  v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, b, singular) of the direction X with ltx = L' X, per member of the broadcast leading
+    axes: w solves (X' L Phi) w = X' L v, and b = 1 / sigma_min(K), K = Q_W' Q_U for orthonormal
+    bases of Xi^-1/2 L' X and Xi^1/2 Phi, is its projector's xi-norm (Szyld 2006). A member is
+    singular unless b <= SINGULAR_CONDITION_LIMIT: the identity stands in for its K, w is NaN."""
     s, q_u, r_u = weighted_qr(phi_mat, xi)
-    q_w = np.linalg.qr(ltx / s)[0]
-    k = q_w.T @ q_u
-    sigma_min = float(np.linalg.svd(k, compute_uv=False)[-1])
-    bound = 1.0 / sigma_min if sigma_min else np.inf
-    if bound > SINGULAR_CONDITION_LIMIT:
-        return None, bound
-    return np.linalg.solve(r_u, np.linalg.solve(k, q_w.T @ (s[:, 0] * v))), bound
+    q_wt = np.linalg.qr(ltx / s)[0].swapaxes(-1, -2)
+    k = q_wt @ q_u
+    with np.errstate(divide="ignore"):
+        b = 1.0 / np.linalg.svd(k, compute_uv=False)[..., -1]
+    singular = ~(b <= SINGULAR_CONDITION_LIMIT)
+    k[singular] = np.eye(k.shape[-1])
+    w = np.linalg.solve(r_u, np.linalg.solve(k, q_wt @ (s * v[..., None])))[..., 0]
+    return np.where(singular[..., None], np.nan, w), b, singular
 
 
 def weighted_norm(v: np.ndarray, xi: StateWeights) -> float | np.ndarray:

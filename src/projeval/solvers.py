@@ -7,14 +7,14 @@ is the one oblique solve
 
 for a direction matrix X: TD(0) is X = Xi Phi, BR is X = Xi L Phi, best is
 the X* with L' X* = Xi Phi, and `solve_oblique` takes any X of independent
-columns. Each goes through `projections.oblique_solve`, and its
-`condition_estimate` is X's error bound (1 for best): the amplification of the
-best achievable error is exactly the xi-norm of the projector onto span(Phi)
-along span(L'X)^perp, 1 / sigma_min(Q_W' Q_U) for orthonormal bases Q_U of
-Xi^1/2 Phi and Q_W of Xi^-1/2 L' X (Szyld 2006). A bound above 1e12 is the
-status "singular", not an exception. Every solve needs v and reports its error
-||v - Phi w||_xi as `approx_error`; a value system L v = r past that limit
-raises ArithmeticError (`mdp.exact_value`), as does a solution that overflows.
+columns. Each is one member, with no leading axes, of `projections.oblique_solve`,
+and its `condition_estimate` is X's error bound (1 for best): the amplification of
+the best achievable error is exactly the xi-norm of the projector onto span(Phi)
+along span(L'X)^perp, 1 / sigma_min(Q_W' Q_U) for orthonormal bases Q_U of Xi^1/2 Phi
+and Q_W of Xi^-1/2 L' X (Szyld 2006). A member its mask gates (a bound not at most
+1e12, NaN included) has the status "singular", not an exception. Every solve needs v
+and reports its error ||v - Phi w||_xi as `approx_error`; a value system L v = r past
+that limit raises ArithmeticError (`mdp.exact_value`), as does a solution that overflows.
 """
 
 from __future__ import annotations
@@ -51,10 +51,11 @@ class ProjectionSolution:
 def _solve(mdp: Mdp, phi: FeatureBasis, xi: StateWeights, ltx: np.ndarray,
            method: str) -> ProjectionSolution:
     v = exact_value(mdp)
-    w, bound = oblique_solve(phi.matrix, xi, ltx, v)
-    v_hat, status = (None, "singular") if w is None else (phi.matrix @ w, "ok")
-    error = None if w is None else weighted_norm(v - v_hat, xi)
-    return ProjectionSolution(w, v_hat, method, bound, status, error)
+    w, bound, singular = oblique_solve(phi.matrix, xi, ltx, v)
+    if singular:
+        return ProjectionSolution(None, None, method, float(bound), "singular", None)
+    v_hat = phi.matrix @ w
+    return ProjectionSolution(w, v_hat, method, float(bound), "ok", weighted_norm(v - v_hat, xi))
 
 
 def solve_best(mdp: Mdp, phi: FeatureBasis, xi: StateWeights) -> ProjectionSolution:

@@ -10,8 +10,8 @@ from projeval import (
     weighted_norm,
 )
 from projeval.instances import SeedSpec, example1
-from projeval.mdp import l_matrix
-from projeval.projections import row_weighted
+from projeval.mdp import exact_value, l_matrix, make_mdp
+from projeval.projections import SINGULAR_CONDITION_LIMIT, oblique_solve, row_weighted
 
 from conftest import random_instance
 from oracles import (
@@ -147,6 +147,81 @@ class TestStackedHelpers:
         for f, m in members(3, 4):
             np.testing.assert_array_equal(
                 stacked[f, m], row_weighted(StateWeights(xi.weights[f]), mats[f, m]), strict=True)
+
+
+def td_member(inst):
+    """(Phi, xi, L' Xi Phi, v) of an instance: its TD direction's oblique-solve inputs."""
+    ltx = l_matrix(inst.mdp).T @ row_weighted(inst.xi, inst.phi.matrix)
+    return inst.phi.matrix, inst.xi.weights, ltx, exact_value(inst.mdp)
+
+
+# Phi = (1, 0)' against ltx = (0, 1)' with uniform weights: K = 0, so b is inf, and
+# np.linalg.solve would raise on K
+ZERO_K_MEMBER = (np.array([[1.0], [0.0]]), np.array([0.5, 0.5]), np.array([[0.0], [1.0]]),
+                 np.array([1.0, 2.0]))
+
+
+def stacked(*members):
+    return [np.stack(arrays) for arrays in zip(*members)]
+
+
+def assert_oblique_rows_alone(phi, xi, ltx, v):
+    """oblique_solve on a stack (leading axes broadcast) equals, with ==, each member solved
+    alone, on w (NaN equal to NaN), b and the singular mask; returns the stack's result."""
+    w, b, singular = oblique_solve(phi, StateWeights(xi), ltx, v)
+    shape = w.shape[:-1]
+    assert b.shape == singular.shape and singular.dtype == bool
+    for idx in np.ndindex(shape):
+        alone = oblique_solve(np.broadcast_to(phi, shape + phi.shape[-2:])[idx],
+                              StateWeights(np.broadcast_to(xi, shape + xi.shape[-1:])[idx]),
+                              np.broadcast_to(ltx, shape + ltx.shape[-2:])[idx],
+                              np.broadcast_to(v, shape + v.shape[-1:])[idx])
+        for field, alone_field in zip((w, b, singular), alone):
+            row = np.broadcast_to(field, shape + alone_field.shape)[idx]
+            np.testing.assert_array_equal(row, alone_field, strict=True)
+    return w, b, singular
+
+
+class TestObliqueSolveStacks:
+    """A stacked oblique_solve gives each member, bit for bit, its solve alone, gate included."""
+
+    def test_mixed_singularity(self):
+        # exactly singular (b = inf), example 1's TD at gamma 5/6 (b about 1.65e16, past the
+        # limit) and a regular member (example 1's TD at gamma 1/2, b = 1.25)
+        w, b, singular = assert_oblique_rows_alone(*stacked(
+            ZERO_K_MEMBER, td_member(example1(5.0 / 6.0, 1.0)), td_member(example1(0.5, 0.0))))
+        np.testing.assert_array_equal(singular, [True, True, False])
+        assert b[0] == np.inf and 1e16 < b[1] < 1e17
+        assert b[2] == pytest.approx(1.25, rel=1e-12)
+        assert np.isnan(w[:2]).all() and np.isfinite(w[2]).all()
+
+    def test_every_member_singular(self):
+        members = [td_member(example1(5.0 / 6.0, theta)) for theta in (1.0, -0.7)]
+        w, b, singular = assert_oblique_rows_alone(*stacked(ZERO_K_MEMBER, *members))
+        assert singular.all() and np.isnan(w).all()
+        assert not (b <= SINGULAR_CONDITION_LIMIT).any()
+
+    @pytest.mark.parametrize("direction", ["best", "best-per-basis", "td", "br"])
+    def test_bases_broadcast_against_chains(self, rng, direction):
+        # the sweep's shapes: Phi (F, 1, n, k) and xi (F, 1, n) against ltx (F, M, n, k) and
+        # v (M, n); best's ltx, Xi Phi, is also taken once per basis, (F, 1, n, k)
+        n_bases, n_chains, n, k = 3, 4, 6, 2
+        P = rng.uniform(size=(n_chains, n, n))
+        chains = make_mdp(P / P.sum(axis=-1, keepdims=True), rng.uniform(-1, 1, (n_chains, n)),
+                          0.9, stack=True)
+        L, v = l_matrix(chains), exact_value(chains)
+        phi = make_feature_basis(rng.normal(size=(n_bases, n, k)), stack=True).matrix[:, None]
+        xi = StateWeights(make_state_weights(rng.uniform(0.1, 1, (n_bases, n)), stack=True)
+                          .weights[:, None])
+        xiphi = row_weighted(xi, phi)
+        ltx = {"best": np.broadcast_to(xiphi, (n_bases, n_chains, n, k)),
+               "best-per-basis": xiphi,
+               "td": L.swapaxes(-1, -2) @ xiphi,
+               "br": L.swapaxes(-1, -2) @ row_weighted(xi, L @ phi)}[direction]
+        w, b, singular = assert_oblique_rows_alone(phi, xi.weights, ltx, v)
+        assert w.shape == (n_bases, n_chains, k) and not singular.any()
+        if direction.startswith("best"):
+            assert np.all(np.abs(b - 1.0) <= 1e-12)
 
 
 class TestOrthogonalMap:
